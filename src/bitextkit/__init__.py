@@ -24,7 +24,9 @@ from .encoder import (
     backprop_encode,
     encode,
     encode_batch,
+    encode_masked,
     featurize,
+    featurize_batch,
     load_encoder,
     make_teacher,
     save_encoder,

@@ -267,7 +267,7 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _cmd_embed(args) -> None:
-    vals, echo = _resolve(args, ["seed", "threads", "format", "side"])
+    vals, echo = _resolve(args, ["seed", "format", "side"])
     if vals["format"] == "tsv":
         pairs = read_pairs_tsv(args.input)
         column = 0 if vals["side"] == "source" else 1
@@ -275,7 +275,7 @@ def _cmd_embed(args) -> None:
     else:
         sentences = _read_lines(args.input)
     params = load_encoder(args.encoder)
-    matrix = encode_batch(params, sentences, threads=vals["threads"])
+    matrix = encode_batch(params, sentences)
     write_embeddings(args.out, matrix)
     print(echo)
     print(f"wrote {args.out}: n={matrix.shape[0]} dim={matrix.shape[1]}")
@@ -450,7 +450,7 @@ def _add_option_flags(parser: _Parser, keys: list[str]) -> None:
 
 def build_parser() -> _Parser:
     shared = _Parser(add_help=False)
-    _add_option_flags(shared, ["seed", "threads"])
+    _add_option_flags(shared, ["seed"])
     shared.add_argument("--config", default=None, help="key=value config file")
 
     parser = _Parser(prog="bitextkit", description=__doc__)
@@ -491,7 +491,7 @@ def build_parser() -> _Parser:
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
     p.add_argument("--out", default=None)
-    _add_option_flags(p, ["k", "margin"])
+    _add_option_flags(p, ["threads", "k", "margin"])
     p.set_defaults(func=_cmd_xsim_eval)
 
     p = sub.add_parser(
@@ -503,7 +503,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scored-out", default=None)
     p.add_argument("--subset-out", default=None)
     p.add_argument("--budget", action="append", default=None)
-    _add_option_flags(p, ["k", "margin"])
+    _add_option_flags(p, ["threads", "k", "margin"])
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("analyze", help="similarity histograms and threshold sweeps")

@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import BadMagicError, DimZeroError, TruncatedFileError
+from .errors import BadMagicError, DimZeroError, FormatError, TruncatedFileError
 
 MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sIQ")
@@ -48,7 +48,10 @@ def read_embeddings(path: str | os.PathLike) -> np.ndarray:
     """Read an EMB1 file into a float32 array of shape (count, dim).
 
     Raises BadMagicError / DimZeroError / TruncatedFileError on structural
-    violations, including trailing bytes beyond the promised payload.
+    violations, including trailing bytes beyond the promised payload; the
+    declared size is checked against the file size before anything is
+    read, so a lying header never sizes an allocation.  Raises FormatError
+    on NaN or infinite values, which the writer never produces.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -62,15 +65,19 @@ def read_embeddings(path: str | os.PathLike) -> np.ndarray:
         if dim == 0:
             raise DimZeroError(f"{path}: declared dim is 0")
         expected = count * dim * 4
-        payload = fh.read(expected + 1)
-        if len(payload) < expected:
+        found = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found != expected:
+            kind = "trailing bytes after" if found > expected else "truncated"
             raise TruncatedFileError(
-                f"{path}: expected {expected} payload bytes, found {len(payload)}"
+                f"{path}: {kind} payload: header declares {expected} bytes, "
+                f"file holds {found}"
             )
-        if len(payload) > expected:
-            raise TruncatedFileError(f"{path}: trailing bytes after payload")
-    flat = np.frombuffer(payload, dtype="<f4", count=count * dim)
-    return flat.reshape(count, dim).copy()
+        flat = np.fromfile(fh, dtype="<f4", count=count * dim)
+    if flat.size != count * dim:
+        raise TruncatedFileError(f"{path}: payload shrank while reading")
+    if not np.isfinite(flat).all():
+        raise FormatError(f"{path}: non-finite values in payload")
+    return flat.reshape(count, dim)
 
 
 def _atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:

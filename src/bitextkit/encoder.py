@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hashing
 from .embfile import atomic_write_text, read_embeddings, write_embeddings
-from .errors import DimMismatchError, FrozenEncoderError, ZeroVectorError
+from .errors import DimMismatchError, FormatError, FrozenEncoderError, ZeroVectorError
 from .vectors import ZERO_NORM_EPS
 
 SENTINEL_BEGIN = "^"
@@ -68,25 +67,77 @@ class SparseCounts:
         return dense
 
 
+# Sentences featurized and projected together.  Bounds the temporaries of
+# a batch call (hash lanes, gathered weight rows) to one block's worth.
+_BLOCK = 64
+
+
+def _block_counts(
+    sentences: list[str], cfg: FeaturizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hashed n-gram counts of a few sentences in compressed-row form.
+
+    Returns (nnz, indices, counts): sentence i owns the next nnz[i]
+    entries of indices (strictly increasing) and counts.
+    """
+    wrapped = [SENTINEL_BEGIN + s + SENTINEL_END if s else "" for s in sentences]
+    ids, bounds = hashing.bucket_ids(
+        wrapped, cfg.ngram_orders, cfg.bucket_count, cfg.hash_seed
+    )
+    row = np.repeat(np.arange(len(sentences)), np.diff(bounds))
+    keys, counts = np.unique(row * cfg.bucket_count + ids, return_counts=True)
+    nnz = np.bincount(keys // cfg.bucket_count, minlength=len(sentences))
+    return nnz, keys % cfg.bucket_count, counts.astype(np.float64)
+
+
+def _padded_block(
+    sentences: list[str], cfg: FeaturizerConfig, width: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """featurize_batch of at most one block, padded to at least ``width``."""
+    nnz, indices, counts = _block_counts(sentences, cfg)
+    width = max(width, int(nnz.max(initial=0)))
+    idx = np.zeros((nnz.size, width), dtype=np.int64)
+    val = np.zeros((nnz.size, width), dtype=np.float64)
+    rows = np.repeat(np.arange(nnz.size), nnz)
+    cols = np.arange(indices.size) - np.repeat(np.cumsum(nnz) - nnz, nnz)
+    idx[rows, cols] = indices
+    val[rows, cols] = counts
+    return idx, val
+
+
+def featurize_batch(
+    sentences: list[str], cfg: FeaturizerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hashed n-gram counts of many sentences as padded (n, K) arrays.
+
+    Row i holds featurize(sentences[i]) left-packed: its bucket indices
+    (increasing) and counts, then padding of index 0 with count 0.0, which
+    contributes nothing to any product or scatter-add.  K is the largest
+    feature count (at least 1).
+    """
+    n = len(sentences)
+    starts = range(0, n, _BLOCK)
+    # Two passes over the blocks, counting and then filling, so no second
+    # copy of the whole corpus's features is held next to the padded arrays.
+    width = 1
+    for lo in starts:
+        width = max(width, int(_block_counts(sentences[lo : lo + _BLOCK], cfg)[0].max()))
+    idx = np.zeros((n, width), dtype=np.int64)
+    val = np.zeros((n, width), dtype=np.float64)
+    for lo in starts:
+        hi = lo + _BLOCK
+        idx[lo:hi], val[lo:hi] = _padded_block(sentences[lo:hi], cfg, width)
+    return idx, val
+
+
 def featurize(sentence: str, cfg: FeaturizerConfig) -> SparseCounts:
     """Hashed n-gram counts of a sentence.
 
     The empty sentence maps to the all-zero vector (no sentinel n-grams
     are counted for it).  Deterministic for a fixed config.
     """
-    if sentence:
-        wrapped = SENTINEL_BEGIN + sentence + SENTINEL_END
-        ids = hashing.ngram_bucket_ids(
-            wrapped, cfg.ngram_orders, cfg.bucket_count, cfg.hash_seed
-        )
-    else:
-        ids = np.empty(0, dtype=np.int64)
-    if ids.size == 0:
-        return SparseCounts(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), cfg.bucket_count
-        )
-    idx, cnt = np.unique(ids, return_counts=True)
-    return SparseCounts(idx, cnt.astype(np.float64), cfg.bucket_count)
+    _, indices, counts = _block_counts([sentence], cfg)
+    return SparseCounts(indices, counts, cfg.bucket_count)
 
 
 @dataclass
@@ -133,58 +184,66 @@ def make_teacher(
     return EncoderParams(featurizer, weights, frozen=True)
 
 
+def project(weights: np.ndarray, idx: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """Unnormalized projections W^T f of padded feature rows.
+
+    Each row sums its own terms in index order, so it does not depend on
+    the other rows or on the padding width.
+    """
+    return np.einsum("bk,bkd->bd", val, weights[idx])
+
+
+def encode_masked(
+    params: EncoderParams, sentences: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm embeddings of many sentences plus a per-row ok mask.
+
+    A row is not ok when its sentence has no features or its projection
+    collapses to (near-)zero norm; such rows are all zero.  Never raises
+    for a bad sentence.  Works blockwise, so row i equals the row the
+    sentence gets in any other batch.
+    """
+    n = len(sentences)
+    out = np.zeros((n, params.dim), dtype=np.float64)
+    ok = np.zeros(n, dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        idx, val = _padded_block(sentences[lo : lo + _BLOCK], params.featurizer)
+        z = project(params.weights, idx, val)
+        norms = np.linalg.norm(z, axis=1)
+        good = norms > ZERO_NORM_EPS
+        out[lo : lo + len(z)][good] = z[good] / norms[good, None]
+        ok[lo : lo + len(z)] = good
+    return out, ok
+
+
+def _zero_reason(params: EncoderParams, sentence: str) -> str:
+    if featurize(sentence, params.featurizer).nnz == 0:
+        return "sentence has no features"
+    return "projection collapsed to zero norm"
+
+
 def encode(params: EncoderParams, sentence: str) -> np.ndarray:
     """Unit-norm float64 embedding of a sentence.
 
     Raises ZeroVectorError if the sentence is empty, produces no features,
     or its projection collapses to (near-)zero norm.
     """
-    feats = featurize(sentence, params.featurizer)
-    if feats.nnz == 0:
-        raise ZeroVectorError("sentence has no features")
-    z = feats.counts @ params.weights[feats.indices]
-    norm = float(np.linalg.norm(z))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroVectorError("projection collapsed to zero norm")
-    return z / norm
+    out, ok = encode_masked(params, [sentence])
+    if not ok[0]:
+        raise ZeroVectorError(_zero_reason(params, sentence))
+    return out[0]
 
 
-def encode_batch(
-    params: EncoderParams, sentences: list[str], threads: int = 1
-) -> np.ndarray:
+def encode_batch(params: EncoderParams, sentences: list[str]) -> np.ndarray:
     """Embeddings for a list of sentences, rows in input order.
 
-    Failures report the lowest failing sentence index regardless of thread
-    scheduling; parallel output is bitwise identical to serial because each
-    row is computed independently and written by index.
+    Each row is bitwise equal to encode() of its sentence.  Raises
+    ZeroVectorError naming the lowest failing sentence index.
     """
-    n = len(sentences)
-    out = np.empty((n, params.dim), dtype=np.float64)
-    if threads <= 1 or n < 2:
-        for i, sentence in enumerate(sentences):
-            try:
-                out[i] = encode(params, sentence)
-            except Exception as exc:
-                raise type(exc)(f"sentence {i}: {exc}") from exc
-        return out
-
-    failures: list[tuple[int, Exception]] = []
-
-    def work(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            try:
-                out[i] = encode(params, sentences[i])
-            except Exception as exc:
-                failures.append((i, exc))
-                return
-
-    step = -(-n // threads)
-    bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda b: work(*b), bounds))
-    if failures:
-        i, exc = min(failures, key=lambda f: f[0])
-        raise type(exc)(f"sentence {i}: {exc}") from exc
+    out, ok = encode_masked(params, sentences)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ZeroVectorError(f"sentence {i}: {_zero_reason(params, sentences[i])}")
     return out
 
 
@@ -255,7 +314,8 @@ def load_encoder(path: str | os.PathLike) -> EncoderParams:
 
     Weights come back as float64 (the file stores float32, so a save/load
     round trip quantizes to float32 precision).  The sidecar header must
-    agree with the matrix shape.
+    agree with the matrix shape.  A sidecar without a valid header raises
+    FormatError.
     """
     meta_path = os.fspath(path) + _META_SUFFIX
     header = None
@@ -267,16 +327,19 @@ def load_encoder(path: str | os.PathLike) -> EncoderParams:
             header = line
             break
     if header is None:
-        raise ValueError(f"{meta_path}: no header line found")
+        raise FormatError(f"{meta_path}: no header line found")
     m = _META_RE.match(header)
     if m is None:
-        raise ValueError(f"{meta_path}: malformed header {header!r}")
+        raise FormatError(f"{meta_path}: malformed header {header!r}")
     dim, buckets, orders_s, seed, frozen = m.groups()
-    featurizer = FeaturizerConfig(
-        ngram_orders=tuple(int(o) for o in orders_s.split(",")),
-        bucket_count=int(buckets),
-        hash_seed=int(seed),
-    )
+    try:
+        featurizer = FeaturizerConfig(
+            ngram_orders=tuple(int(o) for o in orders_s.split(",")),
+            bucket_count=int(buckets),
+            hash_seed=int(seed),
+        )
+    except ValueError as exc:
+        raise FormatError(f"{meta_path}: {exc}") from None
     weights = read_embeddings(path).astype(np.float64)
     if weights.shape != (int(buckets), int(dim)):
         raise DimMismatchError(

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embfile import atomic_write_text
-from .encoder import EncoderParams, encode
-from .errors import CorpusFormatError, ZeroVectorError
+# encode is not called here; it stays importable because perfbench traces it
+# under this module's name
+from .encoder import EncoderParams, encode, encode_masked  # noqa: F401
+from .errors import CorpusFormatError
 from .margin import SearchConfig, knn, margin, neighborhood_means
 
 Pair = tuple[str, str]
@@ -134,24 +136,13 @@ def score_corpus(
     if langid_hook is not None:
         pairs = [p for p in pairs if not langid_hook(*p)]
 
-    src_vecs: list[np.ndarray | None] = []
-    tgt_vecs: list[np.ndarray | None] = []
-    for source, target in pairs:
-        try:
-            s = encode(student, source) if source else None
-            t = encode(teacher, target) if target else None
-        except ZeroVectorError:
-            s = t = None
-        if s is None or t is None:  # a pair participates only when whole
-            s = t = None
-        src_vecs.append(s)
-        tgt_vecs.append(t)
-
-    valid = [i for i, s in enumerate(src_vecs) if s is not None]
+    src, src_ok = encode_masked(student, [s for s, _ in pairs])
+    tgt, tgt_ok = encode_masked(teacher, [t for _, t in pairs])
+    valid = np.flatnonzero(src_ok & tgt_ok)  # a pair participates only when whole
     scores = np.full(len(pairs), -math.inf)
-    if valid:
-        S = np.stack([src_vecs[i] for i in valid])
-        T = np.stack([tgt_vecs[i] for i in valid])
+    if valid.size:
+        S = src[valid]
+        T = tgt[valid]
         _, fwd_cos = knn(S, T, cfg.k, threads)
         _, bwd_cos = knn(T, S, cfg.k, threads)
         dx = neighborhood_means(fwd_cos, cfg.k)

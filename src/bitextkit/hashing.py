@@ -8,90 +8,81 @@ avalanche, then reduced modulo the bucket count:
     for each byte b:  h = ((h ^ b) * 1099511628211) mod 2^64
     h = fmix64(h);    bucket = h mod n_buckets
 
-Two interchangeable backends implement the inner loop: a Cython extension
-(``_fasthash``) and a pure-Python twin (``_hashing_py``).  The compiled one
-is preferred at import time; set ``BITEXTKIT_HASH_BACKEND=pure`` (or
-``compiled``) to force a choice.  Outputs are bit-identical either way.
+``bucket_ids`` hashes every n-gram of a list of texts at once: NumPy's
+uint64 arithmetic wraps mod 2^64 exactly as the recipe does, and the loop
+runs over byte positions within an n-gram, not over n-grams.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from ._hashing_py import fill_bucket_ids as _fill_pure
-
-try:
-    from ._fasthash import fill_bucket_ids as _fill_compiled
-except ImportError:
-    _fill_compiled = None
-
 _MASK = 0xFFFFFFFFFFFFFFFF
+_FNV_OFFSET = 14695981039346656037
+_FNV_PRIME = np.uint64(1099511628211)
+_FMIX_1 = np.uint64(0xFF51AFD7ED558CCD)
+_FMIX_2 = np.uint64(0xC4CEB9FE1A85EC53)
+_SHIFT = np.uint64(33)
 
 
-def _select_backend() -> tuple[str, object]:
-    forced = os.environ.get("BITEXTKIT_HASH_BACKEND", "").strip().lower()
-    if forced == "pure":
-        return "pure", _fill_pure
-    if forced == "compiled":
-        if _fill_compiled is None:
-            raise ImportError(
-                "BITEXTKIT_HASH_BACKEND=compiled but the _fasthash extension "
-                "is not built"
-            )
-        return "compiled", _fill_compiled
-    if forced:
-        raise ValueError(f"unknown BITEXTKIT_HASH_BACKEND {forced!r}")
-    if _fill_compiled is not None:
-        return "compiled", _fill_compiled
-    return "pure", _fill_pure
+def _fmix64(h: np.ndarray) -> np.ndarray:
+    h ^= h >> _SHIFT
+    h *= _FMIX_1
+    h ^= h >> _SHIFT
+    h *= _FMIX_2
+    h ^= h >> _SHIFT
+    return h
 
 
-BACKEND, _fill = _select_backend()
+def bucket_ids(
+    texts: list[str], orders: tuple[int, ...], n_buckets: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket ids of all character n-grams of every text, one per occurrence.
 
-
-def available_backends() -> tuple[str, ...]:
-    return ("pure",) if _fill_compiled is None else ("compiled", "pure")
-
-
-def _char_byte_offsets(data: bytes) -> np.ndarray:
-    """Byte offset of each code point in UTF-8 ``data``, plus the end offset.
-
-    Code points start at every byte that is not a UTF-8 continuation byte
-    (0b10xxxxxx), so no decoding pass is needed.
-    """
-    raw = np.frombuffer(data, dtype=np.uint8)
-    starts = np.flatnonzero((raw & 0xC0) != 0x80)
-    return np.append(starts, len(data)).astype(np.int64)
-
-
-def ngram_bucket_ids(
-    text: str,
-    orders: tuple[int, ...],
-    n_buckets: int,
-    seed: int,
-    backend=None,
-) -> np.ndarray:
-    """Bucket ids of all character n-grams of ``text``, one per occurrence.
-
-    ``text`` is hashed as-is (callers add sentinels).  Orders that exceed
-    the character length contribute nothing.  Returns int64 ids in
-    [0, n_buckets); deterministic for fixed (text, orders, n_buckets, seed).
+    Returns ``(ids, bounds)``: the ids of ``texts[i]`` are
+    ``ids[bounds[i]:bounds[i + 1]]``, ordered by ascending n-gram order,
+    then by position.  Texts are hashed as-is (callers add sentinels);
+    orders below 1 or above a text's character length contribute nothing.
+    ids are int64 in [0, n_buckets), deterministic for fixed arguments.
     """
     if n_buckets < 1:
         raise ValueError("n_buckets must be >= 1")
-    if not text:
-        return np.empty(0, dtype=np.int64)
-    data = text.encode("utf-8")
-    if len(data) == len(text):  # pure ASCII: offsets are trivial
-        offsets = np.arange(len(text) + 1, dtype=np.int64)
-    else:
-        offsets = _char_byte_offsets(data)
-    n_chars = len(offsets) - 1
-    orders = tuple(sorted(set(int(o) for o in orders)))
-    total = sum(n_chars - o + 1 for o in orders if 1 <= o <= n_chars)
-    out = np.empty(total, dtype=np.int64)
-    fill = _fill if backend is None else backend
-    written = fill(data, offsets, orders, n_buckets, seed & _MASK, out)
-    return out[:written]
+    orders = sorted({int(o) for o in orders if int(o) >= 1})
+    n_chars = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    data = "".join(texts).encode("utf-8")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # byte offset of each character: characters start at every byte that is
+    # not a UTF-8 continuation byte (0b10xxxxxx)
+    offsets = np.append(np.flatnonzero((raw & 0xC0) != 0x80), len(data))
+
+    # per_order[j, i]: n-grams of order orders[j] in texts[i]
+    per_order = np.maximum(n_chars - np.array(orders, dtype=np.int64)[:, None] + 1, 0)
+    bounds = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(per_order.sum(axis=0), out=bounds[1:])
+    first_char = np.cumsum(n_chars) - n_chars
+    ids = np.empty(int(bounds[-1]), dtype=np.int64)
+    basis = np.uint64(_FNV_OFFSET ^ (int(seed) & _MASK))
+    # where each text's block of the current order begins in ``ids``
+    dest_base = bounds[:-1].copy()
+    for order, counts in zip(orders, per_order):
+        text = np.repeat(np.arange(len(texts)), counts)
+        local = np.arange(text.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        start_char = first_char[text] + local
+        start = offsets[start_char]
+        length = offsets[start_char + order] - start
+        h = np.full(text.size, basis, dtype=np.uint64)
+        for j in range(int(length.max(initial=0))):  # j-th byte of each n-gram
+            live = length > j
+            byte = raw[np.where(live, start + j, 0)]
+            h = np.where(live, (h ^ byte) * _FNV_PRIME, h)
+        buckets = _fmix64(h) % np.uint64(n_buckets)
+        ids[dest_base[text] + local] = buckets.astype(np.int64)
+        dest_base += counts
+    return ids, bounds
+
+
+def ngram_bucket_ids(
+    text: str, orders: tuple[int, ...], n_buckets: int, seed: int
+) -> np.ndarray:
+    """Bucket ids of all character n-grams of one text (see bucket_ids)."""
+    return bucket_ids([text], orders, n_buckets, seed)[0]

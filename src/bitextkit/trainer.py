@@ -20,12 +20,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoder import (
+# featurize is not called here; it stays importable because perfbench traces
+# it under this module's name
+from .encoder import (  # noqa: F401
     EncoderParams,
     FeaturizerConfig,
-    SparseCounts,
     encode_batch,
     featurize,
+    featurize_batch,
+    project,
 )
 from .errors import (
     AllFilteredError,
@@ -321,21 +324,6 @@ class EpochStats:
         return self.loss_sum / self.loss_steps if self.loss_steps else float("nan")
 
 
-def _pad_features(feats: list[SparseCounts]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack sparse features into padded (n, K) index/value arrays.
-
-    Padding uses index 0 with value 0.0, which contributes nothing to any
-    product or scatter-add.
-    """
-    width = max((f.nnz for f in feats), default=1) or 1
-    idx = np.zeros((len(feats), width), dtype=np.int64)
-    val = np.zeros((len(feats), width), dtype=np.float64)
-    for i, f in enumerate(feats):
-        idx[i, : f.nnz] = f.indices
-        val[i, : f.nnz] = f.counts
-    return idx, val
-
-
 def _softmax_rows(l_pos: np.ndarray, l_neg: np.ndarray):
     """Row-wise stable softmax over concatenated [l_pos; l_neg] logits.
 
@@ -366,8 +354,7 @@ def _step_core(
     batch = tgt_emb.shape[0]
     tau = cfg.temperature
 
-    rows = W[idx]
-    z = np.einsum("bk,bkd->bd", val, rows)
+    z = project(W, idx, val)
     norms = np.linalg.norm(z, axis=1)
     collapsed = np.flatnonzero(norms <= ZERO_NORM_EPS)
     if collapsed.size:
@@ -501,14 +488,13 @@ def _check_roles(student: EncoderParams, teacher: EncoderParams) -> None:
 
 def _featurize_sources(
     sentences: list[str], cfg: FeaturizerConfig
-) -> list[SparseCounts]:
-    feats = []
-    for i, s in enumerate(sentences):
-        f = featurize(s, cfg)
-        if f.nnz == 0:
-            raise ZeroVectorError(f"source sentence {i} has no features")
-        feats.append(f)
-    return feats
+) -> tuple[np.ndarray, np.ndarray]:
+    """featurize_batch, refusing sentences without features."""
+    idx, val = featurize_batch(sentences, cfg)
+    empty = np.flatnonzero(val[:, 0] == 0.0)  # rows are left-packed
+    if empty.size:
+        raise ZeroVectorError(f"source sentence {empty[0]} has no features")
+    return idx, val
 
 
 def train_step(
@@ -528,9 +514,7 @@ def train_step(
     _check_roles(student, teacher)
     if not batch:
         raise ValueError("empty batch")
-    idx, val = _pad_features(
-        _featurize_sources([s for s, _ in batch], student.featurizer)
-    )
+    idx, val = _featurize_sources([s for s, _ in batch], student.featurizer)
     tgt_emb = encode_batch(teacher, [t for _, t in batch])
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
@@ -604,9 +588,7 @@ def train_distill(
 
     sources = [s for s, _ in pairs]
     targets = [t for _, t in pairs]
-    idx_all, val_all = _pad_features(
-        _featurize_sources(sources, student_init.featurizer)
-    )
+    idx_all, val_all = _featurize_sources(sources, student_init.featurizer)
     tgt_all = encode_batch(teacher, targets)
     lengths = [count_tokens(t) for t in targets]
 

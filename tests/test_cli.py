@@ -1,6 +1,8 @@
 """CLI tests: exit codes, config precedence, artifact round trips, and
 the guaranteed absence of partial outputs on failure."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,18 @@ def test_invalid_option_value(tmp_path, corpus_file, teacher_file, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+def test_threads_flag_only_where_it_is_used(tmp_path, corpus_file, teacher_file, capsys):
+    # embed no longer reads --threads, so it must not accept (and ignore) it
+    corpus, _ = corpus_file
+    teacher, _ = teacher_file
+    out = tmp_path / "x.emb"
+    for threads in ("2", "abc"):
+        argv = ["embed", "--input", corpus, "--encoder", teacher, "--out", str(out)]
+        assert main(argv + ["--threads", threads]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_missing_input_file_is_io_error(tmp_path, capsys):
     code = main(
         [
@@ -102,6 +116,43 @@ def test_bad_embedding_file_is_format_error(tmp_path, capsys):
     )
     assert code == 2
     assert "format error" in capsys.readouterr().err
+
+
+def test_huge_declared_row_count_is_format_error(tmp_path, capsys):
+    # the header promises 2**60 rows; nothing may be read or allocated for them
+    huge = tmp_path / "huge.emb"
+    huge.write_bytes(struct.pack("<4sIQ", b"EMB1", 4, 2**60) + b"\x00" * 32)
+    code = main(["xsim-eval", "--src", str(huge), "--tgt", str(huge), "--k", "1"])
+    assert code == 2
+    assert "format error" in capsys.readouterr().err
+
+
+def test_non_finite_embedding_is_format_error(tmp_path, capsys):
+    src, tgt = tmp_path / "s.emb", tmp_path / "t.emb"
+    write_embeddings(src, np.eye(3))
+    write_embeddings(tgt, np.eye(3))
+    raw = bytearray(tgt.read_bytes())
+    raw[16:20] = struct.pack("<f", float("nan"))
+    tgt.write_bytes(bytes(raw))
+    code = main(["xsim-eval", "--src", str(src), "--tgt", str(tgt), "--k", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "format error" in captured.err
+    assert "error_rate" not in captured.out
+
+
+def test_malformed_sidecar_is_format_error(tmp_path, corpus_file, teacher_file, capsys):
+    corpus, _ = corpus_file
+    teacher, _ = teacher_file
+    meta = tmp_path / "teacher.emb.meta"
+    header = meta.read_text(encoding="utf-8")
+    out = tmp_path / "x.emb"
+    for bad in (header.replace("frozen=1", "frozen=2"), "# no header\n"):
+        meta.write_text(bad, encoding="utf-8")
+        code = main(["embed", "--input", corpus, "--encoder", teacher, "--out", str(out)])
+        assert code == 2
+        assert "format error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_ratio_zero_denominator_is_numerical_error(tmp_path, capsys):
@@ -175,7 +226,7 @@ def test_config_echo_is_sorted(tmp_path, corpus_file, teacher_file, capsys):
     out = str(tmp_path / "emb.emb")
     assert main(["embed", "--input", corpus, "--encoder", teacher, "--out", out]) == 0
     echo = capsys.readouterr().out.splitlines()[0]
-    assert echo == "config: format=tsv seed=0 side=source threads=1"
+    assert echo == "config: format=tsv seed=0 side=source"
 
 
 # --- gen-synth -------------------------------------------------------------------

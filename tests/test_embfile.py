@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bitextkit import read_embeddings, write_embeddings
-from bitextkit.errors import BadMagicError, DimZeroError, TruncatedFileError
+from bitextkit.errors import BadMagicError, DimZeroError, FormatError, TruncatedFileError
 
 
 def test_empty_matrix_is_a_16_byte_file(tmp_path):
@@ -93,6 +93,22 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(good + b"x")
     with pytest.raises(TruncatedFileError):
         read_embeddings(path)
+
+
+def test_declared_size_is_checked_before_reading(tmp_path):
+    path = tmp_path / "huge.emb"
+    for dim, count in ((4, 2**60), (2**32 - 1, 2**64 - 1), (3, 2)):
+        path.write_bytes(struct.pack("<4sIQ", b"EMB1", dim, count) + b"\x00" * 20)
+        with pytest.raises(TruncatedFileError, match="header declares"):
+            read_embeddings(path)
+
+
+def test_non_finite_payload_rejected(tmp_path):
+    path = tmp_path / "bad.emb"
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        path.write_bytes(struct.pack("<4sIQ4f", b"EMB1", 2, 2, 1.0, 0.0, bad, 2.0))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_embeddings(path)
 
 
 def test_dim_zero_rejected_both_ways(tmp_path):

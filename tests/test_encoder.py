@@ -4,6 +4,8 @@ EMB1 + sidecar round trip."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextkit.encoder import (
     EncoderParams,
@@ -11,12 +13,19 @@ from bitextkit.encoder import (
     backprop_encode,
     encode,
     encode_batch,
+    encode_masked,
     featurize,
+    featurize_batch,
     load_encoder,
     make_teacher,
     save_encoder,
 )
-from bitextkit.errors import DimMismatchError, FrozenEncoderError, ZeroVectorError
+from bitextkit.errors import (
+    DimMismatchError,
+    FormatError,
+    FrozenEncoderError,
+    ZeroVectorError,
+)
 
 
 def small_params(buckets=16, dim=4, seed=3, frozen=False, hash_seed=0):
@@ -137,6 +146,26 @@ def test_make_teacher_is_deterministic_frozen_uniform():
     assert (np.abs(t1.weights) <= 1.0).all()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    sentences=st.lists(st.text(max_size=25), max_size=150),
+    orders=st.sets(st.integers(1, 5), min_size=1, max_size=3),
+    buckets=st.integers(2, 300),
+    hash_seed=st.integers(-(2**63), 2**64 - 1),
+)
+def test_featurize_batch_rows_match_featurize(sentences, orders, buckets, hash_seed):
+    cfg = FeaturizerConfig(
+        ngram_orders=tuple(orders), bucket_count=buckets, hash_seed=hash_seed
+    )
+    idx, val = featurize_batch(sentences, cfg)
+    feats = [featurize(s, cfg) for s in sentences]
+    assert idx.shape == val.shape == (len(sentences), max([1] + [f.nnz for f in feats]))
+    for i, f in enumerate(feats):
+        assert idx[i, : f.nnz].tolist() == f.indices.tolist()
+        assert val[i, : f.nnz].tolist() == f.counts.tolist()
+        assert not idx[i, f.nnz :].any() and not val[i, f.nnz :].any()
+
+
 # --- encode ------------------------------------------------------------------
 
 
@@ -181,7 +210,7 @@ def test_encode_batch_empty_list():
     assert out.shape == (0, 5)
 
 
-def test_encode_batch_matches_serial_and_threads_bitwise():
+def test_encode_batch_matches_encode_bitwise():
     params = small_params(buckets=128, dim=8, seed=2)
     rng = np.random.default_rng(3)
     letters = list("abcdef ")
@@ -189,11 +218,39 @@ def test_encode_batch_matches_serial_and_threads_bitwise():
         "".join(rng.choice(letters) for _ in range(int(rng.integers(1, 25))))
         for _ in range(60)
     ]
-    serial = encode_batch(params, sentences, threads=1)
-    parallel = encode_batch(params, sentences, threads=4)
+    batch = encode_batch(params, sentences)
     rows = np.stack([encode(params, s) for s in sentences])
-    assert np.array_equal(serial, parallel)
-    assert np.array_equal(serial, rows)
+    assert np.array_equal(batch, rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    pool=st.lists(st.text(min_size=1, max_size=40), min_size=1, max_size=20),
+    n=st.integers(65, 200),
+    dim=st.integers(2, 70),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_encode_batch_rows_match_encode_across_blocks(pool, n, dim, seed):
+    # more sentences than one featurize/project block, with repeats landing
+    # in blocks of different padding widths
+    rng = np.random.default_rng(seed)
+    sentences = [pool[i] for i in rng.integers(0, len(pool), size=n)]
+    params = small_params(buckets=97, dim=dim, seed=seed)
+    batch = encode_batch(params, sentences)
+    for i, s in enumerate(sentences):
+        assert np.array_equal(batch[i], encode(params, s))
+
+
+def test_encode_masked_marks_failing_rows():
+    # with hash_seed=13 and 4 buckets, "^" "d" "$" land in bucket 0 and "z"
+    # in bucket 1, so "zz" projects to 2 * (row 0 + row 1) = 0
+    cfg = FeaturizerConfig(ngram_orders=(1,), bucket_count=4, hash_seed=13)
+    weights = np.zeros((4, 3))
+    weights[0] = [0.0, 2.0, 0.0]
+    weights[1] = [0.0, -2.0, 0.0]
+    out, ok = encode_masked(EncoderParams(cfg, weights), ["d", "", "zz"])
+    assert ok.tolist() == [True, False, False]
+    assert out.tolist() == [[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3]
 
 
 def test_encode_batch_reports_lowest_failing_index():
@@ -201,7 +258,7 @@ def test_encode_batch_reports_lowest_failing_index():
     with pytest.raises(ZeroVectorError, match="sentence 2"):
         encode_batch(params, ["a", "b", "", "c"])
     with pytest.raises(ZeroVectorError, match="sentence 0"):
-        encode_batch(params, ["", "x", "", "y"], threads=2)
+        encode_batch(params, ["", "x", "", "y"])
 
 
 # --- backprop ----------------------------------------------------------------
@@ -314,10 +371,16 @@ def test_load_rejects_malformed_header(tmp_path):
     save_encoder(params, path)
     meta = tmp_path / "enc.emb.meta"
     meta.write_text("dim=4 buckets=8 orders=1,2\n")
-    with pytest.raises(ValueError, match="malformed header"):
+    with pytest.raises(FormatError, match="malformed header"):
         load_encoder(path)
     meta.write_text("# only comments here\n")
-    with pytest.raises(ValueError, match="no header"):
+    with pytest.raises(FormatError, match="no header"):
+        load_encoder(path)
+    meta.write_text("dim=4 buckets=8 orders=0 seed=0 frozen=0\n")
+    with pytest.raises(FormatError, match="ngram_orders"):
+        load_encoder(path)
+    meta.write_text("dim=4 buckets=8 orders=1,,2 seed=0 frozen=0\n")
+    with pytest.raises(FormatError):
         load_encoder(path)
 
 

@@ -1,8 +1,10 @@
-"""Hashing tests: golden vectors, an independent reference oracle, and
-backend equivalence (compiled vs pure Python)."""
+"""Hashing tests: golden vectors and an independent reference oracle,
+checked per text and on whole batches of arbitrary Unicode."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextkit import hashing
 
@@ -60,20 +62,22 @@ def test_matches_reference_oracle_on_random_text():
         assert got.tolist() == reference_ids(text, orders, buckets, seed)
 
 
-def test_backends_agree_bitwise():
-    backends = hashing.available_backends()
-    if len(backends) < 2:
-        pytest.skip("compiled backend not built")
-    from bitextkit._fasthash import fill_bucket_ids as compiled
-    from bitextkit._hashing_py import fill_bucket_ids as pure
-
-    rng = np.random.default_rng(37)
-    alphabet = list("ab é世\U0001f600")
-    for _ in range(200):
-        text = "".join(rng.choice(alphabet) for _ in range(int(rng.integers(1, 30))))
-        a = hashing.ngram_bucket_ids(text, (1, 2, 3), 512, 9, backend=pure)
-        b = hashing.ngram_bucket_ids(text, (1, 2, 3), 512, 9, backend=compiled)
-        assert np.array_equal(a, b)
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(st.text(max_size=30), max_size=8),
+    orders=st.sets(st.integers(1, 5), max_size=5),
+    n_buckets=st.integers(1, 2**63 - 1),
+    seed=st.integers(-(2**63), 2**64 - 1),
+)
+def test_batch_hash_matches_reference_oracle(texts, orders, n_buckets, seed):
+    ids, bounds = hashing.bucket_ids(texts, tuple(orders), n_buckets, seed)
+    assert ids.dtype == np.int64
+    assert bounds[0] == 0 and bounds.shape == (len(texts) + 1,)
+    for i, text in enumerate(texts):
+        expected = reference_ids(text, orders, n_buckets, seed)
+        assert ids[bounds[i] : bounds[i + 1]].tolist() == expected
+        one = hashing.ngram_bucket_ids(text, tuple(orders), n_buckets, seed)
+        assert one.tolist() == expected
 
 
 def test_deterministic_and_seed_sensitive():
