@@ -22,7 +22,7 @@ import numpy as np
 
 from .embfile import atomic_write_text
 from .encoder import EncoderParams, encode_batch
-from .errors import EmptyQueueError
+from .errors import BitextkitError, EmptyQueueError
 from .filtering import count_tokens
 from .margin import SearchConfig, xsim_error_rate
 from .trainer import NegativeQueue, TrainConfig, batch_indices, train_distill
@@ -107,13 +107,15 @@ class SweepRow:
     """One threshold sweep result row.
 
     error_rate is a held-out xsim error percentage in [0, 100];
-    kept_fraction is the mask-level keep rate in [0, 1].
+    kept_fraction is the mask-level keep rate in [0, 1].  A threshold whose
+    run failed has NaN in both and ``failure`` = "<ExceptionType>: <message>".
     """
 
     sigma: float
     error_rate: float
     kept_fraction: float
     seed: int
+    failure: str | None = None
 
 
 def threshold_sweep(
@@ -128,8 +130,9 @@ def threshold_sweep(
     """Train one student per threshold (same seed => same init and batch
     order) and evaluate each on held-out pairs.
 
-    A failure for one threshold is isolated: its row records NaN and the
-    sweep continues.  kept_fraction is the mask-level keep rate observed
+    A package or arithmetic error for one threshold is isolated: its row
+    records NaN and the failure, and the sweep continues; any other
+    exception propagates.  kept_fraction is the mask-level keep rate observed
     during that run.
     """
     search_cfg = search_cfg or SearchConfig()
@@ -146,11 +149,12 @@ def threshold_sweep(
             rows.append(
                 SweepRow(float(sigma), err, result.kept_fraction, cfg.rng_seed)
             )
-        except Exception as exc:  # isolate the failing threshold
+        except (BitextkitError, ArithmeticError) as exc:
+            failure = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
             if log_fn is not None:
-                log_fn(f"sigma={sigma}: failed: {exc}")
+                log_fn(f"sigma={sigma}: failed: {failure}")
             rows.append(
-                SweepRow(float(sigma), math.nan, math.nan, cfg.rng_seed)
+                SweepRow(float(sigma), math.nan, math.nan, cfg.rng_seed, failure)
             )
     return rows
 
@@ -182,8 +186,10 @@ def write_sweep_csv(
     comments: list[str] | None = None,
 ) -> None:
     """CSV of ``sigma,error_rate,kept_fraction,seed`` rows (error_rate a
-    percentage in [0, 100], kept_fraction a fraction in [0, 1])."""
+    percentage in [0, 100], kept_fraction a fraction in [0, 1]); each failed
+    row's failure follows the comments as ``# sigma=<s> failed: <failure>``."""
     lines = [f"# {c}" for c in (comments or [])]
+    lines += [f"# sigma={r.sigma:g} failed: {r.failure}" for r in rows if r.failure]
     lines.append("sigma,error_rate,kept_fraction,seed")
     for r in rows:
         lines.append(

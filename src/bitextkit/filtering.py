@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embfile import atomic_write_text
-# encode is not called here; it stays importable because perfbench traces it
-# under this module's name
+# encode and knn are not called here; they stay importable because perfbench
+# traces them under this module's name
 from .encoder import EncoderParams, encode, encode_masked  # noqa: F401
 from .errors import CorpusFormatError
-from .margin import SearchConfig, knn, margin, neighborhood_means
+from .margin import SearchConfig, knn, margin_scores, neighborhoods  # noqa: F401
+from .vectors import normalize_rows
 
 Pair = tuple[str, str]
 
@@ -143,15 +144,9 @@ def score_corpus(
     if valid.size:
         S = src[valid]
         T = tgt[valid]
-        _, fwd_cos = knn(S, T, cfg.k, threads)
-        _, bwd_cos = knn(T, S, cfg.k, threads)
-        dx = neighborhood_means(fwd_cos, cfg.k)
-        dy = neighborhood_means(bwd_cos, cfg.k)
+        dx, dy = neighborhoods(normalize_rows(S), normalize_rows(T), cfg.k, threads)
         diag = np.clip(np.einsum("nd,nd->n", S, T), -1.0, 1.0)
-        for row, i in enumerate(valid):
-            scores[i] = margin(
-                float(diag[row]), float(dx[row] + dy[row]), cfg.margin_kind
-            )
+        scores[valid] = margin_scores(diag, dx + dy, cfg.margin_kind)
     return [
         ScoredPair(source, target, float(scores[i]), count_tokens(target))
         for i, (source, target) in enumerate(pairs)

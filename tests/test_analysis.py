@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bitextkit import analysis
 from bitextkit.analysis import (
     Histogram,
     SweepRow,
@@ -193,7 +194,7 @@ def test_sweep_rows_match_direct_training():
     assert 0.0 < row.kept_fraction <= 1.0
 
 
-def test_sweep_preserves_sigma_order_and_isolates_failures():
+def test_sweep_preserves_sigma_order_and_isolates_failures(tmp_path):
     train_pairs, eval_pairs, teacher, cfg = sweep_fixture()
     # an empty evaluation source cannot be encoded: that threshold's row
     # must come back NaN while the others stay healthy
@@ -205,11 +206,29 @@ def test_sweep_preserves_sigma_order_and_isolates_failures():
     assert [r.sigma for r in rows] == [0.9, 0.5]
     assert all(math.isnan(r.error_rate) for r in rows)
     assert any("failed" in line for line in logged)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, rows, comments=["broken eval"])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# broken eval"
+    for line, sigma in zip(lines[1:3], ("0.9", "0.5")):
+        assert line.startswith(f"# sigma={sigma} failed: ZeroVectorError: ")
+    assert lines[3] == "sigma,error_rate,kept_fraction,seed"
 
     healthy = threshold_sweep(train_pairs, teacher, cfg, [0.9, 1.5], eval_pairs)
     assert all(math.isfinite(r.error_rate) for r in healthy)
     # sigma 1.5 keeps every negative by construction
     assert healthy[1].kept_fraction == 1.0
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    train_pairs, eval_pairs, teacher, cfg = sweep_fixture()
+
+    def broken(*args, **kwargs):
+        raise TypeError("bad call")
+
+    monkeypatch.setattr(analysis, "train_distill", broken)
+    with pytest.raises(TypeError, match="bad call"):
+        threshold_sweep(train_pairs, teacher, cfg, [0.9], eval_pairs)
 
 
 # --- CSV writers ----------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bitextkit.encoder import EncoderParams, FeaturizerConfig
+from bitextkit.encoder import EncoderParams, FeaturizerConfig, encode_batch, make_teacher
 from bitextkit.errors import CorpusFormatError
 from bitextkit.filtering import (
     ScoredPair,
@@ -19,7 +19,8 @@ from bitextkit.filtering import (
     write_scored_tsv,
 )
 from bitextkit.hashing import ngram_bucket_ids
-from bitextkit.margin import SearchConfig
+from bitextkit.margin import SearchConfig, knn, neighborhood_means
+from bitextkit.synth import CipherSpec, gen_cipher_corpus
 
 
 # --- tokens -------------------------------------------------------------------
@@ -180,6 +181,29 @@ def test_score_corpus_empty_side_isolated_from_neighborhoods():
     clean = score_corpus([("a", "n"), ("b", "o")], student, teacher, cfg)
     assert with_empty[0].score == pytest.approx(clean[0].score, abs=1e-12)
     assert with_empty[2].score == pytest.approx(clean[1].score, abs=1e-12)
+
+
+def test_score_corpus_across_blocks_matches_knn_margins_and_threads():
+    # 1,025 whole pairs: the last 1024-row block holds one row, fewer than k;
+    # the empty-sided pairs stay out of every neighbourhood
+    featurizer = FeaturizerConfig(ngram_orders=(2, 3), bucket_count=256, hash_seed=3)
+    student = make_teacher(featurizer, 16, weight_seed=1)
+    teacher = make_teacher(featurizer, 16, weight_seed=2)
+    spec = CipherSpec(vocab_size=60, max_len=6, map_seed=4)
+    whole = gen_cipher_corpus(spec, 1025, seed=5)
+    pairs = whole[:500] + [("", "x"), ("y", "")] + whole[500:]
+    cfg = SearchConfig(k=4, margin_kind="ratio")
+    serial = [p.score for p in score_corpus(pairs, student, teacher, cfg, threads=1)]
+    threaded = [p.score for p in score_corpus(pairs, student, teacher, cfg, threads=3)]
+    assert serial == threaded
+    assert serial[500] == serial[501] == -math.inf
+    S = encode_batch(student, [s for s, _ in whole])
+    T = encode_batch(teacher, [t for _, t in whole])
+    dx = neighborhood_means(knn(S, T, 4)[1], 4)
+    dy = neighborhood_means(knn(T, S, 4)[1], 4)
+    want = np.clip(np.einsum("nd,nd->n", S, T), -1.0, 1.0) / (dx + dy)
+    got = np.array(serial[:500] + serial[502:])
+    assert np.allclose(got, want, atol=1e-12, rtol=0.0)
 
 
 def test_score_corpus_counts_target_tokens():

@@ -2,8 +2,12 @@
 tie-breaking, hand-computed 2x2 scores, an exhaustive alignment oracle,
 and the evaluation report format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextkit.errors import DimMismatchError, KTooLargeError, SizeMismatchError
 from bitextkit.margin import (
@@ -16,6 +20,7 @@ from bitextkit.margin import (
     xsim_report,
     xsim_score,
 )
+from bitextkit.vectors import normalize_rows
 
 
 def random_units(rng, n, dim) -> np.ndarray:
@@ -76,6 +81,29 @@ def test_knn_matches_exhaustive_oracle():
     # knn re-normalizes its inputs, so cosines can differ in the last ulp
     assert np.allclose(cos, np.take_along_axis(sims, idx, axis=1), atol=1e-12, rtol=0.0)
     assert (np.diff(cos, axis=1) <= 0).all()  # descending per row
+
+
+@st.composite
+def tie_heavy_knn_case(draw):
+    """Small-integer rows (many exact cosine ties, no zero rows) and any k."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    Q = np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=np.float64)
+    C = np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=np.float64)
+    Q[~Q.any(axis=1), 0] = 1.0
+    C[~C.any(axis=1), 0] = 1.0
+    return Q, C, draw(st.integers(1, C.shape[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_knn_case())
+def test_knn_equals_stable_argsort_oracle_bitwise(case):
+    Q, C, k = case
+    sims = np.clip(normalize_rows(Q) @ normalize_rows(C).T, -1.0, 1.0)
+    want_idx = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    idx, cos = knn(Q, C, k)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(cos, np.take_along_axis(sims, want_idx, axis=1))
 
 
 def test_knn_validation():
@@ -206,12 +234,64 @@ def test_align_threads_bitwise_identical_across_blocks():
     assert np.array_equal(k1[1], k2[1])
 
 
+@pytest.mark.parametrize("m", [700, 2100])
+def test_align_block_edges_match_knn_margins(m):
+    # at n = 1025 the last 1024-row block holds one row, fewer than k
+    rng = np.random.default_rng(6)
+    S = random_units(rng, 1025, 8)
+    T = random_units(rng, m, 8)
+    cfg = SearchConfig(k=4, margin_kind="ratio")
+    idx, score = align(S, T, cfg, threads=1)
+    idx3, score3 = align(S, T, cfg, threads=3)
+    assert np.array_equal(idx, idx3)
+    assert np.array_equal(score, score3)
+    dx = neighborhood_means(knn(S, T, 4)[1], 4)
+    dy = neighborhood_means(knn(T, S, 4)[1], 4)
+    scores = np.clip(S @ T.T, -1.0, 1.0) / (dx[:, None] + dy[None, :])
+    assert np.array_equal(idx, scores.argmax(axis=1))
+    assert np.allclose(score, scores.max(axis=1), atol=1e-12, rtol=0.0)
+
+
+def test_align_k_exceeds_either_side():
+    rng = np.random.default_rng(8)
+    few, many = random_units(rng, 3, 4), random_units(rng, 6, 4)
+    for S, T in ((many, few), (few, many)):
+        with pytest.raises(KTooLargeError):
+            align(S, T, SearchConfig(k=4))
+
+
+def test_align_traced_peak_stays_within_four_blocks():
+    # the search holds about three 1024-row similarity blocks at a time; a
+    # selection that keeps a view of a block's partition holds one more
+    # block per block of sources and breaks this bound
+    n = 5000
+    rng = np.random.default_rng(4)
+    S = random_units(rng, n, 64)
+    T = random_units(rng, n, 64)
+    tracemalloc.start()
+    try:
+        align(S, T, SearchConfig(k=4, margin_kind="ratio"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 1024 * n * 8
+
+
 def test_align_ratio_zero_denominator_raises():
     # mutually orthogonal sides: every neighbourhood cosine is 0
     src = np.eye(8)[:4]
     tgt = np.eye(8)[4:]
     with pytest.raises(ZeroDivisionError):
         align(src, tgt, SearchConfig(k=2, margin_kind="ratio"))
+
+
+def test_non_finite_embeddings_are_rejected():
+    tgt = np.eye(4)
+    tgt[1, 1] = np.nan
+    with pytest.raises(ValueError, match="row 1"):
+        knn(np.eye(4), tgt, 2)
+    with pytest.raises(ValueError, match="row 1"):
+        align(np.eye(4), tgt, SearchConfig(k=2))
 
 
 def test_align_dim_mismatch():

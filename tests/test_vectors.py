@@ -110,6 +110,14 @@ def test_normalize_rows_reports_zero_row_index():
         normalize_rows(mat)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_normalize_rows_reports_non_finite_row_index(bad):
+    mat = np.ones((4, 3))
+    mat[1, 2] = bad
+    with pytest.raises(ValueError, match="row 1"):
+        normalize_rows(mat)
+
+
 def test_normalize_rows_rejects_vectors():
     with pytest.raises(DimMismatchError):
         normalize_rows(np.ones(4))
