@@ -39,6 +39,7 @@ from .errors import (
     CorpusFormatError,
     DimMismatchError,
     DimZeroError,
+    DivergenceError,
     EmptyNegativesError,
     EmptyQueueError,
     FormatError,

@@ -9,7 +9,8 @@ is fixed, so embed/train print it instead).
 
 Exit codes: 0 success; 1 usage or invalid configuration; 2 I/O or file
 format errors (messages name the file, and the line where applicable);
-3 numerical failures (zero vectors, empty pools, zero denominators, ...).
+3 numerical failures (zero vectors, empty pools, zero denominators, diverged
+training, ...).
 All outputs are written atomically (temp file + rename): a failed run
 leaves no partial artifacts.
 """
@@ -17,6 +18,8 @@ leaves no partial artifacts.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import math
 import os
 import sys
 
@@ -83,9 +86,12 @@ def _as_nonneg_int(text: str, key: str) -> int:
 
 def _as_float(text: str, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _as_pos_float(text: str, key: str) -> float:
@@ -300,9 +306,14 @@ def _cmd_train(args) -> None:
     teacher = load_encoder(args.teacher)
     print(echo)
     result = train_distill(pairs, teacher, cfg, log_fn=print)
+    weights = np.ascontiguousarray(result.student.weights, dtype="<f8")
+    digest = f"weights_sha256={hashlib.sha256(weights.tobytes()).hexdigest()}"
+    print(digest)
     save_encoder(result.student, args.out, comments=[echo])
     log_path = args.log if args.log else args.out + ".log"
-    atomic_write_text(log_path, "\n".join([f"# {echo}"] + result.log_lines) + "\n")
+    atomic_write_text(
+        log_path, "\n".join([f"# {echo}"] + result.log_lines + [digest]) + "\n"
+    )
     print(f"wrote {args.out} (+.meta), log {log_path}")
 
 

@@ -51,6 +51,10 @@ class TooFewPairsError(BitextkitError):
     """Not enough pairs to perform the requested corpus operation."""
 
 
+class DivergenceError(BitextkitError):
+    """Training produced a non-finite loss or non-finite weights."""
+
+
 # ---------------------------------------------------------------------------
 # file / format errors (CLI exit code 2)
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ number of negatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,11 +29,11 @@ from .encoder import (  # noqa: F401
     encode_batch,
     featurize,
     featurize_batch,
-    project,
 )
 from .errors import (
     AllFilteredError,
     DimMismatchError,
+    DivergenceError,
     EmptyNegativesError,
     FrozenEncoderError,
     ZeroVectorError,
@@ -55,7 +56,7 @@ Pair = tuple[str, str]
 class TrainConfig:
     """Hyperparameters for distillation.
 
-    temperature        softmax temperature tau (> 0)
+    temperature        softmax temperature tau (finite, > 0)
     filter_threshold   cosine threshold sigma for the negative pre-filter,
                        in (0, 1.5]; 1.5 keeps everything
     queue_size         FIFO queue capacity N
@@ -65,8 +66,8 @@ class TrainConfig:
                        False: batch by ascending target token count so
                        near-length (hard) targets share a batch
     prefilter_enabled  apply the threshold + equalization to negatives
-    step_size          gradient step scale (0 evaluates losses without
-                       updating weights)
+    step_size          gradient step scale (finite, >= 0; 0 evaluates
+                       losses without updating weights)
     epochs             passes over the corpus
     rng_seed           master seed; independent streams are derived for
                        init, shuffling, and equalization
@@ -84,8 +85,10 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(
+                f"temperature must be finite and > 0, got {self.temperature}"
+            )
         if not 0 < self.filter_threshold <= 1.5:
             raise ValueError(
                 f"filter_threshold must be in (0, 1.5], got {self.filter_threshold}"
@@ -101,8 +104,8 @@ class TrainConfig:
             )
         if self.negatives_source == NEGATIVES_IN_BATCH and self.batch_size < 2:
             raise ValueError("in-batch negatives require batch_size >= 2")
-        if self.step_size < 0:
-            raise ValueError("step_size must be >= 0")
+        if not 0 <= self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -165,6 +168,45 @@ def queue_update(queue: NegativeQueue, new_targets) -> NegativeQueue:
 # ---------------------------------------------------------------------------
 
 
+def _masked_infonce(q, k, candidates, allowed, tau: float):
+    """Per-sample InfoNCE of queries q against [k+; allowed candidates].
+
+    Row j's logits are <q_j, k+_j>/tau and q_j C^T/tau, the latter -inf
+    where ``allowed[j]`` is False (``allowed`` None allows every candidate).
+    Returns (losses, dq): losses[j] = lse_j - l_pos[j] and
+    dq = d(sum of losses)/dq = ((p_pos - 1) k+ + P_neg C)/tau.
+    """
+    l_pos = np.einsum("bd,bd->b", q, k) / tau
+    l_neg = (q @ candidates.T) / tau
+    if allowed is not None:
+        np.copyto(l_neg, -np.inf, where=~allowed)
+    peak = np.maximum(l_pos, l_neg.max(axis=1))
+    e_pos = np.exp(l_pos - peak)
+    e_neg = np.exp(l_neg - peak[:, None])
+    denom = e_pos + e_neg.sum(axis=1)
+    losses = np.log(denom) + peak - l_pos
+    p_neg = e_neg / denom[:, None]
+    return losses, ((e_pos / denom - 1.0)[:, None] * k + p_neg @ candidates) / tau
+
+
+def _loss_inputs(queries, positives, negatives, temperature: float):
+    """Validated float64 (batch, dim) queries/positives, (n, dim) negatives."""
+    if not temperature > 0:
+        raise ValueError("temperature must be > 0")
+    arrays = (queries, positives, negatives)
+    q, k, negs = (np.asarray(a, dtype=np.float64) for a in arrays)
+    if negs.ndim != 2:
+        raise DimMismatchError("negatives must be a 2-D matrix")
+    if negs.shape[0] == 0:
+        raise EmptyNegativesError("need at least one negative")
+    if q.ndim != 2 or q.shape != k.shape or negs.shape[1] != q.shape[1]:
+        raise DimMismatchError(
+            f"shapes disagree: query {q.shape}, positive {k.shape}, "
+            f"negatives {negs.shape}"
+        )
+    return q, k, negs
+
+
 def infonce_loss(query, positive, negatives, temperature: float) -> float:
     """Softmax cross-entropy of the query against [positive; negatives].
 
@@ -172,41 +214,26 @@ def infonce_loss(query, positive, negatives, temperature: float) -> float:
     positive is entry 0 and stays in the denominator.  Inputs are assumed
     unit-norm (the embeddings this package produces are).
     """
-    if not temperature > 0:
-        raise ValueError("temperature must be > 0")
-    q = np.asarray(query, dtype=np.float64)
-    k = np.asarray(positive, dtype=np.float64)
-    negs = np.asarray(negatives, dtype=np.float64)
-    if negs.ndim != 2:
-        raise DimMismatchError("negatives must be a 2-D matrix")
-    if negs.shape[0] == 0:
-        raise EmptyNegativesError("need at least one negative")
-    if q.shape != k.shape or negs.shape[1] != q.shape[0]:
-        raise DimMismatchError(
-            f"shapes disagree: query {q.shape}, positive {k.shape}, "
-            f"negatives {negs.shape}"
-        )
-    logits = np.concatenate(([float(np.dot(q, k))], negs @ q)) / temperature
-    peak = logits.max()
-    lse = peak + np.log(np.exp(logits - peak).sum())
-    return float(lse - logits[0])
+    q, k = np.asarray(query)[None], np.asarray(positive)[None]
+    q, k, negs = _loss_inputs(q, k, negatives, temperature)
+    return float(_masked_infonce(q, k, negs, None, temperature)[0][0])
 
 
 def prefilter_mask(positive, queue_entries, threshold: float) -> np.ndarray:
     """Boolean keep-mask over queue entries: kept iff cos(k+, k_i) < threshold.
 
-    The comparison is strict, so entries exactly at the threshold are
-    dropped; at threshold 1.0 only exact duplicates (cos == 1) go.
+    ``positive`` is one vector (mask shape (pool,)) or a batch of rows
+    (mask shape (batch, pool)).  The comparison is strict, so entries
+    exactly at the threshold are dropped; at threshold 1.0 only exact
+    duplicates (cos == 1) go.
     """
     if not 0 < threshold <= 1.5:
         raise ValueError(f"threshold must be in (0, 1.5], got {threshold}")
     k = np.asarray(positive, dtype=np.float64)
     pool = np.asarray(queue_entries, dtype=np.float64)
-    if pool.ndim != 2 or k.ndim != 1 or pool.shape[1] != k.shape[0]:
-        raise DimMismatchError(
-            f"shapes disagree: positive {k.shape}, pool {pool.shape}"
-        )
-    cos = np.clip(pool @ k, -1.0, 1.0)
+    if pool.ndim != 2 or k.ndim not in (1, 2) or pool.shape[1] != k.shape[-1]:
+        raise DimMismatchError(f"shapes disagree: k+ {k.shape}, pool {pool.shape}")
+    cos = np.clip(k @ pool.T, -1.0, 1.0)
     return cos < threshold
 
 
@@ -227,9 +254,11 @@ class FilterSet:
 def equalize_negatives(mask: np.ndarray, rng: np.random.Generator) -> FilterSet:
     """Equalize per-sample survivor sets to the batch-min size M.
 
-    Samples with more than M survivors have M of them drawn uniformly
-    without replacement (indices re-sorted ascending for determinism).
-    Raises AllFilteredError when some sample keeps nothing (M == 0).
+    One uniform key per mask entry, drawn at once for the batch; dropped
+    entries get key +inf and each row keeps its M smallest keys: a uniform
+    M-subset of its survivors, or all of them when it has exactly M.
+    Indices come back ascending.  Raises AllFilteredError, before drawing,
+    when some sample keeps nothing (M == 0).
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
@@ -239,13 +268,10 @@ def equalize_negatives(mask: np.ndarray, rng: np.random.Generator) -> FilterSet:
     if m_min == 0:
         bad = int(np.argmin(sizes)) if sizes.size else 0
         raise AllFilteredError(f"sample {bad} has no surviving negatives")
-    out = np.empty((mask.shape[0], m_min), dtype=np.int64)
-    for j in range(mask.shape[0]):
-        survivors = np.flatnonzero(mask[j])
-        if survivors.size > m_min:
-            survivors = np.sort(rng.choice(survivors, size=m_min, replace=False))
-        out[j] = survivors
-    return FilterSet(out, sizes.astype(np.int64), int(mask.shape[1]))
+    keys = rng.random(mask.shape)
+    keys[~mask] = np.inf
+    chosen = np.argpartition(keys, m_min - 1, axis=1)[:, :m_min]
+    return FilterSet(np.sort(chosen, axis=1), sizes.astype(np.int64), mask.shape[1])
 
 
 def filtered_infonce_loss(
@@ -253,21 +279,19 @@ def filtered_infonce_loss(
 ) -> float:
     """Batch-mean InfoNCE where sample j sees only its surviving negatives.
 
-    Routed through the same per-sample loss as the unfiltered path, so a
-    filter that keeps everything reproduces the unfiltered loss exactly.
+    The same masked loss as the unfiltered path, so a filter that keeps
+    everything reproduces the unfiltered loss.  Each sample's indices
+    are taken as a set (equalize_negatives never repeats one).
     """
-    q = np.asarray(queries, dtype=np.float64)
-    k = np.asarray(positives, dtype=np.float64)
-    pool = np.asarray(negatives_pool, dtype=np.float64)
-    if q.ndim != 2 or q.shape != k.shape:
-        raise DimMismatchError("queries/positives must be matching 2-D matrices")
+    q, k, pool = _loss_inputs(queries, positives, negatives_pool, temperature)
     if filter_set.indices.shape[0] != q.shape[0]:
         raise DimMismatchError("filter set rows != batch size")
-    losses = [
-        infonce_loss(q[j], k[j], pool[filter_set.indices[j]], temperature)
-        for j in range(q.shape[0])
-    ]
-    return float(np.mean(losses))
+    if filter_set.indices.shape[1] == 0:
+        raise EmptyNegativesError("need at least one negative")
+    allowed = np.zeros((q.shape[0], pool.shape[0]), dtype=bool)
+    np.put_along_axis(allowed, filter_set.indices, True, axis=1)
+    losses, _ = _masked_infonce(q, k, pool, allowed, temperature)
+    return float(losses.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -323,38 +347,38 @@ class EpochStats:
     def mean_loss(self) -> float:
         return self.loss_sum / self.loss_steps if self.loss_steps else float("nan")
 
-
-def _softmax_rows(l_pos: np.ndarray, l_neg: np.ndarray):
-    """Row-wise stable softmax over concatenated [l_pos; l_neg] logits.
-
-    Returns (losses, p_pos, p_neg) where losses[j] = lse_j - l_pos[j].
-    """
-    peak = np.maximum(l_pos, l_neg.max(axis=1))
-    e_pos = np.exp(l_pos - peak)
-    e_neg = np.exp(l_neg - peak[:, None])
-    denom = e_pos + e_neg.sum(axis=1)
-    losses = np.log(denom) + peak - l_pos
-    return losses, e_pos / denom, e_neg / denom[:, None]
+    @property
+    def kept_fraction(self) -> float:
+        """Kept share of the pre-filter mask (1.0 when it never ran)."""
+        return self.mask_kept / self.mask_total if self.mask_total else 1.0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is checked explicitly
 def _step_core(
     W: np.ndarray,
     idx: np.ndarray,
     val: np.ndarray,
     tgt_emb: np.ndarray,
     queue_mat: np.ndarray,
-    capacity: int,
     cfg: TrainConfig,
     eq_rng: np.random.Generator,
     stats: EpochStats,
-) -> tuple[float | None, np.ndarray]:
-    """One in-place step on W given pre-featurized sources and teacher
-    target embeddings.  Returns (loss or None if skipped, updated queue
-    matrix).  Enqueueing always happens, and always after the loss."""
-    batch = tgt_emb.shape[0]
-    tau = cfg.temperature
+) -> float | None:
+    """One in-place step on W, against the queue before this batch is
+    enqueued; returns the loss, or None for a skipped step.
 
-    z = project(W, idx, val)
+    The features form a dense (batch, |u|) matrix F over the batch's unique
+    buckets u: z = F W[u] and W[u] -= step * F^T dz.  Candidates are the
+    queue rows or the batch targets, with the own positive (in-batch) and
+    prefilter drops masked out of one softmax.
+    """
+    batch = tgt_emb.shape[0]
+    u, inv = np.unique(idx, return_inverse=True)
+    rows = np.repeat(np.arange(batch) * u.size, idx.shape[1])
+    F = np.bincount(rows + inv.ravel(), weights=val.ravel(), minlength=batch * u.size)
+    F = F.reshape(batch, u.size)
+    W_u = W[u]
+    z = F @ W_u
     norms = np.linalg.norm(z, axis=1)
     collapsed = np.flatnonzero(norms <= ZERO_NORM_EPS)
     if collapsed.size:
@@ -363,109 +387,42 @@ def _step_core(
         )
     q = z / norms[:, None]
 
-    loss = None
-    dq = None  # d(batch loss summed over samples)/dq, shape (batch, dim)
-
-    if cfg.negatives_source == NEGATIVES_QUEUE:
-        pool = queue_mat
-        if pool.shape[0] == 0:
-            stats.skipped_steps += 1  # warm-up: nothing to contrast against
+    in_batch = cfg.negatives_source == NEGATIVES_IN_BATCH
+    candidates = tgt_emb if in_batch else queue_mat
+    if candidates.shape[0] == (1 if in_batch else 0):  # nothing to contrast against
+        stats.skipped_steps += 1
+        return None
+    allowed = ~np.eye(batch, dtype=bool) if in_batch else None
+    if cfg.prefilter_enabled:
+        mask = prefilter_mask(tgt_emb, candidates, cfg.filter_threshold)
+        if in_batch:
+            mask &= allowed  # the own positive is never a negative
+        total = mask.size - (batch if in_batch else 0)
+        kept = int(mask.sum())
+        stats.mask_kept += kept
+        stats.mask_total += total
+        stats.filtered_out += total - kept
+        try:
+            fs = equalize_negatives(mask, eq_rng)
+        except AllFilteredError:
+            stats.m_zero_fallbacks += 1  # revert to every candidate
         else:
-            kept = None
-            if cfg.prefilter_enabled:
-                cos = np.clip(tgt_emb @ pool.T, -1.0, 1.0)
-                mask = cos < cfg.filter_threshold
-                stats.mask_kept += int(mask.sum())
-                stats.mask_total += mask.size
-                stats.filtered_out += int(mask.size - mask.sum())
-                sizes = mask.sum(axis=1)
-                if int(sizes.min()) == 0:
-                    stats.m_zero_fallbacks += 1  # revert to the whole queue
-                else:
-                    kept = _equalize_indices(mask, sizes, eq_rng)
-            if kept is None:
-                l_neg = (q @ pool.T) / tau
-                losses, p_pos, p_neg = _softmax_rows(
-                    np.einsum("bd,bd->b", q, tgt_emb) / tau, l_neg
-                )
-                dq = ((p_pos - 1.0)[:, None] * tgt_emb + p_neg @ pool) / tau
-            else:
-                negs = pool[kept]  # (batch, M, dim)
-                l_neg = np.einsum("bd,bmd->bm", q, negs) / tau
-                losses, p_pos, p_neg = _softmax_rows(
-                    np.einsum("bd,bd->b", q, tgt_emb) / tau, l_neg
-                )
-                dq = (
-                    (p_pos - 1.0)[:, None] * tgt_emb
-                    + np.einsum("bm,bmd->bd", p_neg, negs)
-                ) / tau
-            loss = float(losses.mean())
-    else:  # in-batch negatives: the other targets of this batch
-        if batch < 2:
-            stats.skipped_steps += 1
-        else:
-            kept = None
-            if cfg.prefilter_enabled:
-                cos = np.clip(tgt_emb @ tgt_emb.T, -1.0, 1.0)
-                mask = cos < cfg.filter_threshold
-                np.fill_diagonal(mask, False)  # own positive is never a negative
-                off_diag = mask.size - batch
-                stats.mask_kept += int(mask.sum())
-                stats.mask_total += off_diag
-                stats.filtered_out += int(off_diag - mask.sum())
-                sizes = mask.sum(axis=1)
-                if int(sizes.min()) == 0:
-                    stats.m_zero_fallbacks += 1
-                else:
-                    kept = _equalize_indices(mask, sizes, eq_rng)
-            if kept is None:
-                logits = (q @ tgt_emb.T) / tau
-                peak = logits.max(axis=1)
-                e = np.exp(logits - peak[:, None])
-                denom = e.sum(axis=1)
-                p = e / denom[:, None]
-                l_pos = logits[np.arange(batch), np.arange(batch)]
-                losses = np.log(denom) + peak - l_pos
-                dq = (p @ tgt_emb - tgt_emb) / tau
-            else:
-                negs = tgt_emb[kept]
-                l_neg = np.einsum("bd,bmd->bm", q, negs) / tau
-                losses, p_pos, p_neg = _softmax_rows(
-                    np.einsum("bd,bd->b", q, tgt_emb) / tau, l_neg
-                )
-                dq = (
-                    (p_pos - 1.0)[:, None] * tgt_emb
-                    + np.einsum("bm,bmd->bd", p_neg, negs)
-                ) / tau
-            loss = float(losses.mean())
+            allowed = np.zeros_like(mask)
+            np.put_along_axis(allowed, fs.indices, True, axis=1)
 
-    if loss is not None:
-        stats.loss_sum += loss
-        stats.loss_steps += 1
-        g = dq / batch  # batch-mean loss
-        dz = (g - np.einsum("bd,bd->b", g, q)[:, None] * q) / norms[:, None]
-        flat_idx = idx.ravel()
-        flat_contrib = (val[:, :, None] * dz[:, None, :]).reshape(-1, W.shape[1])
-        uniq, inv = np.unique(flat_idx, return_inverse=True)
-        acc = np.zeros((uniq.size, W.shape[1]), dtype=np.float64)
-        np.add.at(acc, inv, flat_contrib)
-        W[uniq] -= cfg.step_size * acc
-
-    return loss, np.vstack([queue_mat, tgt_emb])[-capacity:]
-
-
-def _equalize_indices(
-    mask: np.ndarray, sizes: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """equalize_negatives without re-deriving sizes (hot-path twin)."""
-    m_min = int(sizes.min())
-    out = np.empty((mask.shape[0], m_min), dtype=np.int64)
-    for j in range(mask.shape[0]):
-        survivors = np.flatnonzero(mask[j])
-        if survivors.size > m_min:
-            survivors = np.sort(rng.choice(survivors, size=m_min, replace=False))
-        out[j] = survivors
-    return out
+    losses, dq = _masked_infonce(q, tgt_emb, candidates, allowed, cfg.temperature)
+    loss = float(losses.mean())
+    if not np.isfinite(loss):
+        raise DivergenceError(f"non-finite loss {loss}")
+    stats.loss_sum += loss
+    stats.loss_steps += 1
+    g = dq / batch  # batch-mean loss
+    dz = (g - np.einsum("bd,bd->b", g, q)[:, None] * q) / norms[:, None]
+    W_u -= cfg.step_size * (F.T @ dz)
+    if not np.isfinite(W_u).all():
+        raise DivergenceError("non-finite weights after the update")
+    W[u] = W_u
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +476,9 @@ def train_step(
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     W = student.weights.copy()
-    stats = EpochStats()
-    loss, queue_mat = _step_core(
-        W, idx, val, tgt_emb, queue.entries, queue.capacity, cfg, rng, stats
-    )
-    return (
-        loss,
-        EncoderParams(student.featurizer, W, frozen=False),
-        NegativeQueue(queue.capacity, queue_mat),
-    )
+    loss = _step_core(W, idx, val, tgt_emb, queue.entries, cfg, rng, EpochStats())
+    student = EncoderParams(student.featurizer, W, frozen=False)
+    return loss, student, queue_update(queue, tgt_emb)
 
 
 @dataclass
@@ -580,7 +531,10 @@ def train_distill(
 
     When ``student_init`` is omitted a default student is derived from
     cfg.rng_seed (see default_student).  Emits one log line per epoch:
-    ``epoch=<e> loss=<mean> filtered_out=<n> m_zero_fallbacks=<n>``.
+    ``epoch=<e> loss=<mean> filtered_out=<n> m_zero_fallbacks=<n>
+    skipped_steps=<n> kept_fraction=<f>``.  Raises DivergenceError, naming
+    the epoch and step, at the first step whose loss or updated weights
+    are not finite.
     """
     if student_init is None:
         student_init = default_student(teacher, cfg.rng_seed)
@@ -592,41 +546,37 @@ def train_distill(
     tgt_all = encode_batch(teacher, targets)
     lengths = [count_tokens(t) for t in targets]
 
-    seq = np.random.SeedSequence(cfg.rng_seed)
-    _, batch_seq, eq_seq = seq.spawn(3)  # stream 0 is reserved for init
+    # stream 0 is reserved for init
+    _, batch_seq, eq_seq = np.random.SeedSequence(cfg.rng_seed).spawn(3)
     batch_rng = np.random.default_rng(batch_seq)
     eq_rng = np.random.default_rng(eq_seq)
 
     W = student_init.weights.copy()
     queue_mat = np.empty((0, teacher.dim), dtype=np.float64)
-    epoch_losses: list[float] = []
     all_stats: list[EpochStats] = []
     log_lines: list[str] = []
 
     for epoch in range(1, cfg.epochs + 1):
         stats = EpochStats()
-        for batch in batch_indices(lengths, cfg, batch_rng):
-            _, queue_mat = _step_core(
-                W,
-                idx_all[batch],
-                val_all[batch],
-                tgt_all[batch],
-                queue_mat,
-                cfg.queue_size,
-                cfg,
-                eq_rng,
-                stats,
-            )
-        epoch_losses.append(stats.mean_loss)
+        for step, batch in enumerate(batch_indices(lengths, cfg, batch_rng), 1):
+            idx, val, tgt = idx_all[batch], val_all[batch], tgt_all[batch]
+            try:
+                _step_core(W, idx, val, tgt, queue_mat, cfg, eq_rng, stats)
+            except DivergenceError as exc:
+                raise DivergenceError(f"epoch {epoch} step {step}: {exc}") from None
+            queue_mat = np.vstack([queue_mat, tgt])[-cfg.queue_size :]  # after the loss
         all_stats.append(stats)
         line = (
             f"epoch={epoch} loss={stats.mean_loss:.6f} "
             f"filtered_out={stats.filtered_out} "
-            f"m_zero_fallbacks={stats.m_zero_fallbacks}"
+            f"m_zero_fallbacks={stats.m_zero_fallbacks} "
+            f"skipped_steps={stats.skipped_steps} "
+            f"kept_fraction={stats.kept_fraction:.6f}"
         )
         log_lines.append(line)
         if log_fn is not None:
             log_fn(line)
 
     student = EncoderParams(student_init.featurizer, W, frozen=False)
+    epoch_losses = [s.mean_loss for s in all_stats]
     return TrainResult(student, epoch_losses, all_stats, log_lines)

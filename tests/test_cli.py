@@ -1,6 +1,7 @@
 """CLI tests: exit codes, config precedence, artifact round trips, and
 the guaranteed absence of partial outputs on failure."""
 
+import re
 import struct
 
 import numpy as np
@@ -391,7 +392,9 @@ def test_train_writes_student_meta_and_log(tmp_path, corpus_file, teacher_file, 
     log_lines = (tmp_path / "student.emb.log").read_text().splitlines()
     assert log_lines[0].startswith("# config: ")
     assert log_lines[1].startswith("epoch=1 ")
-    assert len(log_lines) == 3
+    assert re.fullmatch(r"weights_sha256=[0-9a-f]{64}", log_lines[3])
+    assert len(log_lines) == 4
+    assert log_lines[3] in stdout.splitlines()
     meta = (tmp_path / "student.emb.meta").read_text().splitlines()
     assert meta[0].startswith("dim=16 buckets=256 ")
 
@@ -404,6 +407,43 @@ def test_train_is_deterministic_at_the_byte_level(tmp_path, corpus_file, teacher
     assert main(train_args(corpus, teacher_path, out2)) == 0
     with open(out1, "rb") as f1, open(out2, "rb") as f2:
         assert f1.read() == f2.read()
+    log1, log2 = (tmp_path / "s1.emb.log"), (tmp_path / "s2.emb.log")
+    assert log1.read_bytes() == log2.read_bytes()  # weights digest included
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("step-size", "inf"), ("step-size", "nan"), ("tau", "inf"), ("sigma", "nan")]
+)
+def test_train_rejects_non_finite_numbers(tmp_path, corpus_file, teacher_file, capsys, flag, value):
+    corpus, _ = corpus_file
+    teacher_path, _ = teacher_file
+    out = tmp_path / "student.emb"
+    argv = train_args(corpus, teacher_path, str(out))
+    assert main(argv + [f"--{flag}", value]) == 1
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_non_finite_config_file_value(tmp_path, corpus_file, teacher_file, capsys):
+    corpus, _ = corpus_file
+    teacher_path, _ = teacher_file
+    config = tmp_path / "train.cfg"
+    config.write_text("step_size=inf\n")
+    out = tmp_path / "student.emb"
+    argv = ["train", "--corpus", corpus, "--teacher", teacher_path, "--out", str(out)]
+    assert main(argv + ["--config", str(config)]) == 1
+    assert "step_size: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_divergence_is_numerical_error(tmp_path, corpus_file, teacher_file, capsys):
+    corpus, _ = corpus_file
+    teacher_path, _ = teacher_file
+    out = tmp_path / "student.emb"
+    assert main(train_args(corpus, teacher_path, str(out), step_size="1e308")) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"numerical error: epoch 1 step \d+: non-finite", err), err
+    assert not out.exists() and not (tmp_path / "student.emb.log").exists()
 
 
 # --- xsim-eval -------------------------------------------------------------------

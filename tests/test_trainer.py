@@ -5,16 +5,27 @@ determinism, warm-up and fallback counters)."""
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bitextkit.encoder import EncoderParams, FeaturizerConfig, encode, make_teacher
+from bitextkit.encoder import (
+    EncoderParams,
+    FeaturizerConfig,
+    encode,
+    encode_batch,
+    make_teacher,
+)
 from bitextkit.errors import (
     AllFilteredError,
     DimMismatchError,
+    DivergenceError,
     EmptyNegativesError,
     FrozenEncoderError,
+    ZeroVectorError,
 )
 from bitextkit.synth import CipherSpec, gen_cipher_corpus
 from bitextkit.trainer import (
@@ -71,6 +82,10 @@ def tiny_corpus(n=96, seed=11):
         {"negatives_source": "in_batch", "batch_size": 1},
         {"step_size": -0.1},
         {"epochs": -1},
+        {"temperature": math.inf},
+        {"temperature": math.nan},
+        {"step_size": math.inf},
+        {"step_size": math.nan},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -254,6 +269,35 @@ def test_equalize_deterministic_for_fixed_rng():
     a = equalize_negatives(mask, np.random.default_rng(7)).indices
     b = equalize_negatives(mask, np.random.default_rng(7)).indices
     assert np.array_equal(a, b)
+
+
+@st.composite
+def survivor_mask(draw):
+    """A boolean (batch, pool) mask in which every row keeps something."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 12))
+    row = st.lists(st.booleans(), min_size=cols, max_size=cols)
+    mask = np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=bool)
+    one_per_row = st.lists(st.integers(0, cols - 1), min_size=rows, max_size=rows)
+    mask[np.arange(rows), draw(one_per_row)] = True
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(survivor_mask(), st.integers(0, 2**32 - 1))
+def test_equalize_keeps_m_sorted_survivors_per_row(mask, seed):
+    fs = equalize_negatives(mask, np.random.default_rng(seed))
+    sizes = mask.sum(axis=1)
+    m_min = int(sizes.min())
+    assert fs.indices.shape == (mask.shape[0], m_min)
+    assert fs.kept_counts.tolist() == sizes.tolist()
+    for j, row in enumerate(fs.indices):
+        assert (np.diff(row) > 0).all()  # sorted, no repeats
+        assert mask[j, row].all()  # a subset of that row's survivors
+        if sizes[j] == m_min:  # a min-size row passes through unchanged
+            assert row.tolist() == np.flatnonzero(mask[j]).tolist()
+    again = equalize_negatives(mask, np.random.default_rng(seed))
+    assert np.array_equal(fs.indices, again.indices)
 
 
 def test_equalize_raises_when_a_row_keeps_nothing():
@@ -452,6 +496,121 @@ def test_train_step_in_batch_matches_direct_softmax():
     assert loss == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("source", ["queue", "in_batch"])
+def test_train_step_prefilter_loss_equals_filtered_infonce(source):
+    # at step size 0 the step's loss is the public filtered loss over the
+    # public equalizer, drawing from an identically seeded rng
+    teacher, student, pairs = step_fixtures()
+    cfg = TrainConfig(
+        temperature=0.2,
+        batch_size=8,
+        queue_size=16,
+        step_size=0.0,
+        negatives_source=source,
+        prefilter_enabled=True,
+        filter_threshold=0.3,
+    )
+    batch = pairs[:8]
+    queue = NegativeQueue(16, encode_batch(teacher, [t for _, t in pairs[8:]]))
+    loss, _, _ = train_step(student, teacher, batch, queue, cfg, np.random.default_rng(5))
+    q = encode_batch(student, [s for s, _ in batch])
+    k = encode_batch(teacher, [t for _, t in batch])
+    pool = k if source == "in_batch" else queue.entries
+    mask = prefilter_mask(k, pool, cfg.filter_threshold)
+    if source == "in_batch":
+        np.fill_diagonal(mask, False)
+    assert mask.sum(axis=1).min() > 0  # no m = 0 fallback
+    assert len(set(mask.sum(axis=1))) > 1  # equalization subsamples
+    fs = equalize_negatives(mask, np.random.default_rng(5))
+    want = filtered_infonce_loss(q, k, pool, fs, cfg.temperature)
+    assert loss == pytest.approx(want, abs=1e-12)
+
+
+def random_word(rng, alphabet, max_len=4) -> str:
+    length = int(rng.integers(1, max_len + 1))
+    return "".join(alphabet[int(c)] for c in rng.integers(0, len(alphabet), size=length))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"prefilter_enabled": True},
+        {"negatives_source": "in_batch"},
+        {"negatives_source": "in_batch", "prefilter_enabled": True},
+    ],
+    ids=["queue+prefilter", "in_batch", "in_batch+prefilter"],
+)
+def test_step_gradient_matches_finite_differences(overrides):
+    # the modes acceptance criterion 1 leaves out; the seeded rng fixes the
+    # equalization draw, so the filtered loss is smooth in W
+    rng = np.random.default_rng(778)
+    eps = 1e-4
+    checked = dropped = 0
+    while checked < 12:
+        buckets = int(rng.integers(2, 11))
+        dim = int(rng.integers(2, 9))
+        teacher_feat = FeaturizerConfig(
+            ngram_orders=(1, 2), bucket_count=buckets, hash_seed=int(rng.integers(0, 1000))
+        )
+        teacher = make_teacher(teacher_feat, dim, weight_seed=int(rng.integers(0, 1000)))
+        student_feat = replace(teacher_feat, hash_seed=teacher_feat.hash_seed + 1)
+        W0 = rng.uniform(-0.5, 0.5, size=(buckets, dim))
+        batch = [
+            (random_word(rng, "abcd"), random_word(rng, "nopq"))
+            for _ in range(int(rng.integers(2, 4)))
+        ]
+        queue = NegativeQueue(8, random_units(rng, 4, dim))
+        cfg = TrainConfig(
+            temperature=0.5,
+            queue_size=8,
+            batch_size=len(batch),
+            filter_threshold=0.5,
+            **overrides,
+        )
+
+        def step(W, step_size):
+            student = EncoderParams(student_feat, W)
+            step_cfg = replace(cfg, step_size=step_size)
+            return train_step(
+                student, teacher, batch, queue, step_cfg, rng=np.random.default_rng(778)
+            )
+
+        try:
+            analytic = W0 - step(W0.copy(), 1.0)[1].weights
+        except ZeroVectorError:
+            continue  # a degenerate draw; take another instance
+        fd = np.zeros_like(W0)
+        for b in range(buckets):
+            for d in range(dim):
+                w_plus, w_minus = W0.copy(), W0.copy()
+                w_plus[b, d] += eps
+                w_minus[b, d] -= eps
+                fd[b, d] = (step(w_plus, 0.0)[0] - step(w_minus, 0.0)[0]) / (2.0 * eps)
+        scale = np.maximum(np.abs(analytic), np.abs(fd))
+        rel = np.where(scale < 1e-10, 0.0, np.abs(analytic - fd) / np.maximum(scale, 1e-300))
+        assert rel.max() <= 1e-4
+        if cfg.prefilter_enabled:
+            k = encode_batch(teacher, [t for _, t in batch])
+            in_batch = cfg.negatives_source == "in_batch"
+            mask = prefilter_mask(k, k if in_batch else queue.entries, 0.5)
+            dropped += int((~mask).sum() > (len(batch) if in_batch else 0))
+        checked += 1
+    if overrides.get("prefilter_enabled"):
+        assert dropped > 0
+
+
+def test_train_step_raises_for_a_collapsed_projection_on_skipped_steps():
+    # the zero-norm check runs before the warm-up / lone-sample skip
+    teacher, student, pairs = step_fixtures()
+    dead = EncoderParams(student.featurizer, np.zeros_like(student.weights))
+    empty = NegativeQueue.empty(8, teacher.dim)
+    with pytest.raises(ZeroVectorError, match="collapsed"):
+        train_step(dead, teacher, pairs[:4], empty, TrainConfig(batch_size=4, queue_size=8))
+    in_batch = TrainConfig(batch_size=2, negatives_source="in_batch")
+    with pytest.raises(ZeroVectorError, match="collapsed"):
+        train_step(dead, teacher, pairs[:1], empty, in_batch)
+
+
 def test_train_step_role_and_input_checks():
     teacher, student, pairs = step_fixtures()
     queue = NegativeQueue.empty(4, teacher.dim)
@@ -513,7 +672,8 @@ def test_distill_log_lines_and_stats_shape():
     assert result.log_lines == logged
     assert len(result.log_lines) == 2
     pattern = re.compile(
-        r"^epoch=\d+ loss=\d+\.\d{6} filtered_out=\d+ m_zero_fallbacks=\d+$"
+        r"^epoch=\d+ loss=\d+\.\d{6} filtered_out=\d+ m_zero_fallbacks=\d+ "
+        r"skipped_steps=\d+ kept_fraction=\d\.\d{6}$"
     )
     for line in result.log_lines:
         assert pattern.match(line), line
@@ -537,6 +697,16 @@ def test_distill_prefilter_stats_and_kept_fraction():
     assert total_masked > 0
 
 
+def test_distill_in_batch_prefilter_counts_only_off_diagonal_pairs():
+    cfg = run_cfg(
+        negatives_source="in_batch", prefilter_enabled=True, filter_threshold=0.7, epochs=1
+    )
+    stats = train_distill(tiny_corpus(), tiny_teacher(), cfg).epoch_stats[0]
+    assert stats.mask_total == 6 * 16 * 15  # 96 pairs in batches of 16
+    assert stats.mask_kept + stats.filtered_out == stats.mask_total
+    assert 0 < stats.filtered_out and stats.skipped_steps == 0
+
+
 def test_distill_identical_targets_trigger_m_zero_fallback():
     # every target embeds identically, so the filter (sigma = 0.9) drops the
     # whole queue for every sample and the full-queue fallback engages
@@ -549,6 +719,11 @@ def test_distill_identical_targets_trigger_m_zero_fallback():
     assert stats.loss_steps == 3
     assert result.kept_fraction == 0.0
     assert all(math.isfinite(x) for x in result.epoch_losses)
+
+
+def test_distill_divergence_names_the_first_bad_step():
+    with pytest.raises(DivergenceError, match=r"^epoch 1 step \d+: non-finite"):
+        train_distill(tiny_corpus(), tiny_teacher(), run_cfg(step_size=1e308))
 
 
 def test_distill_accepts_explicit_student_init():
