@@ -1,13 +1,14 @@
 """CLI tests: exit codes, config precedence, artifact round trips, and
 the guaranteed absence of partial outputs on failure."""
 
+import argparse
 import re
 import struct
 
 import numpy as np
 import pytest
 
-from bitextkit.cli import load_config, main
+from bitextkit.cli import build_parser, load_config, main
 from bitextkit.embfile import read_embeddings, write_embeddings
 from bitextkit.encoder import FeaturizerConfig, encode_batch, load_encoder, make_teacher, save_encoder
 from bitextkit.errors import ConfigError
@@ -636,3 +637,270 @@ def test_analyze_sweep_writes_csv(tmp_path, corpus_file, teacher_file):
     assert lines[2].startswith("1.5,")
     kept = float(lines[2].split(",")[2])
     assert kept == 1.0  # sigma 1.5 keeps every negative
+
+
+# --- CLI surface: accepted flags and resolved defaults per subcommand -------------
+
+_COMMON_FLAGS = {"-h", "--help", "--seed", "--config"}
+
+# flags beyond the common ones, and the default ``config:`` echo, per leaf subcommand
+SURFACE = {
+    ("embed",): (
+        {"--input", "--encoder", "--out", "--format", "--side"},
+        "config: format=tsv seed=0 side=source",
+    ),
+    ("train",): (
+        {
+            "--corpus",
+            "--teacher",
+            "--out",
+            "--log",
+            "--tau",
+            "--sigma",
+            "--queue-size",
+            "--batch-size",
+            "--epochs",
+            "--step-size",
+            "--negatives",
+            "--shuffle",
+            "--prefilter",
+        },
+        "config: batch_size=32 epochs=1 negatives=queue prefilter=off queue_size=4096 "
+        "seed=0 shuffle=on sigma=0.9 step_size=0.05 tau=0.05",
+    ),
+    ("xsim-eval",): (
+        {"--src", "--tgt", "--out", "--threads", "--k", "--margin"},
+        "config: k=4 margin=ratio seed=0 threads=1",
+    ),
+    ("filter",): (
+        {
+            "--corpus",
+            "--student",
+            "--teacher",
+            "--scored-out",
+            "--subset-out",
+            "--budget",
+            "--threads",
+            "--k",
+            "--margin",
+        },
+        "config: k=4 margin=ratio seed=0 threads=1",
+    ),
+    ("analyze", "hist"): (
+        {"--corpus", "--teacher", "--out", "--batch-size", "--queue-size", "--shuffle", "--bins"},
+        "config: batch_size=32 bins=40 queue_size=4096 seed=0 shuffle=on",
+    ),
+    ("analyze", "sweep"): (
+        {
+            "--corpus",
+            "--eval-corpus",
+            "--teacher",
+            "--out",
+            "--tau",
+            "--queue-size",
+            "--batch-size",
+            "--epochs",
+            "--step-size",
+            "--negatives",
+            "--shuffle",
+            "--sigmas",
+            "--k",
+            "--margin",
+        },
+        "config: batch_size=32 epochs=1 k=4 margin=ratio negatives=queue queue_size=4096 "
+        "seed=0 shuffle=on sigmas=0.5,0.7,0.9,1.5 step_size=0.05 tau=0.05",
+    ),
+    ("gen-synth", "cipher"): (
+        {"--out", "--pairs", "--vocab-size", "--min-len", "--max-len", "--map-seed"},
+        "config: map_seed=0 max_len=12 min_len=1 seed=0 vocab_size=100",
+    ),
+    ("gen-synth", "noise"): (
+        {"--corpus", "--rate", "--out", "--labels-out"},
+        "config: seed=0",
+    ),
+}
+
+
+def _leaf_parsers(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaf_parsers(child, path + (name,))
+            return
+    yield path, parser
+
+
+def test_every_leaf_subcommand_accepts_exactly_its_flags():
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert set(leaves) == set(SURFACE)
+    for path, parser in leaves.items():
+        flags = {opt for action in parser._actions for opt in action.option_strings}
+        assert flags == _COMMON_FLAGS | SURFACE[path][0], path
+
+
+def _minimal_argv(path, tmp_path, corpus, teacher):
+    emb = tmp_path / "e.emb"
+    write_embeddings(emb, np.eye(6))
+    out = str(tmp_path / "out")
+    return {
+        ("embed",): ["--input", corpus, "--encoder", teacher, "--out", out],
+        ("train",): ["--corpus", corpus, "--teacher", teacher, "--out", out],
+        ("xsim-eval",): ["--src", str(emb), "--tgt", str(emb)],
+        ("filter",): [
+            "--corpus", corpus, "--student", teacher, "--teacher", teacher, "--scored-out", out
+        ],
+        ("analyze", "hist"): ["--corpus", corpus, "--teacher", teacher, "--out", out],
+        ("analyze", "sweep"): [
+            "--corpus", corpus, "--eval-corpus", corpus, "--teacher", teacher, "--out", out
+        ],
+        ("gen-synth", "cipher"): ["--out", out, "--pairs", "3"],
+        ("gen-synth", "noise"): ["--corpus", corpus, "--rate", "0.2", "--out", out],
+    }[path]
+
+
+@pytest.mark.parametrize("path", list(SURFACE), ids=" ".join)
+def test_default_config_echo_per_subcommand(tmp_path, corpus_file, teacher_file, capsys, path):
+    corpus, _ = corpus_file
+    teacher, _ = teacher_file
+    assert main(list(path) + _minimal_argv(path, tmp_path, corpus, teacher)) == 0
+    echoes = [l for l in capsys.readouterr().out.splitlines() if l.startswith("config: ")]
+    assert echoes == [SURFACE[path][1]]
+
+
+# --- option converters: one rejected value per key, as a flag and from a file ----
+
+# (subcommand argv, key, bad value, message after "usage error: ")
+REJECTIONS = [
+    (["train"], "seed", "x", "seed: expected an integer, got 'x'"),
+    (["train"], "tau", "0", "tau: must be > 0, got 0.0"),
+    (["train"], "sigma", "abc", "sigma: expected a number, got 'abc'"),
+    (["train"], "queue_size", "0", "queue_size: must be >= 1, got 0"),
+    (["train"], "batch_size", "1.5", "batch_size: expected an integer, got '1.5'"),
+    (["train"], "epochs", "-1", "epochs: must be >= 0, got -1"),
+    (["train"], "step_size", "-0.5", "step_size: must be >= 0, got -0.5"),
+    (["train"], "negatives", "memory", "negatives: expected 'queue' or 'in-batch', got 'memory'"),
+    (["train"], "shuffle", "yes", "shuffle: expected 'on' or 'off', got 'yes'"),
+    (["train"], "prefilter", "1", "prefilter: expected 'on' or 'off', got '1'"),
+    (["xsim-eval"], "threads", "0", "threads: must be >= 1, got 0"),
+    (["xsim-eval"], "k", "0", "k: must be >= 1, got 0"),
+    (
+        ["xsim-eval"],
+        "margin",
+        "cosine",
+        "margin: expected one of absolute, distance, ratio, got 'cosine'",
+    ),
+    (["analyze", "hist"], "bins", "0", "bins: must be >= 1, got 0"),
+    (["analyze", "sweep"], "sigmas", " , ", "sigmas: expected a comma-separated list of numbers"),
+    (["analyze", "sweep"], "sigmas", "0.5,x", "sigmas: expected a number, got 'x'"),
+    (["embed"], "format", "csv", "format: expected one of tsv, lines, got 'csv'"),
+    (["embed"], "side", "both", "side: expected one of source, target, got 'both'"),
+    (["gen-synth", "cipher"], "vocab_size", "0", "vocab_size: must be >= 1, got 0"),
+    (["gen-synth", "cipher"], "min_len", "0", "min_len: must be >= 1, got 0"),
+    (["gen-synth", "cipher"], "max_len", "-3", "max_len: must be >= 1, got -3"),
+    (["gen-synth", "cipher"], "map_seed", "z", "map_seed: expected an integer, got 'z'"),
+]
+
+# keys a config file may set (not format, side or the cipher generator's
+# knobs), each with a value it accepts
+FILE_KEYS = {
+    "seed": "3",
+    "threads": "2",
+    "tau": "0.1",
+    "sigma": "0.7",
+    "queue_size": "64",
+    "batch_size": "8",
+    "epochs": "2",
+    "step_size": "0.1",
+    "negatives": "in-batch",
+    "shuffle": "off",
+    "prefilter": "on",
+    "k": "2",
+    "margin": "absolute",
+    "bins": "10",
+    "sigmas": "0.5,1.5",
+}
+
+# one-shot arguments converted by their handler (flag only)
+ONE_SHOT_REJECTIONS = [
+    (["gen-synth", "cipher"], "pairs", "many", "pairs: expected an integer, got 'many'"),
+    (["gen-synth", "cipher"], "pairs", "-1", "pairs: must be >= 0, got -1"),
+    (["gen-synth", "noise"], "rate", "x", "rate: expected a number, got 'x'"),
+    (["gen-synth", "noise"], "rate", "inf", "rate: expected a finite number, got 'inf'"),
+    (["filter"], "budget", "-5", "budget: must be >= 0, got -5"),
+]
+
+
+def _required_args(command, tmp_path):
+    """Required flags naming files that do not exist: option values are
+    checked before any input is opened."""
+    absent = str(tmp_path / "absent")
+    out = str(tmp_path / "out")
+    required = {
+        ("train",): ["--corpus", absent, "--teacher", absent, "--out", out],
+        ("xsim-eval",): ["--src", absent, "--tgt", absent],
+        ("filter",): [
+            "--corpus", absent, "--student", absent, "--teacher", absent, "--subset-out", out
+        ],
+        ("analyze", "hist"): ["--corpus", absent, "--teacher", absent, "--out", out],
+        ("analyze", "sweep"): [
+            "--corpus", absent, "--eval-corpus", absent, "--teacher", absent, "--out", out
+        ],
+        ("embed",): ["--input", absent, "--encoder", absent, "--out", out],
+        ("gen-synth", "cipher"): ["--out", out, "--pairs", "3"],
+        ("gen-synth", "noise"): ["--corpus", absent, "--rate", "0.2", "--out", out],
+    }
+    return command + required[tuple(command)]
+
+
+def _flag(key):
+    return f"--{key.replace('_', '-')}"
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    REJECTIONS + ONE_SHOT_REJECTIONS,
+    ids=lambda v: v if isinstance(v, str) and not v.count(" ") else None,
+)
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, command, key, value, message):
+    code = main(_required_args(command, tmp_path) + [_flag(key), value])
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [case for case in REJECTIONS if case[1] in FILE_KEYS],
+    ids=lambda v: v if isinstance(v, str) and not v.count(" ") else None,
+)
+def test_bad_config_file_value_is_usage_error(tmp_path, capsys, command, key, value, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}={value}\n")
+    code = main(_required_args(command, tmp_path) + ["--config", str(config)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.endswith(f"{message}\n"), err
+
+
+def test_file_keys_are_exactly_the_configurable_options(tmp_path):
+    config = tmp_path / "run.cfg"
+    for key, value in FILE_KEYS.items():
+        config.write_text(f"{key}={value}\n")
+        assert load_config(config) == {key: value}
+    for key in ("format", "side", "vocab_size", "min_len", "max_len", "map_seed", "pairs", "rate"):
+        config.write_text(f"{key}=1\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(config)
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_library_value_error_is_usage_error(tmp_path, capsys, via_config):
+    argv = _required_args(["train"], tmp_path)
+    if via_config:
+        config = tmp_path / "run.cfg"
+        config.write_text("sigma=2\n")
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--sigma", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "usage error: filter_threshold must be in (0, 1.5], got 2.0\n"
