@@ -25,7 +25,14 @@ from .encoder import EncoderParams, encode_batch
 from .errors import BitextkitError, EmptyQueueError
 from .filtering import count_tokens
 from .margin import SearchConfig, xsim_error_rate
-from .trainer import NegativeQueue, TrainConfig, batch_indices, train_distill
+from .trainer import (
+    NegativeQueue,
+    TrainConfig,
+    _fifo_push,
+    _rng_streams,
+    batch_indices,
+    train_distill,
+)
 
 Pair = tuple[str, str]
 
@@ -77,8 +84,7 @@ def similarity_values(
     """
     tgt = encode_batch(teacher, targets)
     lengths = [count_tokens(t) for t in targets]
-    _, batch_seq, _ = np.random.SeedSequence(cfg.rng_seed).spawn(3)
-    batch_rng = np.random.default_rng(batch_seq)
+    _, batch_rng, _ = _rng_streams(cfg.rng_seed)
     queue_mat = np.empty((0, teacher.dim), dtype=np.float64)
     values: list[np.ndarray] = []
     for batch in batch_indices(lengths, cfg, batch_rng):
@@ -86,7 +92,7 @@ def similarity_values(
         if queue_mat.shape[0]:
             sims = np.clip(emb @ queue_mat.T, -1.0, 1.0)
             values.append(sims.mean(axis=1))
-        queue_mat = np.vstack([queue_mat, emb])[-cfg.queue_size :]
+        queue_mat = _fifo_push(queue_mat, emb, cfg.queue_size)
     if not values:
         return np.empty(0, dtype=np.float64)
     return np.concatenate(values)

@@ -3,14 +3,17 @@
 Subcommands: embed, train, xsim-eval, filter, analyze (hist | sweep),
 gen-synth (cipher | noise).  Options resolve with precedence
 flags > config file > defaults; the config file is flat ``key=value``
-lines with '#' comments.  The resolved config is echoed to stdout and
+lines with '#' comments.  A config file may set seed, threads, tau, sigma,
+queue_size, batch_size, epochs, step_size, negatives, shuffle, prefilter,
+k, margin, bins and sigmas; each value it sets is checked even where the
+subcommand does not read it.  The resolved config is echoed to stdout and
 embedded as '#' comments in every text artifact (the binary EMB1 format
 is fixed, so embed/train print it instead).
 
 Exit codes: 0 success; 1 usage or invalid configuration; 2 I/O or file
-format errors (messages name the file, and the line where applicable);
-3 numerical failures (zero vectors, empty pools, zero denominators, diverged
-training, ...).
+format errors, including input files that are not valid UTF-8 (messages
+name the file, and the line where applicable); 3 numerical failures (zero
+vectors, empty pools, zero denominators, diverged training, ...).
 All outputs are written atomically (temp file + rename): a failed run
 leaves no partial artifacts.
 """
@@ -31,7 +34,7 @@ from .analysis import (
     write_histogram_csv,
     write_sweep_csv,
 )
-from .embfile import atomic_write_text, read_embeddings, write_embeddings
+from .embfile import atomic_write_text, open_text, read_embeddings, write_embeddings
 from .encoder import encode_batch, load_encoder, save_encoder
 from .errors import BitextkitError, ConfigError, FormatError
 from .filtering import (
@@ -63,71 +66,40 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _as_int(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+def _number(kind: type, low: float | None = None, strict: bool = False):
+    """Converter to ``kind`` (int or finite float), optionally bounded
+    below by ``low`` (exclusive when ``strict``)."""
+
+    def convert(text: str, key: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+        if low is not None and not (value > low if strict else value >= low):
+            bound = f"{'>' if strict else '>='} {low}"
+            raise ConfigError(f"{key}: must be {bound}, got {value}")
+        return value
+
+    return convert
 
 
-def _as_pos_int(text: str, key: str) -> int:
-    value = _as_int(text, key)
-    if value < 1:
-        raise ConfigError(f"{key}: must be >= 1, got {value}")
-    return value
-
-
-def _as_nonneg_int(text: str, key: str) -> int:
-    value = _as_int(text, key)
-    if value < 0:
-        raise ConfigError(f"{key}: must be >= 0, got {value}")
-    return value
-
-
-def _as_float(text: str, key: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
-    return value
-
-
-def _as_pos_float(text: str, key: str) -> float:
-    value = _as_float(text, key)
-    if not value > 0:
-        raise ConfigError(f"{key}: must be > 0, got {value}")
-    return value
-
-
-def _as_nonneg_float(text: str, key: str) -> float:
-    value = _as_float(text, key)
-    if not value >= 0:
-        raise ConfigError(f"{key}: must be >= 0, got {value}")
-    return value
+_float = _number(float)
+_count = _number(int, 0)
 
 
 def _on_off(text: str, key: str) -> bool:
-    if text == "on":
-        return True
-    if text == "off":
-        return False
-    raise ConfigError(f"{key}: expected 'on' or 'off', got {text!r}")
+    if text not in ("on", "off"):
+        raise ConfigError(f"{key}: expected 'on' or 'off', got {text!r}")
+    return text == "on"
 
 
 def _negatives(text: str, key: str) -> str:
     if text in (NEGATIVES_QUEUE, "in-batch", NEGATIVES_IN_BATCH):
         return NEGATIVES_QUEUE if text == NEGATIVES_QUEUE else NEGATIVES_IN_BATCH
     raise ConfigError(f"{key}: expected 'queue' or 'in-batch', got {text!r}")
-
-
-def _margin_kind(text: str, key: str) -> str:
-    if text not in MARGIN_KINDS:
-        raise ConfigError(
-            f"{key}: expected one of {', '.join(MARGIN_KINDS)}, got {text!r}"
-        )
-    return text
 
 
 def _choice(*allowed: str):
@@ -145,68 +117,47 @@ def _float_list(text: str, key: str) -> list[float]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise ConfigError(f"{key}: expected a comma-separated list of numbers")
-    return [_as_float(piece, key) for piece in items]
+    return [_float(piece, key) for piece in items]
 
 
-# key -> (converter, default-as-string); None default means required-by-flag
+# key -> (converter, default text, settable from a config file); paths and
+# the generators' knobs stay flag-only
 OPTIONS: dict = {
-    "seed": (_as_int, "0"),
-    "threads": (_as_pos_int, "1"),
-    "tau": (_as_pos_float, "0.05"),
-    "sigma": (_as_float, "0.9"),
-    "queue_size": (_as_pos_int, "4096"),
-    "batch_size": (_as_pos_int, "32"),
-    "epochs": (_as_nonneg_int, "1"),
-    "step_size": (_as_nonneg_float, "0.05"),
-    "negatives": (_negatives, "queue"),
-    "shuffle": (_on_off, "on"),
-    "prefilter": (_on_off, "off"),
-    "k": (_as_pos_int, "4"),
-    "margin": (_margin_kind, "ratio"),
-    "bins": (_as_pos_int, "40"),
-    "sigmas": (_float_list, "0.5,0.7,0.9,1.5"),
-    "format": (_choice("tsv", "lines"), "tsv"),
-    "side": (_choice("source", "target"), "source"),
-    "vocab_size": (_as_pos_int, "100"),
-    "min_len": (_as_pos_int, "1"),
-    "max_len": (_as_pos_int, "12"),
-    "map_seed": (_as_int, "0"),
-    "pairs": (_as_nonneg_int, None),
-    "rate": (_as_float, None),
+    "seed": (_number(int), "0", True),
+    "threads": (_number(int, 1), "1", True),
+    "tau": (_number(float, 0, strict=True), "0.05", True),
+    "sigma": (_float, "0.9", True),
+    "queue_size": (_number(int, 1), "4096", True),
+    "batch_size": (_number(int, 1), "32", True),
+    "epochs": (_count, "1", True),
+    "step_size": (_number(float, 0), "0.05", True),
+    "negatives": (_negatives, "queue", True),
+    "shuffle": (_on_off, "on", True),
+    "prefilter": (_on_off, "off", True),
+    "k": (_number(int, 1), "4", True),
+    "margin": (_choice(*MARGIN_KINDS), "ratio", True),
+    "bins": (_number(int, 1), "40", True),
+    "sigmas": (_float_list, "0.5,0.7,0.9,1.5", True),
+    "format": (_choice("tsv", "lines"), "tsv", False),
+    "side": (_choice("source", "target"), "source", False),
+    "vocab_size": (_number(int, 1), "100", False),
+    "min_len": (_number(int, 1), "1", False),
+    "max_len": (_number(int, 1), "12", False),
+    "map_seed": (_number(int), "0", False),
 }
-
-# keys a config file may set (paths and one-shot arguments stay flag-only)
-CONFIG_KEYS = frozenset(
-    {
-        "seed",
-        "threads",
-        "tau",
-        "sigma",
-        "queue_size",
-        "batch_size",
-        "epochs",
-        "step_size",
-        "negatives",
-        "shuffle",
-        "prefilter",
-        "k",
-        "margin",
-        "bins",
-        "sigmas",
-    }
-)
 
 
 def load_config(path: str | os.PathLike) -> dict[str, str]:
     """Parse a flat ``key=value`` config file ('#' comments, blank lines ok).
 
-    Keys are validated against the known option set; values stay strings
-    and are converted at resolution time with the same converters flags
-    use.
+    Every key must be settable from a config file and every value must
+    pass its key's converter, whether or not the subcommand reads it;
+    failures name ``path:line``.  Values come back as the raw strings,
+    converted again at resolution time with the same converters flags use.
     """
     path = os.fspath(path)
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -214,72 +165,72 @@ def load_config(path: str | os.PathLike) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
+            key, value = key.strip(), value.strip()
+            if key not in OPTIONS or not OPTIONS[key][2]:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+            try:
+                OPTIONS[key][0](value, key)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            values[key] = value
     return values
 
 
-def _resolve(args, keys: list[str]) -> tuple[dict, str]:
-    """Resolve option values (flags > config file > defaults).
+def _resolve(args) -> tuple[dict, str]:
+    """Resolve the subcommand's options (flags > config file > defaults).
 
     Returns (converted values, echo line); the echo shows the raw textual
     values in sorted key order.
     """
-    file_values = load_config(args.config) if getattr(args, "config", None) else {}
-    values: dict = {}
-    display: dict[str, str] = {}
-    for key in keys:
-        converter, default = OPTIONS[key]
-        raw = getattr(args, key, None)
-        if raw is None:
-            raw = file_values.get(key, default)
-        if raw is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        if isinstance(raw, str):
-            values[key] = converter(raw, key)
-            display[key] = raw
-        else:  # already parsed (repeatable flags)
-            values[key] = raw
-            display[key] = str(raw)
-    echo = "config: " + " ".join(f"{k}={display[k]}" for k in sorted(display))
+    file_values = load_config(args.config) if args.config else {}
+    raw: dict[str, str] = {}
+    for key in args.option_keys:
+        flag = getattr(args, key)
+        raw[key] = flag if flag is not None else file_values.get(key, OPTIONS[key][1])
+    values = {key: OPTIONS[key][0](text, key) for key, text in raw.items()}
+    echo = "config: " + " ".join(f"{k}={raw[k]}" for k in sorted(raw))
     return values, echo
 
 
-def _train_config(vals: dict) -> TrainConfig:
-    return TrainConfig(
-        temperature=vals["tau"],
-        filter_threshold=vals["sigma"],
-        queue_size=vals["queue_size"],
-        batch_size=vals["batch_size"],
-        negatives_source=vals["negatives"],
-        shuffle=vals["shuffle"],
-        prefilter_enabled=vals["prefilter"],
-        step_size=vals["step_size"],
-        epochs=vals["epochs"],
-        rng_seed=vals["seed"],
-    )
+# option key -> the TrainConfig field it sets
+_TRAIN_FIELDS = {
+    "tau": "temperature",
+    "sigma": "filter_threshold",
+    "queue_size": "queue_size",
+    "batch_size": "batch_size",
+    "negatives": "negatives_source",
+    "shuffle": "shuffle",
+    "prefilter": "prefilter_enabled",
+    "step_size": "step_size",
+    "epochs": "epochs",
+    "seed": "rng_seed",
+}
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line for line in fh.read().splitlines() if line.strip()]
+def _train_config(vals: dict, **fixed) -> TrainConfig:
+    """TrainConfig from the resolved options (library defaults for the
+    fields the subcommand does not resolve), with ``fixed`` fields set."""
+    fields = {f: vals[key] for key, f in _TRAIN_FIELDS.items() if key in vals}
+    return TrainConfig(**fields, **fixed)
+
+
+def _search_config(vals: dict) -> SearchConfig:
+    return SearchConfig(k=vals["k"], margin_kind=vals["margin"])
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: (parsed args, resolved option values, config echo)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_embed(args) -> None:
-    vals, echo = _resolve(args, ["seed", "format", "side"])
+def _cmd_embed(args, vals: dict, echo: str) -> None:
     if vals["format"] == "tsv":
         pairs = read_pairs_tsv(args.input)
         column = 0 if vals["side"] == "source" else 1
         sentences = [pair[column] for pair in pairs]
     else:
-        sentences = _read_lines(args.input)
+        with open_text(args.input) as fh:
+            sentences = [line for line in fh.read().splitlines() if line.strip()]
     params = load_encoder(args.encoder)
     matrix = encode_batch(params, sentences)
     write_embeddings(args.out, matrix)
@@ -287,20 +238,7 @@ def _cmd_embed(args) -> None:
     print(f"wrote {args.out}: n={matrix.shape[0]} dim={matrix.shape[1]}")
 
 
-def _cmd_train(args) -> None:
-    keys = [
-        "seed",
-        "tau",
-        "sigma",
-        "queue_size",
-        "batch_size",
-        "epochs",
-        "step_size",
-        "negatives",
-        "shuffle",
-        "prefilter",
-    ]
-    vals, echo = _resolve(args, keys)
+def _cmd_train(args, vals: dict, echo: str) -> None:
     cfg = _train_config(vals)
     pairs = read_pairs_tsv(args.corpus)
     teacher = load_encoder(args.teacher)
@@ -317,21 +255,18 @@ def _cmd_train(args) -> None:
     print(f"wrote {args.out} (+.meta), log {log_path}")
 
 
-def _cmd_xsim_eval(args) -> None:
-    vals, echo = _resolve(args, ["seed", "threads", "k", "margin"])
+def _cmd_xsim_eval(args, vals: dict, echo: str) -> None:
     src = read_embeddings(args.src).astype(np.float64)
     tgt = read_embeddings(args.tgt).astype(np.float64)
-    cfg = SearchConfig(k=vals["k"], margin_kind=vals["margin"])
-    report = xsim_report(src, tgt, cfg, threads=vals["threads"])
+    report = xsim_report(src, tgt, _search_config(vals), threads=vals["threads"])
     print(echo)
     print(report)
     if args.out:
         atomic_write_text(args.out, f"# {echo}\n{report}\n")
 
 
-def _cmd_filter(args) -> None:
-    vals, echo = _resolve(args, ["seed", "threads", "k", "margin"])
-    budgets = [_as_nonneg_int(b, "budget") for b in (args.budget or [])]
+def _cmd_filter(args, vals: dict, echo: str) -> None:
+    budgets = [_count(b, "budget") for b in (args.budget or [])]
     if not args.scored_out and not budgets:
         raise ConfigError("nothing to do: pass --scored-out and/or --budget")
     if budgets and not args.subset_out:
@@ -343,15 +278,16 @@ def _cmd_filter(args) -> None:
     pairs = read_pairs_tsv(args.corpus)
     student = load_encoder(args.student)
     teacher = load_encoder(args.teacher)
-    cfg = SearchConfig(k=vals["k"], margin_kind=vals["margin"])
-    scored = score_corpus(pairs, student, teacher, cfg, threads=vals["threads"])
+    scored = score_corpus(
+        pairs, student, teacher, _search_config(vals), threads=vals["threads"]
+    )
     print(echo)
     if args.scored_out:
         write_scored_tsv(args.scored_out, scored, comments=[echo])
         print(f"wrote {args.scored_out}: n={len(scored)}")
     for budget in budgets:
         subset = select_by_token_budget(scored, budget)
-        path = (args.subset_out or "").replace("{budget}", str(budget))
+        path = args.subset_out.replace("{budget}", str(budget))
         tokens = sum(p.target_tokens for p in subset)
         write_pairs_tsv(
             path,
@@ -361,17 +297,10 @@ def _cmd_filter(args) -> None:
         print(f"wrote {path}: budget={budget} selected={len(subset)} tokens={tokens}")
 
 
-def _cmd_analyze_hist(args) -> None:
-    keys = ["seed", "batch_size", "queue_size", "shuffle", "bins"]
-    vals, echo = _resolve(args, keys)
+def _cmd_analyze_hist(args, vals: dict, echo: str) -> None:
     pairs = read_pairs_tsv(args.corpus)
     teacher = load_encoder(args.teacher)
-    cfg = TrainConfig(
-        queue_size=vals["queue_size"],
-        batch_size=vals["batch_size"],
-        shuffle=vals["shuffle"],
-        rng_seed=vals["seed"],
-    )
+    cfg = _train_config(vals)
     hist = similarity_distribution(
         [t for _, t in pairs], teacher, cfg, bins=vals["bins"]
     )
@@ -380,36 +309,12 @@ def _cmd_analyze_hist(args) -> None:
     print(f"wrote {args.out}: total={hist.total} bins={vals['bins']}")
 
 
-def _cmd_analyze_sweep(args) -> None:
-    keys = [
-        "seed",
-        "tau",
-        "queue_size",
-        "batch_size",
-        "epochs",
-        "step_size",
-        "negatives",
-        "shuffle",
-        "sigmas",
-        "k",
-        "margin",
-    ]
-    vals, echo = _resolve(args, keys)
-    base = TrainConfig(
-        temperature=vals["tau"],
-        queue_size=vals["queue_size"],
-        batch_size=vals["batch_size"],
-        negatives_source=vals["negatives"],
-        shuffle=vals["shuffle"],
-        prefilter_enabled=True,
-        step_size=vals["step_size"],
-        epochs=vals["epochs"],
-        rng_seed=vals["seed"],
-    )
+def _cmd_analyze_sweep(args, vals: dict, echo: str) -> None:
+    base = _train_config(vals, prefilter_enabled=True)
     pairs = read_pairs_tsv(args.corpus)
     eval_pairs = read_pairs_tsv(args.eval_corpus)
     teacher = load_encoder(args.teacher)
-    search_cfg = SearchConfig(k=vals["k"], margin_kind=vals["margin"])
+    search_cfg = _search_config(vals)
     print(echo)
     rows = threshold_sweep(
         pairs, teacher, base, vals["sigmas"], eval_pairs, search_cfg, log_fn=print
@@ -418,10 +323,8 @@ def _cmd_analyze_sweep(args) -> None:
     print(f"wrote {args.out}: rows={len(rows)}")
 
 
-def _cmd_gen_cipher(args) -> None:
-    keys = ["seed", "vocab_size", "min_len", "max_len", "map_seed"]
-    vals, echo = _resolve(args, keys)
-    n_pairs = _as_nonneg_int(args.pairs, "pairs")
+def _cmd_gen_cipher(args, vals: dict, echo: str) -> None:
+    n_pairs = _count(args.pairs, "pairs")
     spec = CipherSpec(
         vocab_size=vals["vocab_size"],
         min_len=vals["min_len"],
@@ -434,9 +337,8 @@ def _cmd_gen_cipher(args) -> None:
     print(f"wrote {args.out}: pairs={n_pairs}")
 
 
-def _cmd_gen_noise(args) -> None:
-    vals, echo = _resolve(args, ["seed"])
-    rate = _as_float(args.rate, "rate")
+def _cmd_gen_noise(args, vals: dict, echo: str) -> None:
+    rate = _float(args.rate, "rate")
     pairs = read_pairs_tsv(args.corpus)
     noisy = inject_noise(pairs, rate, vals["seed"])
     write_pairs_tsv(args.out, noisy.pairs, comments=[echo, f"rate={rate}"])
@@ -450,127 +352,102 @@ def _cmd_gen_noise(args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parser construction and entry point
+# subcommand table, parser construction and entry point
 # ---------------------------------------------------------------------------
 
+# One entry per leaf subcommand: (name, help, handler, file and one-shot
+# flags, option keys).  A flag is required unless it ends in "?" (optional)
+# or "*" (repeatable); every subcommand also takes --seed and --config.
+COMMANDS = [
+    (
+        "embed",
+        "encode sentences to EMB1",
+        _cmd_embed,
+        "input encoder out",
+        "format side",
+    ),
+    (
+        "train",
+        "distill a student encoder",
+        _cmd_train,
+        "corpus teacher out log?",
+        "tau sigma queue_size batch_size epochs step_size negatives shuffle prefilter",
+    ),
+    (
+        "xsim-eval",
+        "alignment error between two EMB1 files",
+        _cmd_xsim_eval,
+        "src tgt out?",
+        "threads k margin",
+    ),
+    (
+        "filter",
+        "score pairs and select by token budget",
+        _cmd_filter,
+        "corpus student teacher scored_out? subset_out? budget*",
+        "threads k margin",
+    ),
+    (
+        "analyze hist",
+        "target-vs-queue similarity histogram",
+        _cmd_analyze_hist,
+        "corpus teacher out",
+        "batch_size queue_size shuffle bins",
+    ),
+    (
+        "analyze sweep",
+        "filter-threshold sweep with held-out eval",
+        _cmd_analyze_sweep,
+        "corpus eval_corpus teacher out",
+        "tau queue_size batch_size epochs step_size negatives shuffle sigmas k margin",
+    ),
+    (
+        "gen-synth cipher",
+        "cipher-language bitext",
+        _cmd_gen_cipher,
+        "out pairs",
+        "vocab_size min_len max_len map_seed",
+    ),
+    (
+        "gen-synth noise",
+        "inject misalignments",
+        _cmd_gen_noise,
+        "corpus rate out labels_out?",
+        "",
+    ),
+]
 
-def _add_option_flags(parser: _Parser, keys: list[str]) -> None:
-    for key in keys:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
+_GROUPS = {
+    "analyze": "similarity histograms and threshold sweeps",
+    "gen-synth": "synthetic corpora",
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> _Parser:
-    shared = _Parser(add_help=False)
-    _add_option_flags(shared, ["seed"])
-    shared.add_argument("--config", default=None, help="key=value config file")
-
     parser = _Parser(prog="bitextkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
     parser.set_defaults(func=None)
-
-    p = sub.add_parser("embed", parents=[shared], help="encode sentences to EMB1")
-    p.add_argument("--input", required=True)
-    p.add_argument("--encoder", required=True)
-    p.add_argument("--out", required=True)
-    _add_option_flags(p, ["format", "side"])
-    p.set_defaults(func=_cmd_embed)
-
-    p = sub.add_parser("train", parents=[shared], help="distill a student encoder")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--log", default=None)
-    _add_option_flags(
-        p,
-        [
-            "tau",
-            "sigma",
-            "queue_size",
-            "batch_size",
-            "epochs",
-            "step_size",
-            "negatives",
-            "shuffle",
-            "prefilter",
-        ],
-    )
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser(
-        "xsim-eval", parents=[shared], help="alignment error between two EMB1 files"
-    )
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
-    p.add_argument("--out", default=None)
-    _add_option_flags(p, ["threads", "k", "margin"])
-    p.set_defaults(func=_cmd_xsim_eval)
-
-    p = sub.add_parser(
-        "filter", parents=[shared], help="score pairs and select by token budget"
-    )
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--student", required=True)
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--scored-out", default=None)
-    p.add_argument("--subset-out", default=None)
-    p.add_argument("--budget", action="append", default=None)
-    _add_option_flags(p, ["threads", "k", "margin"])
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("analyze", help="similarity histograms and threshold sweeps")
-    asub = p.add_subparsers(dest="mode")
-    p.set_defaults(func=None)
-
-    ph = asub.add_parser(
-        "hist", parents=[shared], help="target-vs-queue similarity histogram"
-    )
-    ph.add_argument("--corpus", required=True)
-    ph.add_argument("--teacher", required=True)
-    ph.add_argument("--out", required=True)
-    _add_option_flags(ph, ["batch_size", "queue_size", "shuffle", "bins"])
-    ph.set_defaults(func=_cmd_analyze_hist)
-
-    ps = asub.add_parser(
-        "sweep", parents=[shared], help="filter-threshold sweep with held-out eval"
-    )
-    ps.add_argument("--corpus", required=True)
-    ps.add_argument("--eval-corpus", required=True)
-    ps.add_argument("--teacher", required=True)
-    ps.add_argument("--out", required=True)
-    _add_option_flags(
-        ps,
-        [
-            "tau",
-            "queue_size",
-            "batch_size",
-            "epochs",
-            "step_size",
-            "negatives",
-            "shuffle",
-            "sigmas",
-            "k",
-            "margin",
-        ],
-    )
-    ps.set_defaults(func=_cmd_analyze_sweep)
-
-    p = sub.add_parser("gen-synth", help="synthetic corpora")
-    gsub = p.add_subparsers(dest="mode")
-    p.set_defaults(func=None)
-
-    pc = gsub.add_parser("cipher", parents=[shared], help="cipher-language bitext")
-    pc.add_argument("--out", required=True)
-    pc.add_argument("--pairs", required=True)
-    _add_option_flags(pc, ["vocab_size", "min_len", "max_len", "map_seed"])
-    pc.set_defaults(func=_cmd_gen_cipher)
-
-    pn = gsub.add_parser("noise", parents=[shared], help="inject misalignments")
-    pn.add_argument("--corpus", required=True)
-    pn.add_argument("--rate", required=True)
-    pn.add_argument("--out", required=True)
-    pn.add_argument("--labels-out", default=None)
-    pn.set_defaults(func=_cmd_gen_noise)
-
+    subparsers = {"": parser.add_subparsers(dest="command")}
+    for name, help_text, func, flags, keys in COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if group not in subparsers:
+            p = subparsers[""].add_parser(group, help=_GROUPS[group])
+            p.set_defaults(func=None)
+            subparsers[group] = p.add_subparsers(dest="mode")
+        p = subparsers[group].add_parser(leaf, help=help_text)
+        p.add_argument("--seed")
+        p.add_argument("--config", help="key=value config file")
+        for flag in flags.split():
+            if flag.endswith("*"):
+                p.add_argument(_flag(flag[:-1]), action="append")
+            else:
+                p.add_argument(_flag(flag.rstrip("?")), required=not flag.endswith("?"))
+        for key in keys.split():
+            p.add_argument(_flag(key))
+        p.set_defaults(func=func, option_keys=["seed"] + keys.split())
     return parser
 
 
@@ -578,10 +455,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
+        if args.func is None:
             parser.print_usage(sys.stderr)
             return 1
-        args.func(args)
+        args.func(args, *_resolve(args))
         return 0
     except SystemExit as exc:  # --help
         code = exc.code if exc.code is not None else 0

@@ -9,11 +9,12 @@ Layout (little-endian, no padding, no trailer):
 
 Values are stored as float32; writers cast, readers return float32 arrays.
 Writing is atomic (temp file + rename) so readers never observe partial
-output.
+output.  ``open_text`` opens the package's UTF-8 text inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -110,4 +111,29 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
             os.unlink(tmp)
         except OSError:
             pass
+        raise
+
+
+@contextlib.contextmanager
+def open_text(path: str | os.PathLike, error: type[Exception] = FormatError):
+    """Open a UTF-8 text file for reading, with universal newlines.
+
+    Undecodable bytes raise ``error`` naming the file, the 1-based line
+    (counting lines as the reader does) and the first bad byte, instead of
+    a bare UnicodeDecodeError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise error(
+                f"{path}:{line}: invalid UTF-8 (byte 0x{data[exc.start]:02x})"
+            ) from None
         raise

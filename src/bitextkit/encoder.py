@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hashing
-from .embfile import atomic_write_text, read_embeddings, write_embeddings
+from .embfile import atomic_write_text, open_text, read_embeddings, write_embeddings
 from .errors import DimMismatchError, FormatError, FrozenEncoderError, ZeroVectorError
 from .vectors import ZERO_NORM_EPS
 
@@ -314,12 +314,12 @@ def load_encoder(path: str | os.PathLike) -> EncoderParams:
 
     Weights come back as float64 (the file stores float32, so a save/load
     round trip quantizes to float32 precision).  The sidecar header must
-    agree with the matrix shape.  A sidecar without a valid header raises
-    FormatError.
+    agree with the matrix shape.  A sidecar without a valid header, or with
+    bytes that are not UTF-8, raises FormatError.
     """
     meta_path = os.fspath(path) + _META_SUFFIX
     header = None
-    with open(meta_path, "r", encoding="utf-8") as fh:
+    with open_text(meta_path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embfile import atomic_write_text
+from .embfile import atomic_write_text, open_text
 # encode and knn are not called here; they stay importable because perfbench
 # traces them under this module's name
 from .encoder import EncoderParams, encode, encode_masked  # noqa: F401
@@ -45,12 +45,13 @@ def read_pairs_tsv(path: str | os.PathLike) -> list[Pair]:
     """Read a pair-per-line TSV corpus.
 
     Raises CorpusFormatError listing every offending line number when any
-    non-comment, non-blank line does not contain exactly one tab.
+    non-comment, non-blank line does not contain exactly one tab, and
+    FormatError naming the line of the first byte that is not UTF-8.
     """
     path = os.fspath(path)
     pairs: list[Pair] = []
     bad: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if line.endswith("\r"):

@@ -159,8 +159,19 @@ def queue_update(queue: NegativeQueue, new_targets) -> NegativeQueue:
             f"pushed rows of shape {rows.shape} onto a queue of dim "
             f"{queue.entries.shape[1]}"
         )
-    merged = np.vstack([queue.entries, rows])[-queue.capacity :]
+    merged = _fifo_push(queue.entries, rows, queue.capacity)
     return NegativeQueue(queue.capacity, merged)
+
+
+def _fifo_push(entries: np.ndarray, rows: np.ndarray, capacity: int) -> np.ndarray:
+    """Append ``rows`` after ``entries`` and keep the newest ``capacity``."""
+    return np.vstack([entries, rows])[-capacity:]
+
+
+def _rng_streams(seed: int) -> list[np.random.Generator]:
+    """The run's independent (init, batch order, equalization) generators,
+    all derived from one master seed."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +519,7 @@ def default_student(
     hash seed (guaranteed different), and weights start at
     U[-1, 1]/sqrt(bucket_count) so pre-normalization activations are O(1).
     """
-    init_rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(1)[0])
+    init_rng = _rng_streams(rng_seed)[0]
     hash_seed = int(init_rng.integers(0, 2**63))
     while hash_seed == teacher.featurizer.hash_seed:
         hash_seed = int(init_rng.integers(0, 2**63))
@@ -546,10 +557,7 @@ def train_distill(
     tgt_all = encode_batch(teacher, targets)
     lengths = [count_tokens(t) for t in targets]
 
-    # stream 0 is reserved for init
-    _, batch_seq, eq_seq = np.random.SeedSequence(cfg.rng_seed).spawn(3)
-    batch_rng = np.random.default_rng(batch_seq)
-    eq_rng = np.random.default_rng(eq_seq)
+    _, batch_rng, eq_rng = _rng_streams(cfg.rng_seed)
 
     W = student_init.weights.copy()
     queue_mat = np.empty((0, teacher.dim), dtype=np.float64)
@@ -564,7 +572,7 @@ def train_distill(
                 _step_core(W, idx, val, tgt, queue_mat, cfg, eq_rng, stats)
             except DivergenceError as exc:
                 raise DivergenceError(f"epoch {epoch} step {step}: {exc}") from None
-            queue_mat = np.vstack([queue_mat, tgt])[-cfg.queue_size :]  # after the loss
+            queue_mat = _fifo_push(queue_mat, tgt, cfg.queue_size)  # after the loss
         all_stats.append(stats)
         line = (
             f"epoch={epoch} loss={stats.mean_loss:.6f} "

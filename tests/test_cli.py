@@ -904,3 +904,75 @@ def test_library_value_error_is_usage_error(tmp_path, capsys, via_config):
         argv += ["--sigma", "2"]
     assert main(argv) == 1
     assert capsys.readouterr().err == "usage error: filter_threshold must be in (0, 1.5], got 2.0\n"
+
+
+# --- undecodable input files and config values no subcommand reads ---------------
+
+
+@pytest.mark.parametrize(
+    "reader, data, where",
+    [
+        ("corpus", b"ok\tpair\r\nbad \xff\tbyte\n", "2: invalid UTF-8 (byte 0xff)"),
+        ("corpus", b"a\tb\rc \xff\td\n", "2: invalid UTF-8 (byte 0xff)"),
+        ("sidecar", b"# note \xfe\n", "1: invalid UTF-8 (byte 0xfe)"),
+        ("lines", b"aabb\n\nccdd \xc3\n", "3: invalid UTF-8 (byte 0xc3)"),
+    ],
+)
+def test_undecodable_input_is_format_error(
+    tmp_path, corpus_file, teacher_file, capsys, reader, data, where
+):
+    corpus, _ = corpus_file
+    teacher, _ = teacher_file
+    out = tmp_path / "out.emb"
+    bad = tmp_path / "bad.txt"
+    if reader == "corpus":
+        bad.write_bytes(data)
+        argv = ["train", "--corpus", str(bad), "--teacher", teacher, "--out", str(out)]
+    elif reader == "sidecar":
+        meta = tmp_path / "teacher.emb.meta"
+        bad = meta
+        meta.write_bytes(data + meta.read_bytes())
+        argv = ["embed", "--input", corpus, "--encoder", teacher, "--out", str(out)]
+    else:
+        bad.write_bytes(data)
+        argv = ["embed", "--input", str(bad), "--encoder", teacher, "--out", str(out)]
+        argv += ["--format", "lines"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"format error: {bad}:{where}\n"
+    assert not out.exists()
+
+
+def test_undecodable_config_file_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"seed=1\nk=\xff\n")
+    argv = _required_args(["xsim-eval"], tmp_path) + ["--config", str(config)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {config}:2: invalid UTF-8 (byte 0xff)\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["train"], "threads=abc\n", "1: threads: expected an integer, got 'abc'"),
+        (["embed"], "# unused here\n\nbins=0\n", "3: bins: must be >= 1, got 0"),
+        (["gen-synth", "noise"], "margin=cosine\n", "1: margin: expected one of absolute, distance, ratio, got 'cosine'"),
+    ],
+)
+def test_config_value_is_checked_even_where_unused(
+    tmp_path, corpus_file, teacher_file, capsys, command, text, message
+):
+    corpus, _ = corpus_file
+    teacher, _ = teacher_file
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    out = str(tmp_path / "out")
+    files = {
+        ("train",): ["--corpus", corpus, "--teacher", teacher, "--out", out],
+        ("embed",): ["--input", corpus, "--encoder", teacher, "--out", out],
+        ("gen-synth", "noise"): ["--corpus", corpus, "--rate", "0.2", "--out", out],
+    }[tuple(command)]
+    assert main(command + files + ["--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"usage error: {config}:{message}\n"
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(config))}:{message.split(':')[0]}: "):
+        load_config(config)

@@ -1,12 +1,17 @@
 """EMB1 container tests: layout, round trips, and structural validation."""
 
+import io
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextkit import read_embeddings, write_embeddings
+from bitextkit.embfile import open_text
 from bitextkit.errors import BadMagicError, DimZeroError, FormatError, TruncatedFileError
 
 
@@ -134,3 +139,25 @@ def test_no_temp_files_left_behind(tmp_path):
     path = tmp_path / "clean.emb"
     write_embeddings(path, np.ones((2, 2)))
     assert sorted(os.listdir(tmp_path)) == ["clean.emb"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(alphabet="ab\t\r\n\u00e9", max_size=30),
+    st.sampled_from([b"\xff", b"\xc3", b"\x80"]),
+    st.text(alphabet="a\r\n\u00e9", max_size=10),
+)
+def test_open_text_names_the_line_the_reader_fails_on(before, bad, after):
+    prefix = before.encode("utf-8")
+    # oracle: the text reader's own line count over the valid prefix
+    lines = io.TextIOWrapper(io.BytesIO(prefix), encoding="utf-8").readlines()
+    line = sum(1 for text in lines if text.endswith("\n")) + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.txt")
+        with open(path, "wb") as fh:
+            fh.write(prefix + bad + after.encode("utf-8"))
+        with pytest.raises(FormatError) as info:
+            with open_text(path) as fh:
+                fh.read()
+    assert str(info.value) == f"{path}:{line}: invalid UTF-8 (byte 0x{bad.hex()})"
+
