@@ -8,7 +8,6 @@ features and linear encoders; see the README for the pipeline walkthrough.
 from .analysis import (
     Histogram,
     SweepRow,
-    avg_target_similarity,
     cosine_histogram,
     similarity_distribution,
     similarity_values,
@@ -21,7 +20,6 @@ from .encoder import (
     EncoderParams,
     FeaturizerConfig,
     SparseCounts,
-    backprop_encode,
     encode,
     encode_batch,
     encode_masked,
@@ -41,7 +39,6 @@ from .errors import (
     DimZeroError,
     DivergenceError,
     EmptyNegativesError,
-    EmptyQueueError,
     FormatError,
     FrozenEncoderError,
     KTooLargeError,
@@ -63,10 +60,8 @@ from .margin import (
     SearchConfig,
     align,
     knn,
-    margin,
     xsim_error_rate,
     xsim_report,
-    xsim_score,
 )
 from .synth import CipherSpec, NoisyCorpus, gen_cipher_corpus, inject_noise
 from .trainer import (
@@ -80,12 +75,11 @@ from .trainer import (
     equalize_negatives,
     filtered_infonce_loss,
     infonce_loss,
-    make_batches,
     prefilter_mask,
     queue_update,
     train_distill,
     train_step,
 )
-from .vectors import cosine, l2_normalize, normalize_rows
+from .vectors import normalize_rows
 
 __version__ = "0.1.0"

@@ -22,11 +22,10 @@ import numpy as np
 
 from .embfile import atomic_write_text
 from .encoder import EncoderParams, encode_batch
-from .errors import BitextkitError, EmptyQueueError
+from .errors import BitextkitError
 from .filtering import count_tokens
 from .margin import SearchConfig, xsim_error_rate
 from .trainer import (
-    NegativeQueue,
     TrainConfig,
     _fifo_push,
     _rng_streams,
@@ -58,16 +57,6 @@ def cosine_histogram(values, bins: int = DEFAULT_BINS) -> Histogram:
         raise ValueError("bins must be >= 1")
     counts, edges = np.histogram(np.asarray(values, dtype=np.float64), bins=bins, range=(-1.0, 1.0))
     return Histogram(edges, counts.astype(np.int64))
-
-
-def avg_target_similarity(target_emb, queue: NegativeQueue) -> float:
-    """Mean cosine between one (unit-norm) target embedding and every
-    queue entry; raises EmptyQueueError on an empty queue."""
-    if queue.size == 0:
-        raise EmptyQueueError("queue is empty")
-    k = np.asarray(target_emb, dtype=np.float64)
-    sims = np.clip(queue.entries @ k, -1.0, 1.0)
-    return float(sims.mean())
 
 
 def similarity_values(

@@ -6,9 +6,10 @@ flags > config file > defaults; the config file is flat ``key=value``
 lines with '#' comments.  A config file may set seed, threads, tau, sigma,
 queue_size, batch_size, epochs, step_size, negatives, shuffle, prefilter,
 k, margin, bins and sigmas; each value it sets is checked even where the
-subcommand does not read it.  The resolved config is echoed to stdout and
-embedded as '#' comments in every text artifact (the binary EMB1 format
-is fixed, so embed/train print it instead).
+subcommand does not read it.  Sizes allocated at once are capped: bins at
+100,000 and gen-synth cipher --pairs at 10,000,000.  The resolved config
+is echoed to stdout and embedded as '#' comments in every text artifact
+(the binary EMB1 format is fixed, so embed/train print it instead).
 
 Exit codes: 0 success; 1 usage or invalid configuration; 2 I/O or file
 format errors, including input files that are not valid UTF-8 (messages
@@ -66,9 +67,11 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _number(kind: type, low: float | None = None, strict: bool = False):
+def _number(
+    kind: type, low: float | None = None, strict: bool = False, high: int | None = None
+):
     """Converter to ``kind`` (int or finite float), optionally bounded
-    below by ``low`` (exclusive when ``strict``)."""
+    below by ``low`` (exclusive when ``strict``) and above by ``high``."""
 
     def convert(text: str, key: str):
         try:
@@ -81,6 +84,8 @@ def _number(kind: type, low: float | None = None, strict: bool = False):
         if low is not None and not (value > low if strict else value >= low):
             bound = f"{'>' if strict else '>='} {low}"
             raise ConfigError(f"{key}: must be {bound}, got {value}")
+        if high is not None and value > high:
+            raise ConfigError(f"{key}: must be <= {high}, got {value}")
         return value
 
     return convert
@@ -88,6 +93,10 @@ def _number(kind: type, low: float | None = None, strict: bool = False):
 
 _float = _number(float)
 _count = _number(int, 0)
+
+# caps on the sizes allocated whole from a flag (histogram bins, cipher pairs)
+MAX_BINS = 100_000
+MAX_PAIRS = 10_000_000
 
 
 def _on_off(text: str, key: str) -> bool:
@@ -136,7 +145,7 @@ OPTIONS: dict = {
     "prefilter": (_on_off, "off", True),
     "k": (_number(int, 1), "4", True),
     "margin": (_choice(*MARGIN_KINDS), "ratio", True),
-    "bins": (_number(int, 1), "40", True),
+    "bins": (_number(int, 1, high=MAX_BINS), "40", True),
     "sigmas": (_float_list, "0.5,0.7,0.9,1.5", True),
     "format": (_choice("tsv", "lines"), "tsv", False),
     "side": (_choice("source", "target"), "source", False),
@@ -324,7 +333,7 @@ def _cmd_analyze_sweep(args, vals: dict, echo: str) -> None:
 
 
 def _cmd_gen_cipher(args, vals: dict, echo: str) -> None:
-    n_pairs = _count(args.pairs, "pairs")
+    n_pairs = _number(int, 0, high=MAX_PAIRS)(args.pairs, "pairs")
     spec = CipherSpec(
         vocab_size=vals["vocab_size"],
         min_len=vals["min_len"],

@@ -5,10 +5,10 @@ character n-grams are hashed into a fixed number of buckets (see
 ``hashing`` for the exact hash), and the resulting sparse count vector f
 is projected and normalized:
 
-    embed(s) = l2_normalize(W^T f),   W in R^(buckets x dim)
+    embed(s) = W^T f / ||W^T f||,   W in R^(buckets x dim)
 
 Encoders are plain parameter containers; a frozen encoder's weights are
-read-only and any gradient computation against it raises.
+read-only, and the trainer refuses to update them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import hashing
 from .embfile import atomic_write_text, open_text, read_embeddings, write_embeddings
-from .errors import DimMismatchError, FormatError, FrozenEncoderError, ZeroVectorError
+from .errors import DimMismatchError, FormatError, ZeroVectorError
 from .vectors import ZERO_NORM_EPS
 
 SENTINEL_BEGIN = "^"
@@ -60,11 +60,6 @@ class SparseCounts:
     @property
     def nnz(self) -> int:
         return int(self.indices.shape[0])
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.length, dtype=np.float64)
-        dense[self.indices] = self.counts
-        return dense
 
 
 # Sentences featurized and projected together.  Bounds the temporaries of
@@ -188,7 +183,9 @@ def project(weights: np.ndarray, idx: np.ndarray, val: np.ndarray) -> np.ndarray
     """Unnormalized projections W^T f of padded feature rows.
 
     Each row sums its own terms in index order, so it does not depend on
-    the other rows or on the padding width.
+    the other rows or on the padding width.  The trainer's dense F @ W[u]
+    would not do here: BLAS sums in an order that depends on the matrix
+    shape, so encode_batch rows would stop matching encode bitwise.
     """
     return np.einsum("bk,bkd->bd", val, weights[idx])
 
@@ -245,37 +242,6 @@ def encode_batch(params: EncoderParams, sentences: list[str]) -> np.ndarray:
         i = int(np.argmin(ok))
         raise ZeroVectorError(f"sentence {i}: {_zero_reason(params, sentences[i])}")
     return out
-
-
-def backprop_encode(
-    params: EncoderParams, sentence: str, upstream_grad
-) -> np.ndarray:
-    """Gradient of the embedding w.r.t. the weights for one sentence.
-
-    With f the feature vector, z = W^T f, q = z/||z|| and g the upstream
-    gradient on q, the chain rule through normalization gives
-    dL/dz = (g - (g.q) q)/||z|| and dL/dW[b, :] = f_b * dL/dz; only rows of
-    active buckets are nonzero.  Raises FrozenEncoderError for frozen
-    encoders.
-    """
-    if params.frozen:
-        raise FrozenEncoderError("cannot backprop through a frozen encoder")
-    feats = featurize(sentence, params.featurizer)
-    if feats.nnz == 0:
-        raise ZeroVectorError("sentence has no features")
-    rows = params.weights[feats.indices]
-    z = feats.counts @ rows
-    norm = float(np.linalg.norm(z))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroVectorError("projection collapsed to zero norm")
-    q = z / norm
-    g = np.asarray(upstream_grad, dtype=np.float64)
-    if g.shape != (params.dim,):
-        raise DimMismatchError(f"upstream grad shape {g.shape} != ({params.dim},)")
-    dz = (g - np.dot(g, q) * q) / norm
-    grad = np.zeros_like(params.weights)
-    grad[feats.indices] = feats.counts[:, None] * dz[None, :]
-    return grad
 
 
 # ---------------------------------------------------------------------------

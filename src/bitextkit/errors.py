@@ -35,10 +35,6 @@ class AllFilteredError(BitextkitError):
     """Every sample's negative set was filtered empty (internal signal)."""
 
 
-class EmptyQueueError(BitextkitError):
-    """Queue statistic requested on an empty queue."""
-
-
 class KTooLargeError(BitextkitError):
     """k-nearest-neighbour query with k exceeding the candidate count."""
 

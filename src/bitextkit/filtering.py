@@ -54,8 +54,6 @@ def read_pairs_tsv(path: str | os.PathLike) -> list[Pair]:
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
-            if line.endswith("\r"):
-                line = line[:-1]
             if not line.strip():
                 continue
             if line.startswith("#") and "\t" not in line:

@@ -69,11 +69,6 @@ def margin_scores(a, b, kind: str) -> np.ndarray:
     raise ValueError(f"unknown margin kind {kind!r}")
 
 
-def margin(a: float, b: float, kind: str) -> float:
-    """Scalar margin combinator; ratio raises ZeroDivisionError when b == 0."""
-    return float(margin_scores(a, b, kind))
-
-
 def _row_blocks(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
 
@@ -170,28 +165,6 @@ def neighborhoods(S: np.ndarray, T: np.ndarray, k: int, threads: int = 1):
     _run_blocks(block, blocks, threads)
     dy = neighborhood_means(_top_values(np.concatenate(bwd, axis=1), k), k)
     return neighborhood_means(fwd, k), dy
-
-
-def xsim_score(
-    x_idx: int,
-    y_idx: int,
-    cross_cosines: np.ndarray,
-    fwd_nn,
-    bwd_nn,
-    cfg: SearchConfig,
-) -> float:
-    """Margin score of source x_idx against target y_idx.
-
-    ``cross_cosines`` is the full source-by-target cosine matrix; fwd_nn
-    and bwd_nn are knn() results for sources-vs-targets and
-    targets-vs-sources respectively.
-    """
-    _, fwd_cos = fwd_nn
-    _, bwd_cos = bwd_nn
-    denom = float(
-        fwd_cos[x_idx].sum() / (2.0 * cfg.k) + bwd_cos[y_idx].sum() / (2.0 * cfg.k)
-    )
-    return margin(float(cross_cosines[x_idx, y_idx]), denom, cfg.margin_kind)
 
 
 def align(src_emb, tgt_emb, cfg: SearchConfig, threads: int = 1):

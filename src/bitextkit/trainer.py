@@ -36,6 +36,7 @@ from .errors import (
     DivergenceError,
     EmptyNegativesError,
     FrozenEncoderError,
+    TooFewPairsError,
     ZeroVectorError,
 )
 from .filtering import count_tokens
@@ -330,13 +331,6 @@ def batch_indices(
     return [order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
 
 
-def make_batches(
-    pairs: list[Pair], cfg: TrainConfig, rng: np.random.Generator | None = None
-) -> list[np.ndarray]:
-    """batch_indices keyed on target-side whitespace token counts."""
-    return batch_indices([count_tokens(t) for _, t in pairs], cfg, rng)
-
-
 # ---------------------------------------------------------------------------
 # the step core (shared by train_step and train_distill)
 # ---------------------------------------------------------------------------
@@ -543,10 +537,19 @@ def train_distill(
     When ``student_init`` is omitted a default student is derived from
     cfg.rng_seed (see default_student).  Emits one log line per epoch:
     ``epoch=<e> loss=<mean> filtered_out=<n> m_zero_fallbacks=<n>
-    skipped_steps=<n> kept_fraction=<f>``.  Raises DivergenceError, naming
-    the epoch and step, at the first step whose loss or updated weights
-    are not finite.
+    skipped_steps=<n> kept_fraction=<f>``.  Raises TooFewPairsError up front
+    when some epoch would take no loss step (queue negatives skip the first
+    batch; in-batch ones need 2 pairs), and DivergenceError, naming the
+    epoch and step, at the first step whose loss or updated weights are
+    not finite.
     """
+    minimum = 2 if cfg.negatives_source == NEGATIVES_IN_BATCH else cfg.batch_size + 1
+    if cfg.epochs >= 1 and len(pairs) < minimum:
+        raise TooFewPairsError(
+            f"{len(pairs)} pairs leave an epoch without a loss step: "
+            f"{cfg.negatives_source} negatives with batch_size={cfg.batch_size} "
+            f"need at least {minimum}"
+        )
     if student_init is None:
         student_init = default_student(teacher, cfg.rng_seed)
     _check_roles(student_init, teacher)

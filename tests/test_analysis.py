@@ -10,7 +10,6 @@ from bitextkit import analysis
 from bitextkit.analysis import (
     Histogram,
     SweepRow,
-    avg_target_similarity,
     cosine_histogram,
     similarity_distribution,
     similarity_values,
@@ -19,10 +18,10 @@ from bitextkit.analysis import (
     write_sweep_csv,
 )
 from bitextkit.encoder import FeaturizerConfig, make_teacher
-from bitextkit.errors import EmptyQueueError
 from bitextkit.margin import SearchConfig
 from bitextkit.synth import CipherSpec, gen_cipher_corpus
 from bitextkit.trainer import NegativeQueue, TrainConfig
+from queue_oracle import avg_target_similarity
 
 
 def tiny_teacher():
@@ -35,7 +34,7 @@ def tiny_targets(n=80, seed=11):
     return [t for _, t in gen_cipher_corpus(spec, n, seed)]
 
 
-# --- avg_target_similarity ----------------------------------------------------
+# --- the replay oracle's avg_target_similarity --------------------------------
 
 
 def test_avg_similarity_known_values():
@@ -49,7 +48,7 @@ def test_avg_similarity_known_values():
 
 
 def test_avg_similarity_empty_queue_raises():
-    with pytest.raises(EmptyQueueError):
+    with pytest.raises(ValueError, match="queue is empty"):
         avg_target_similarity(np.array([1.0, 0.0]), NegativeQueue.empty(4, 2))
 
 
@@ -229,6 +228,16 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(analysis, "train_distill", broken)
     with pytest.raises(TypeError, match="bad call"):
         threshold_sweep(train_pairs, teacher, cfg, [0.9], eval_pairs)
+
+
+def test_sweep_records_a_corpus_too_small_to_train_as_failed_rows():
+    train_pairs, eval_pairs, teacher, cfg = sweep_fixture()
+    # one batch of 16 pairs only fills the queue: no epoch has a loss step
+    rows = threshold_sweep(train_pairs[:16], teacher, cfg, [0.5, 0.9], eval_pairs)
+    assert [r.sigma for r in rows] == [0.5, 0.9]
+    for row in rows:
+        assert math.isnan(row.error_rate) and math.isnan(row.kept_fraction)
+        assert row.failure.startswith("TooFewPairsError: 16 pairs ")
 
 
 # --- CSV writers ----------------------------------------------------------------

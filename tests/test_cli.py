@@ -447,6 +447,24 @@ def test_train_divergence_is_numerical_error(tmp_path, corpus_file, teacher_file
     assert not out.exists() and not (tmp_path / "student.emb.log").exists()
 
 
+@pytest.mark.parametrize("n_pairs", [0, 16], ids=["empty", "one-warm-up-batch"])
+def test_train_on_a_corpus_without_a_loss_step_is_numerical_error(
+    tmp_path, corpus_file, teacher_file, capsys, n_pairs
+):
+    _, pairs = corpus_file
+    teacher_path, _ = teacher_file
+    small = tmp_path / "small.tsv"
+    write_pairs_tsv(small, pairs[:n_pairs])
+    assert main(train_args(str(small), teacher_path, str(tmp_path / "student.emb"))) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"numerical error: {n_pairs} pairs leave an epoch without a loss step: "
+        "queue negatives with batch_size=16 need at least 17\n"
+    )
+    assert "loss=" not in captured.out
+    assert not list(tmp_path.glob("student.emb*"))
+
+
 # --- xsim-eval -------------------------------------------------------------------
 
 
@@ -829,6 +847,18 @@ ONE_SHOT_REJECTIONS = [
     (["filter"], "budget", "-5", "budget: must be >= 0, got -5"),
 ]
 
+# upper limits of the sizes allocated whole (appended last so the other
+# cases keep their ids)
+LIMIT_REJECTIONS = [
+    (["analyze", "hist"], "bins", "100001", "bins: must be <= 100000, got 100001"),
+    (
+        ["gen-synth", "cipher"],
+        "pairs",
+        "10000001",
+        "pairs: must be <= 10000000, got 10000001",
+    ),
+]
+
 
 def _required_args(command, tmp_path):
     """Required flags naming files that do not exist: option values are
@@ -858,7 +888,7 @@ def _flag(key):
 
 @pytest.mark.parametrize(
     "command, key, value, message",
-    REJECTIONS + ONE_SHOT_REJECTIONS,
+    REJECTIONS + ONE_SHOT_REJECTIONS + LIMIT_REJECTIONS,
     ids=lambda v: v if isinstance(v, str) and not v.count(" ") else None,
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, command, key, value, message):
@@ -870,7 +900,7 @@ def test_bad_flag_value_is_usage_error(tmp_path, capsys, command, key, value, me
 
 @pytest.mark.parametrize(
     "command, key, value, message",
-    [case for case in REJECTIONS if case[1] in FILE_KEYS],
+    [case for case in REJECTIONS + LIMIT_REJECTIONS if case[1] in FILE_KEYS],
     ids=lambda v: v if isinstance(v, str) and not v.count(" ") else None,
 )
 def test_bad_config_file_value_is_usage_error(tmp_path, capsys, command, key, value, message):

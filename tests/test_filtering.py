@@ -44,8 +44,15 @@ def test_read_pairs_skips_blanks_and_comments(tmp_path):
         "   \n"
         "# another note\n"
         "src two\ttgt two\r\n"
+        "src three\ttgt three\rsrc four\ttgt four\n"
     )
-    assert read_pairs_tsv(path) == [("src one", "tgt one"), ("src two", "tgt two")]
+    # universal newlines: "\r\n" and a lone "\r" both end a line
+    assert read_pairs_tsv(path) == [
+        ("src one", "tgt one"),
+        ("src two", "tgt two"),
+        ("src three", "tgt three"),
+        ("src four", "tgt four"),
+    ]
 
 
 def test_read_pairs_comment_with_tab_is_data():

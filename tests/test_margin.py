@@ -1,6 +1,6 @@
-"""Margin scoring and alignment tests: scalar margins, exact-kNN with
-tie-breaking, hand-computed 2x2 scores, an exhaustive alignment oracle,
-and the evaluation report format."""
+"""Margin scoring and alignment tests: the margin combinator, exact-kNN
+with tie-breaking, hand-computed 2x2 scores, an exhaustive alignment
+oracle, and the evaluation report format."""
 
 import tracemalloc
 
@@ -14,11 +14,11 @@ from bitextkit.margin import (
     SearchConfig,
     align,
     knn,
-    margin,
+    margin_scores,
     neighborhood_means,
+    neighborhoods,
     xsim_error_rate,
     xsim_report,
-    xsim_score,
 )
 from bitextkit.vectors import normalize_rows
 
@@ -28,17 +28,20 @@ def random_units(rng, n, dim) -> np.ndarray:
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-# --- scalar margin / config ---------------------------------------------------
+# --- margin combinator / config -----------------------------------------------
 
 
 def test_margin_kinds():
-    assert margin(2.0, 5.0, "absolute") == 2.0
-    assert margin(1.2, 0.8, "distance") == pytest.approx(0.4)
-    assert margin(0.8, 1.0, "ratio") == 0.8
+    assert margin_scores(2.0, 5.0, "absolute") == 2.0
+    assert margin_scores(1.2, 0.8, "distance") == pytest.approx(0.4)
+    assert margin_scores(0.8, 1.0, "ratio") == 0.8
+    assert margin_scores([0.8, 0.6], [1.0, 0.8], "ratio").tolist() == pytest.approx([0.8, 0.75])
     with pytest.raises(ZeroDivisionError):
-        margin(0.5, 0.0, "ratio")
+        margin_scores(0.5, 0.0, "ratio")
+    with pytest.raises(ZeroDivisionError):
+        margin_scores([0.5, 0.5], [1.0, 0.0], "ratio")
     with pytest.raises(ValueError):
-        margin(1.0, 1.0, "cosine")
+        margin_scores(1.0, 1.0, "cosine")
 
 
 def test_search_config_validation():
@@ -121,42 +124,39 @@ def test_neighborhood_means():
     assert neighborhood_means(cos, 2).tolist() == [0.35, 0.25]
 
 
-# --- xsim_score on a worked 2x2 instance --------------------------------------
+# --- xsim (margin) scores of a worked 2x2 instance ----------------------------
 
 
-def worked_instance():
+def worked_scores(kind):
+    """margin_scores of every source-target pair over neighborhoods' (dx, dy)."""
     src = np.array([[1.0, 0.0], [0.0, 1.0]])
     tgt = np.array([[0.8, 0.6], [0.6, 0.8]])
-    cross = src @ tgt.T
-    fwd = knn(src, tgt, 1)
-    bwd = knn(tgt, src, 1)
-    return src, tgt, cross, fwd, bwd
+    dx, dy = neighborhoods(src, tgt, 1)
+    return margin_scores(src @ tgt.T, dx[:, None] + dy[None, :], kind)
 
 
 def test_xsim_score_hand_computed_ratio():
     # nearest neighbourhoods (k=1) both have cosine 0.8, so every denominator
     # is 0.8: the aligned pair scores 0.8/0.8 = 1 and the crossed one 0.75
-    _, _, cross, fwd, bwd = worked_instance()
-    cfg = SearchConfig(k=1, margin_kind="ratio")
-    assert xsim_score(0, 0, cross, fwd, bwd, cfg) == pytest.approx(1.0, abs=1e-12)
-    assert xsim_score(0, 1, cross, fwd, bwd, cfg) == pytest.approx(0.75, abs=1e-12)
-    assert xsim_score(1, 1, cross, fwd, bwd, cfg) == pytest.approx(1.0, abs=1e-12)
+    scores = worked_scores("ratio")
+    assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert scores[0, 1] == pytest.approx(0.75, abs=1e-12)
+    assert scores[1, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_xsim_score_other_kinds():
-    _, _, cross, fwd, bwd = worked_instance()
-    absolute = SearchConfig(k=1, margin_kind="absolute")
-    distance = SearchConfig(k=1, margin_kind="distance")
-    assert xsim_score(0, 0, cross, fwd, bwd, absolute) == pytest.approx(0.8)
-    assert xsim_score(0, 0, cross, fwd, bwd, distance) == pytest.approx(0.0, abs=1e-12)
-    assert xsim_score(0, 1, cross, fwd, bwd, distance) == pytest.approx(-0.2)
+    assert worked_scores("absolute")[0, 0] == pytest.approx(0.8)
+    distance = worked_scores("distance")
+    assert distance[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert distance[0, 1] == pytest.approx(-0.2)
 
 
 # --- align --------------------------------------------------------------------
 
 
 def oracle_align(S, T, cfg):
-    """Exhaustive n x m margin scorer, kept deliberately naive."""
+    """Exhaustive n x m margin scorer, kept deliberately naive: the three
+    margin kinds are written out here, apart from the code under test."""
     S = S / np.linalg.norm(S, axis=1, keepdims=True)
     T = T / np.linalg.norm(T, axis=1, keepdims=True)
     cross = np.clip(S @ T.T, -1.0, 1.0)
@@ -164,11 +164,13 @@ def oracle_align(S, T, cfg):
     bwd_cos = knn(T, S, cfg.k)[1]
     dx = fwd_cos.sum(axis=1) / (2.0 * cfg.k)
     dy = bwd_cos.sum(axis=1) / (2.0 * cfg.k)
+    kind = cfg.margin_kind
     n, m = cross.shape
     scores = np.empty((n, m))
     for i in range(n):
         for j in range(m):
-            scores[i, j] = margin(cross[i, j], dx[i] + dy[j], cfg.margin_kind)
+            a, b = cross[i, j], dx[i] + dy[j]
+            scores[i, j] = a if kind == "absolute" else a - b if kind == "distance" else a / b
     best = scores.argmax(axis=1)
     return best, scores[np.arange(n), best]
 

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitextkit import trainer
 from bitextkit.encoder import (
     EncoderParams,
     FeaturizerConfig,
     encode,
     encode_batch,
+    featurize,
     make_teacher,
 )
 from bitextkit.errors import (
@@ -25,8 +27,10 @@ from bitextkit.errors import (
     DivergenceError,
     EmptyNegativesError,
     FrozenEncoderError,
+    TooFewPairsError,
     ZeroVectorError,
 )
+from bitextkit.filtering import count_tokens
 from bitextkit.synth import CipherSpec, gen_cipher_corpus
 from bitextkit.trainer import (
     FilterSet,
@@ -37,7 +41,6 @@ from bitextkit.trainer import (
     equalize_negatives,
     filtered_infonce_loss,
     infonce_loss,
-    make_batches,
     prefilter_mask,
     queue_update,
     train_distill,
@@ -363,7 +366,7 @@ def test_batches_without_shuffle_group_by_length():
 def test_make_batches_keys_on_target_token_count():
     pairs = [("s0", "a b c"), ("s1", "a"), ("s2", "a b c d"), ("s3", "b")]
     cfg = TrainConfig(batch_size=2, shuffle=False)
-    batches = make_batches(pairs, cfg)
+    batches = batch_indices([count_tokens(t) for _, t in pairs], cfg)
     assert [b.tolist() for b in batches] == [[1, 3], [0, 2]]
 
 
@@ -381,7 +384,6 @@ def test_shuffled_batches_are_seeded_permutations():
 
 def test_empty_corpus_gives_no_batches():
     assert batch_indices([], TrainConfig()) == []
-    assert make_batches([], TrainConfig()) == []
 
 
 def test_length_batching_reduces_within_batch_spread():
@@ -465,6 +467,44 @@ def test_train_step_descends_on_the_batch():
         new_student, teacher, pairs[4:8], warm_queue.entries, cfg.temperature
     )
     assert loss_after < loss_before
+
+
+def test_train_step_leaves_rows_outside_the_batch_buckets_unchanged():
+    teacher, student, pairs = step_fixtures()
+    cfg = TrainConfig(temperature=0.2, batch_size=4, queue_size=8, step_size=0.3)
+    warm_queue = train_step(
+        student, teacher, pairs[:4], NegativeQueue.empty(8, teacher.dim), cfg
+    )[2]
+    batch = pairs[4:8]
+    _, new_student, _ = train_step(student, teacher, batch, warm_queue, cfg)
+    active = np.unique(
+        np.concatenate([featurize(s, student.featurizer).indices for s, _ in batch])
+    )
+    inactive = np.setdiff1d(np.arange(student.featurizer.bucket_count), active)
+    assert inactive.size and active.size
+    assert np.array_equal(new_student.weights[inactive], student.weights[inactive])
+    assert (new_student.weights[active] != student.weights[active]).any(axis=1).all()
+
+
+def test_train_step_update_is_orthogonal_to_the_weights():
+    # embeddings are normalized, so the loss is constant along W's own
+    # direction (L(cW) = L(W)) and its gradient has no component along W
+    teacher, student, pairs = step_fixtures()
+    for source in ("queue", "in_batch"):
+        cfg = TrainConfig(
+            temperature=0.2,
+            batch_size=4,
+            queue_size=8,
+            step_size=1.0,
+            negatives_source=source,
+        )
+        queue = NegativeQueue(8, encode_batch(teacher, [t for _, t in pairs[8:]]))
+        loss, new_student, _ = train_step(student, teacher, pairs[:4], queue, cfg)
+        assert loss is not None
+        delta = new_student.weights - student.weights
+        scale = np.linalg.norm(delta) * np.linalg.norm(student.weights)
+        assert scale > 0
+        assert abs(np.vdot(delta, student.weights)) <= 1e-10 * scale
 
 
 def test_train_step_zero_step_size_evaluates_without_updating():
@@ -651,6 +691,35 @@ def test_distill_zero_epochs_returns_init_unchanged():
     assert np.array_equal(result.student.weights, student.weights)
     assert result.epoch_losses == []
     assert result.log_lines == []
+
+
+@pytest.mark.parametrize(
+    "n_pairs, overrides",
+    [(20, {"batch_size": 32}), (0, {}), (1, {"negatives_source": "in_batch"})],
+    ids=["one-warm-up-batch", "empty", "lone-in-batch-pair"],
+)
+def test_distill_rejects_a_corpus_that_leaves_an_epoch_without_a_loss_step(
+    monkeypatch, n_pairs, overrides
+):
+    def featurized(*args, **kwargs):
+        raise AssertionError("featurized before the corpus size was checked")
+
+    monkeypatch.setattr(trainer, "featurize_batch", featurized)
+    with pytest.raises(TooFewPairsError, match=f"^{n_pairs} pairs leave an epoch"):
+        train_distill(tiny_corpus(n_pairs), tiny_teacher(), run_cfg(**overrides))
+
+
+def test_distill_smallest_trainable_corpora_take_a_loss_step_every_epoch():
+    teacher = tiny_teacher()
+    queue = train_distill(tiny_corpus(17), teacher, run_cfg(batch_size=16))
+    in_batch = train_distill(tiny_corpus(2), teacher, run_cfg(negatives_source="in_batch"))
+    # the warm-up batch of 16 is skipped; the lone 17th pair still learns
+    assert [s.loss_steps for s in queue.epoch_stats] == [1, 2]
+    assert [s.loss_steps for s in in_batch.epoch_stats] == [1, 1]
+    assert all(math.isfinite(x) for x in queue.epoch_losses + in_batch.epoch_losses)
+    # no epoch, no loss step needed
+    untrained = train_distill([], teacher, run_cfg(epochs=0))
+    assert untrained.log_lines == []
 
 
 def test_distill_is_deterministic_and_leaves_teacher_alone():

@@ -1,50 +1,53 @@
-"""Vector primitive tests: normalization, cosine, and their invariants."""
+"""Vector tests: L2 row normalization and the clipped cosine that margin
+search computes from normalized rows, with their invariants."""
 
 import numpy as np
 import pytest
 
-from bitextkit import cosine, l2_normalize, normalize_rows
+from bitextkit import knn, normalize_rows
 from bitextkit.errors import DimMismatchError, ZeroVectorError
 
 
+def cosine(u, v) -> float:
+    """The cosine knn reports for one query against one candidate."""
+    return float(knn([u], [v], 1)[1][0, 0])
+
+
 def test_l2_normalize_three_four_five():
-    out = l2_normalize([3.0, 4.0])
-    assert np.allclose(out, [0.6, 0.8], atol=1e-12)
+    assert np.allclose(normalize_rows([[3.0, 4.0]]), [[0.6, 0.8]], atol=1e-12)
+    out = normalize_rows([[3.0, 4.0], [0.0, -2.0], [5.0, 12.0]])
+    assert np.allclose(out, [[0.6, 0.8], [0.0, -1.0], [5 / 13, 12 / 13]], atol=1e-12)
 
 
 def test_l2_normalize_identity_on_unit_vectors():
-    out = l2_normalize([1.0, 0.0, 0.0])
-    assert np.array_equal(out, [1.0, 0.0, 0.0])
+    assert np.array_equal(normalize_rows([[1.0, 0.0, 0.0]]), [[1.0, 0.0, 0.0]])
+    assert np.array_equal(normalize_rows(np.eye(4)), np.eye(4))
 
 
 def test_l2_normalize_zero_vector_raises():
     with pytest.raises(ZeroVectorError):
-        l2_normalize([0.0, 0.0])
+        normalize_rows([[0.0, 0.0]])
     with pytest.raises(ZeroVectorError):
-        l2_normalize([1e-13, 0.0])
+        normalize_rows([[1e-13, 0.0]])
+    with pytest.raises(ZeroVectorError, match="row 1"):
+        normalize_rows([[1.0, 0.0], [1e-13, 0.0]])
 
 
 def test_l2_normalize_rejects_non_finite():
     with pytest.raises(ValueError):
-        l2_normalize([np.inf, 1.0])
-
-
-def test_l2_normalize_rejects_matrices():
-    with pytest.raises(DimMismatchError):
-        l2_normalize(np.ones((2, 2)))
+        normalize_rows([[np.inf, 1.0]])
 
 
 def test_l2_normalize_output_norm_and_scale_invariance():
     rng = np.random.default_rng(42)
     for _ in range(200):
-        dim = int(rng.integers(1, 12))
-        v = rng.normal(size=dim)
-        if np.linalg.norm(v) <= 1e-6:
+        rows = rng.normal(size=(int(rng.integers(1, 6)), int(rng.integers(1, 12))))
+        if np.linalg.norm(rows, axis=1).min() <= 1e-6:
             continue
-        scale = float(rng.uniform(1e-3, 1e3))
-        a = l2_normalize(v)
-        b = l2_normalize(scale * v)
-        assert abs(np.linalg.norm(a) - 1.0) <= 1e-6
+        scales = rng.uniform(1e-3, 1e3, size=(rows.shape[0], 1))
+        a = normalize_rows(rows)
+        b = normalize_rows(scales * rows)
+        assert np.abs(np.linalg.norm(a, axis=1) - 1.0).max() <= 1e-6
         assert np.allclose(a, b, atol=1e-7)
 
 
@@ -86,7 +89,7 @@ def test_cosine_of_normalized_inputs_matches():
         u = rng.normal(size=6)
         v = rng.normal(size=6)
         base = cosine(u, v)
-        normed = cosine(l2_normalize(u), l2_normalize(v))
+        normed = cosine(*normalize_rows([u, v]))
         assert abs(base - normed) <= 1e-6
 
 
@@ -121,3 +124,5 @@ def test_normalize_rows_reports_non_finite_row_index(bad):
 def test_normalize_rows_rejects_vectors():
     with pytest.raises(DimMismatchError):
         normalize_rows(np.ones(4))
+    with pytest.raises(DimMismatchError):
+        normalize_rows(np.ones((2, 2, 2)))
