@@ -94,9 +94,11 @@ def _number(
 _float = _number(float)
 _count = _number(int, 0)
 
-# caps on the sizes allocated whole from a flag (histogram bins, cipher pairs)
+# caps on the sizes allocated from a flag: whole (histogram bins, cipher
+# pairs) or once per drawn cipher sentence length
 MAX_BINS = 100_000
 MAX_PAIRS = 10_000_000
+MAX_SENTENCE_WORDS = 1_000
 
 
 def _on_off(text: str, key: str) -> bool:
@@ -150,8 +152,8 @@ OPTIONS: dict = {
     "format": (_choice("tsv", "lines"), "tsv", False),
     "side": (_choice("source", "target"), "source", False),
     "vocab_size": (_number(int, 1), "100", False),
-    "min_len": (_number(int, 1), "1", False),
-    "max_len": (_number(int, 1), "12", False),
+    "min_len": (_number(int, 1, high=MAX_SENTENCE_WORDS), "1", False),
+    "max_len": (_number(int, 1, high=MAX_SENTENCE_WORDS), "12", False),
     "map_seed": (_number(int), "0", False),
 }
 
@@ -239,7 +241,8 @@ def _cmd_embed(args, vals: dict, echo: str) -> None:
         sentences = [pair[column] for pair in pairs]
     else:
         with open_text(args.input) as fh:
-            sentences = [line for line in fh.read().splitlines() if line.strip()]
+            # universal-newline lines, as read_pairs_tsv reads them
+            sentences = [line.rstrip("\n") for line in fh if line.strip()]
     params = load_encoder(args.encoder)
     matrix = encode_batch(params, sentences)
     write_embeddings(args.out, matrix)

@@ -33,6 +33,12 @@ MARGIN_RATIO = "ratio"
 MARGIN_KINDS = (MARGIN_ABSOLUTE, MARGIN_DISTANCE, MARGIN_RATIO)
 
 _BLOCK_ROWS = 1024
+# rows of a worker's first block folded on their own into the running
+# per-target top k.  Seeding from 32 rows lets about 600k survivors
+# through at n = 20,000 and the fold dominates.  256 rows ran 5% faster,
+# but at m = 5,000 their 10 MB column partition raises glibc's dynamic
+# mmap threshold, and the freed heap it then keeps cost 30 MiB of peak RSS
+_SEED_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,11 @@ class SearchConfig:
             )
 
 
+# the ufunc each margin kind applies to (cosine, denominator); absolute
+# ignores the denominator
+_MARGIN_UFUNCS = {MARGIN_DISTANCE: np.subtract, MARGIN_RATIO: np.divide}
+
+
 def margin_scores(a, b, kind: str) -> np.ndarray:
     """Elementwise margin combinator over broadcast arrays: absolute (a),
     distance (a - b) or ratio (a / b); ratio raises ZeroDivisionError when
@@ -59,29 +70,27 @@ def margin_scores(a, b, kind: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if kind == MARGIN_ABSOLUTE:
         return a
+    if kind not in _MARGIN_UFUNCS:
+        raise ValueError(f"unknown margin kind {kind!r}")
     b = np.asarray(b, dtype=np.float64)
-    if kind == MARGIN_DISTANCE:
-        return a - b
-    if kind == MARGIN_RATIO:
-        if (b == 0.0).any():
-            raise ZeroDivisionError("ratio margin with zero denominator")
-        return a / b
-    raise ValueError(f"unknown margin kind {kind!r}")
+    if kind == MARGIN_RATIO and (b == 0.0).any():
+        raise ZeroDivisionError("ratio margin with zero denominator")
+    return _MARGIN_UFUNCS[kind](a, b)
 
 
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
-
-
-def _run_blocks(fn, blocks, threads: int) -> None:
-    """Run fn(lo, hi) over blocks; results land in preallocated arrays by
-    row index, so parallel output is bitwise identical to serial."""
-    if threads <= 1 or len(blocks) < 2:
-        for lo, hi in blocks:
-            fn(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda b: fn(*b), blocks))
+def _map_workers(work, n: int, threads: int) -> list:
+    """Deal the 1,024-row blocks of n rows round-robin to at most `threads`
+    workers and return [work(blocks) for each worker's blocks].  Each
+    worker writes its rows into preallocated arrays by row index or
+    returns what the caller merges order-free, so parallel output is
+    bitwise identical to serial."""
+    blocks = [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
+    workers = max(1, min(threads, len(blocks)))
+    shares = [blocks[w::workers] for w in range(workers)]
+    if workers == 1:
+        return [work(shares[0])]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, shares))
 
 
 def _top_values(a: np.ndarray, k: int) -> np.ndarray:
@@ -119,20 +128,21 @@ def knn(queries, candidates, k: int, threads: int = 1):
     idx = np.empty((n, k), dtype=np.int64)
     cos = np.empty((n, k), dtype=np.float64)
 
-    def block(lo: int, hi: int) -> None:
-        sims = np.clip(Q[lo:hi] @ C.T, -1.0, 1.0)
-        top = _top_values(sims, k)
-        # every candidate at or above the k-th largest cosine, ordered by
-        # (descending cosine, ascending index); np.nonzero lists each row's
-        # candidates in index order and keeps rows contiguous
-        rows, cols = np.nonzero(sims >= top[:, -1:])
-        order = np.lexsort((cols, -sims[rows, cols], rows))
-        counts = np.bincount(rows, minlength=hi - lo)
-        starts = np.cumsum(counts) - counts
-        idx[lo:hi] = cols[order[starts[:, None] + np.arange(k)]]
-        cos[lo:hi] = top
+    def work(blocks) -> None:
+        for lo, hi in blocks:
+            sims = np.clip(Q[lo:hi] @ C.T, -1.0, 1.0)
+            top = _top_values(sims, k)
+            # every candidate at or above the k-th largest cosine, ordered by
+            # (descending cosine, ascending index); np.nonzero lists each
+            # row's candidates in index order and keeps rows contiguous
+            rows, cols = np.nonzero(sims >= top[:, -1:])
+            order = np.lexsort((cols, -sims[rows, cols], rows))
+            counts = np.bincount(rows, minlength=hi - lo)
+            starts = np.cumsum(counts) - counts
+            idx[lo:hi] = cols[order[starts[:, None] + np.arange(k)]]
+            cos[lo:hi] = top
 
-    _run_blocks(block, _row_blocks(n), threads)
+    _map_workers(work, n, threads)
     return idx, cos
 
 
@@ -141,30 +151,79 @@ def neighborhood_means(nn_cosines: np.ndarray, k: int) -> np.ndarray:
     return nn_cosines.sum(axis=1) / (2.0 * k)
 
 
+def _fold_columns(top: np.ndarray, cos: np.ndarray) -> None:
+    """Fold the rows of cos into top, the running k largest values of each
+    column: top[r, j] is column j's (r+1)-th largest value, -inf until k
+    rows have been folded.
+
+    Only values above a column's current k-th largest can enter its top k,
+    so one contiguous compare finds them.  A single lexsort over those
+    survivors and the touched columns' tops, by (column, descending
+    value), then yields each touched column's new top k.  The lexsort
+    handles about k + 1 values per survivor, so once more than 1/16k of
+    the block survives, as all of it does against a -inf threshold, a
+    partition of the block's columns is cheaper.
+    """
+    k, m = top.shape
+    above = cos > top[k - 1]
+    survivors = np.count_nonzero(above)
+    if 16 * k * survivors > cos.size:
+        rows = cos.shape[0]
+        if rows > k:
+            cos = np.partition(cos, rows - k, axis=0)[rows - k :]
+        top[:] = -np.sort(-np.concatenate([top, cos]), axis=0)[:k]
+        return
+    # a flat index: np.nonzero on the 2-D mask is ten times slower
+    flat = np.flatnonzero(above)
+    cols = flat % m
+    counts = np.bincount(cols, minlength=m)
+    touched = np.flatnonzero(counts)
+    vals = np.concatenate([top[:, touched].T.ravel(), cos.ravel()[flat]])
+    owner = np.concatenate([np.repeat(touched, k), cols])
+    order = np.lexsort((-vals, owner))
+    sizes = counts[touched] + k
+    starts = np.cumsum(sizes) - sizes
+    top[:, touched] = vals[order[starts[:, None] + np.arange(k)]].T
+
+
 def neighborhoods(S: np.ndarray, T: np.ndarray, k: int, threads: int = 1):
     """Neighbourhood terms (dx, dy) of unit-norm rows S (n, d) and T (m, d).
 
     dx[i] is neighborhood_means of knn(S, T, k)'s cosines for source i and
     dy[j] that of knn(T, S, k) for target j, both taken from one blocked
-    pass over S @ T.T: each block keeps its rows' top k for dx and its
-    columns' top k, merged at the end, for dy.  Raises KTooLargeError when
+    pass over S @ T.T.  Each block of rows folds its columns into a
+    running top k per target for dy (one per worker, merged at the end),
+    then partitions its own buffer in place for dx.  Values are clipped to
+    [-1, 1] only once selected: clipping is monotone, so the k largest
+    clipped values are the clipped k largest.  Raises KTooLargeError when
     k exceeds either side.
     """
-    n = S.shape[0]
-    if k > min(n, T.shape[0]):
-        raise KTooLargeError(f"k={k} but only {min(n, T.shape[0])} candidates")
+    n, m = S.shape[0], T.shape[0]
+    if k > min(n, m):
+        raise KTooLargeError(f"k={k} but only {min(n, m)} candidates")
     fwd = np.empty((n, k), dtype=np.float64)
-    blocks = _row_blocks(n)
-    bwd = [None] * len(blocks)
+    cut = m - k
 
-    def block(lo: int, hi: int) -> None:
-        cos = np.clip(S[lo:hi] @ T.T, -1.0, 1.0)
-        fwd[lo:hi] = _top_values(cos, k)
-        bwd[lo // _BLOCK_ROWS] = _top_values(cos.T, min(k, hi - lo))
+    def work(blocks) -> np.ndarray:
+        buf = np.empty((min(_BLOCK_ROWS, n), m))
+        top = np.full((k, m), -np.inf)
+        for b, (lo, hi) in enumerate(blocks):
+            cos = buf[: hi - lo]
+            np.matmul(S[lo:hi], T.T, out=cos)
+            # the first few rows go alone: their column top k sets a
+            # threshold that few of the block's other values pass
+            for part in (cos[:_SEED_ROWS], cos[_SEED_ROWS:]) if b == 0 else (cos,):
+                _fold_columns(top, part)
+            cos.partition(cut, axis=1)
+            fwd[lo:hi] = np.clip(-np.sort(-cos[:, cut:], axis=1), -1.0, 1.0)
+        return top
 
-    _run_blocks(block, blocks, threads)
-    dy = neighborhood_means(_top_values(np.concatenate(bwd, axis=1), k), k)
-    return neighborhood_means(fwd, k), dy
+    tops = _map_workers(work, n, threads)
+    bwd = np.clip(-np.sort(-np.concatenate(tops), axis=0)[:k], -1.0, 1.0)
+    # bwd.T is a strided (m, k) view, so each dy[j] adds its k values one
+    # rank at a time in descending order, while the contiguous fwd rows sum
+    # pairwise; for k >= 8 the two orders differ in the last bits
+    return neighborhood_means(fwd, k), neighborhood_means(bwd.T, k)
 
 
 def align(src_emb, tgt_emb, cfg: SearchConfig, threads: int = 1):
@@ -175,18 +234,31 @@ def align(src_emb, tgt_emb, cfg: SearchConfig, threads: int = 1):
     """
     S, T = _unit_rows(src_emb, tgt_emb)
     dx, dy = neighborhoods(S, T, cfg.k, threads)
-    n = S.shape[0]
+    kind = cfg.margin_kind
+    # dx_i + dy_j == 0 exactly when -dx_i == dy_j, for finite floats
+    if kind == MARGIN_RATIO and np.isin(-dx, dy).any():
+        raise ZeroDivisionError("ratio margin with zero denominator")
+    n, m = S.shape[0], T.shape[0]
     best_idx = np.empty(n, dtype=np.int64)
     best_score = np.empty(n, dtype=np.float64)
 
-    def block(lo: int, hi: int) -> None:
-        cos = np.clip(S[lo:hi] @ T.T, -1.0, 1.0)
-        scores = margin_scores(cos, dx[lo:hi, None] + dy[None, :], cfg.margin_kind)
-        picks = np.argmax(scores, axis=1)  # first max -> lowest index on ties
-        best_idx[lo:hi] = picks
-        best_score[lo:hi] = scores[np.arange(hi - lo), picks]
+    def work(blocks) -> None:
+        rows = min(_BLOCK_ROWS, n)
+        buf = np.empty((rows, m))
+        denom = np.empty((rows, m)) if kind in _MARGIN_UFUNCS else None
+        for lo, hi in blocks:
+            scores = buf[: hi - lo]
+            np.matmul(S[lo:hi], T.T, out=scores)
+            np.clip(scores, -1.0, 1.0, out=scores)
+            if denom is not None:
+                d = denom[: hi - lo]
+                np.add(dx[lo:hi, None], dy, out=d)
+                _MARGIN_UFUNCS[kind](scores, d, out=scores)
+            picks = np.argmax(scores, axis=1)  # first max -> lowest index on ties
+            best_idx[lo:hi] = picks
+            best_score[lo:hi] = scores[np.arange(hi - lo), picks]
 
-    _run_blocks(block, _row_blocks(n), threads)
+    _map_workers(work, n, threads)
     return best_idx, best_score
 
 

@@ -340,6 +340,19 @@ def test_embed_lines_format(tmp_path, teacher_file):
     assert read_embeddings(out).shape == (3, 16)  # the blank line is skipped
 
 
+def test_embed_lines_break_only_where_the_tsv_reader_breaks(tmp_path, teacher_file):
+    # str.splitlines would also break at these, which read_pairs_tsv keeps
+    teacher_path, _ = teacher_file
+    lines = tmp_path / "sents.txt"
+    lines.write_text("aa\u2028bb\x85cc\x0bdd\x0cee\x1cff\x1dgg\x1ehh\nccdd\r\n", encoding="utf-8")
+    out = str(tmp_path / "x.emb")
+    code = main(
+        ["embed", "--input", str(lines), "--encoder", teacher_path, "--out", out, "--format", "lines"]
+    )
+    assert code == 0
+    assert read_embeddings(out).shape == (2, 16)
+
+
 def test_embed_empty_sentence_is_numerical_error(tmp_path, teacher_file, capsys):
     teacher_path, _ = teacher_file
     corpus = tmp_path / "c.tsv"
@@ -847,8 +860,8 @@ ONE_SHOT_REJECTIONS = [
     (["filter"], "budget", "-5", "budget: must be >= 0, got -5"),
 ]
 
-# upper limits of the sizes allocated whole (appended last so the other
-# cases keep their ids)
+# upper limits of the sizes allocated whole or per drawn value (appended
+# last so the other cases keep their ids)
 LIMIT_REJECTIONS = [
     (["analyze", "hist"], "bins", "100001", "bins: must be <= 100000, got 100001"),
     (
@@ -857,6 +870,8 @@ LIMIT_REJECTIONS = [
         "10000001",
         "pairs: must be <= 10000000, got 10000001",
     ),
+    (["gen-synth", "cipher"], "min_len", "1001", "min_len: must be <= 1000, got 1001"),
+    (["gen-synth", "cipher"], "max_len", "1001", "max_len: must be <= 1000, got 1001"),
 ]
 
 

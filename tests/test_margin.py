@@ -1,16 +1,18 @@
 """Margin scoring and alignment tests: the margin combinator, exact-kNN
 with tie-breaking, hand-computed 2x2 scores, an exhaustive alignment
-oracle, and the evaluation report format."""
+oracle, a bitwise oracle of the blocked search, and the evaluation report
+format."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitextkit.errors import DimMismatchError, KTooLargeError, SizeMismatchError
 from bitextkit.margin import (
+    MARGIN_KINDS,
     SearchConfig,
     align,
     knn,
@@ -21,6 +23,8 @@ from bitextkit.margin import (
     xsim_report,
 )
 from bitextkit.vectors import normalize_rows
+from margin_oracle import align as oracle_blocked_align
+from margin_oracle import neighborhoods as oracle_neighborhoods
 
 
 def random_units(rng, n, dim) -> np.ndarray:
@@ -262,10 +266,11 @@ def test_align_k_exceeds_either_side():
             align(S, T, SearchConfig(k=4))
 
 
-def test_align_traced_peak_stays_within_four_blocks():
-    # the search holds about three 1024-row similarity blocks at a time; a
-    # selection that keeps a view of a block's partition holds one more
-    # block per block of sources and breaks this bound
+def test_align_traced_peak_stays_within_three_blocks():
+    # the scoring pass holds two 1024-row blocks (cosines and denominators)
+    # and the neighbourhood pass one; a pass that allocates a fresh block
+    # per step, or a selection that keeps a view of a block's partition,
+    # breaks this bound
     n = 5000
     rng = np.random.default_rng(4)
     S = random_units(rng, n, 64)
@@ -276,7 +281,7 @@ def test_align_traced_peak_stays_within_four_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 1024 * n * 8
+    assert peak <= 3 * 1024 * n * 8
 
 
 def test_align_ratio_zero_denominator_raises():
@@ -285,6 +290,72 @@ def test_align_ratio_zero_denominator_raises():
     tgt = np.eye(8)[4:]
     with pytest.raises(ZeroDivisionError):
         align(src, tgt, SearchConfig(k=2, margin_kind="ratio"))
+
+
+def test_align_ratio_zero_denominator_with_nonzero_terms_raises():
+    # k = 1: dx_0 = cos(e1, t1) / 2 and dy_0 = cos(e1, t0) / 2 are exact
+    # negatives, so dx_0 + dy_0 == 0 while neither term is 0
+    src = np.eye(3)[:2]
+    tgt = np.array([[-1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
+    dx, dy = neighborhoods(normalize_rows(src), normalize_rows(tgt), 1)
+    assert dx[0] == -dy[0] != 0.0
+    with pytest.raises(ZeroDivisionError):
+        align(src, tgt, SearchConfig(k=1, margin_kind="ratio"))
+
+
+def test_align_ratio_zero_term_without_zero_denominator_scores():
+    # dx_1 == 0 (e2 is orthogonal to the only target), but no sum is 0; and
+    # in the worked 2x2 case dx and dy hold equal values, not negated ones
+    src = np.eye(3)[:2]
+    tgt = np.array([[1.0, 0.0, 1.0]])
+    dx, dy = neighborhoods(normalize_rows(src), normalize_rows(tgt), 1)
+    assert dx[1] == 0.0 and (dx[:, None] + dy != 0.0).all()
+    idx, score = align(src, tgt, SearchConfig(k=1, margin_kind="ratio"))
+    assert idx.tolist() == [0, 0] and np.isfinite(score).all()
+    basis = np.array([[1.0, 0.0], [0.0, 1.0]])
+    worked = np.array([[0.8, 0.6], [0.6, 0.8]])
+    assert align(basis, worked, SearchConfig(k=1))[0].tolist() == [0, 1]
+
+
+@st.composite
+def search_case(draw):
+    """Row counts at and around the 128-row seed, 256 and the 1,024-row block,
+    targets both fewer and more than sources, few distinct target rows
+    (exact ties), S == T (cosines at +-1, where the clip matters), k up to
+    min(n, m), every margin kind and 1 or 3 threads."""
+    n = draw(st.sampled_from([1, 4, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 2049]))
+    same = draw(st.booleans())
+    m = n if same else draw(st.one_of(st.integers(max(1, n - 300), n), st.integers(n + 1, n + 300)))
+    distinct = draw(st.integers(1, m))
+    k = draw(st.one_of(st.integers(1, min(n, m, 8)), st.just(min(n, m))))
+    kind = draw(st.sampled_from(MARGIN_KINDS))
+    return n, m, distinct, same, k, kind, draw(st.sampled_from([1, 3])), draw(st.integers(0, 99))
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_case())
+@example((2049, 2049, 2049, True, 2049, "ratio", 3, 0))
+@example((2049, 1900, 7, False, 8, "distance", 3, 1))
+@example((257, 1025, 1025, False, 257, "absolute", 1, 2))
+def test_search_equals_the_blocked_oracle_bitwise(case):
+    n, m, distinct, same, k, kind, threads, seed = case
+    rng = np.random.default_rng(seed)
+    dim = 2 + seed % 5
+    S = rng.normal(size=(n, dim))
+    T = S if same else rng.normal(size=(distinct, dim))[rng.integers(0, distinct, size=m)]
+    Su, Tu = normalize_rows(S), normalize_rows(T)
+    got = neighborhoods(Su, Tu, k, threads)
+    want = oracle_neighborhoods(Su, Tu, k)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    cfg = SearchConfig(k=k, margin_kind=kind)
+    try:
+        want = oracle_blocked_align(S, T, cfg)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            align(S, T, cfg, threads)
+        return
+    got = align(S, T, cfg, threads)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_non_finite_embeddings_are_rejected():
