@@ -3,13 +3,14 @@
 Subcommands: embed, train, xsim-eval, filter, analyze (hist | sweep),
 gen-synth (cipher | noise).  Options resolve with precedence
 flags > config file > defaults; the config file is flat ``key=value``
-lines with '#' comments.  A config file may set seed, threads, tau, sigma,
+lines with '#' comments.  A config file may set seed, tau, sigma,
 queue_size, batch_size, epochs, step_size, negatives, shuffle, prefilter,
 k, margin, bins and sigmas; each value it sets is checked even where the
-subcommand does not read it.  Sizes allocated at once are capped: bins at
-100,000 and gen-synth cipher --pairs at 10,000,000.  The resolved config
-is echoed to stdout and embedded as '#' comments in every text artifact
-(the binary EMB1 format is fixed, so embed/train print it instead).
+subcommand does not read it.  Sizes allocated from a flag are capped:
+bins at 100,000, gen-synth cipher --pairs at 10,000,000 and --min-len and
+--max-len at 1,000 words.  The resolved config is echoed to stdout and
+embedded as '#' comments in every text artifact (the binary EMB1 format
+is fixed, so embed/train print it instead).
 
 Exit codes: 0 success; 1 usage or invalid configuration; 2 I/O or file
 format errors, including input files that are not valid UTF-8 (messages
@@ -134,8 +135,7 @@ def _float_list(text: str, key: str) -> list[float]:
 # key -> (converter, default text, settable from a config file); paths and
 # the generators' knobs stay flag-only
 OPTIONS: dict = {
-    "seed": (_number(int), "0", True),
-    "threads": (_number(int, 1), "1", True),
+    "seed": (_number(int, 0), "0", True),
     "tau": (_number(float, 0, strict=True), "0.05", True),
     "sigma": (_float, "0.9", True),
     "queue_size": (_number(int, 1), "4096", True),
@@ -154,7 +154,7 @@ OPTIONS: dict = {
     "vocab_size": (_number(int, 1), "100", False),
     "min_len": (_number(int, 1, high=MAX_SENTENCE_WORDS), "1", False),
     "max_len": (_number(int, 1, high=MAX_SENTENCE_WORDS), "12", False),
-    "map_seed": (_number(int), "0", False),
+    "map_seed": (_number(int, 0), "0", False),
 }
 
 
@@ -270,7 +270,7 @@ def _cmd_train(args, vals: dict, echo: str) -> None:
 def _cmd_xsim_eval(args, vals: dict, echo: str) -> None:
     src = read_embeddings(args.src).astype(np.float64)
     tgt = read_embeddings(args.tgt).astype(np.float64)
-    report = xsim_report(src, tgt, _search_config(vals), threads=vals["threads"])
+    report = xsim_report(src, tgt, _search_config(vals))
     print(echo)
     print(report)
     if args.out:
@@ -290,9 +290,7 @@ def _cmd_filter(args, vals: dict, echo: str) -> None:
     pairs = read_pairs_tsv(args.corpus)
     student = load_encoder(args.student)
     teacher = load_encoder(args.teacher)
-    scored = score_corpus(
-        pairs, student, teacher, _search_config(vals), threads=vals["threads"]
-    )
+    scored = score_corpus(pairs, student, teacher, _search_config(vals))
     print(echo)
     if args.scored_out:
         write_scored_tsv(args.scored_out, scored, comments=[echo])
@@ -390,14 +388,14 @@ COMMANDS = [
         "alignment error between two EMB1 files",
         _cmd_xsim_eval,
         "src tgt out?",
-        "threads k margin",
+        "k margin",
     ),
     (
         "filter",
         "score pairs and select by token budget",
         _cmd_filter,
         "corpus student teacher scored_out? subset_out? budget*",
-        "threads k margin",
+        "k margin",
     ),
     (
         "analyze hist",

@@ -28,6 +28,8 @@ SENTINEL_BEGIN = "^"
 SENTINEL_END = "$"
 DEFAULT_ORDERS = (2, 3)
 DEFAULT_BUCKETS = 4096
+# hashing counts each order's n-grams in int64
+_MAX_ORDER = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,8 @@ class FeaturizerConfig:
         orders = tuple(sorted({int(o) for o in self.ngram_orders}))
         if not orders or orders[0] < 1:
             raise ValueError("ngram_orders must be non-empty with all orders >= 1")
+        if orders[-1] > _MAX_ORDER:
+            raise ValueError(f"ngram_orders must be <= {_MAX_ORDER}, got {orders[-1]}")
         object.__setattr__(self, "ngram_orders", orders)
         if int(self.bucket_count) < 2:
             raise ValueError("bucket_count must be >= 2")

@@ -123,19 +123,12 @@ def score_corpus(
     student: EncoderParams,
     teacher: EncoderParams,
     cfg: SearchConfig,
-    langid_hook=None,
-    threads: int = 1,
 ) -> list[ScoredPair]:
     """Margin-score every pair (student encodes sources, teacher targets).
 
-    ``langid_hook(source, target) -> bool`` drops a pair entirely when it
-    returns True (e.g. wrong-language detection).  Pairs with an empty
-    side, or whose encoding collapses, score -inf and are isolated from
-    all neighbourhoods.  Output order follows the (surviving) input.
+    Pairs with an empty side, or whose encoding collapses, score -inf and
+    are isolated from all neighbourhoods.  Output order follows the input.
     """
-    if langid_hook is not None:
-        pairs = [p for p in pairs if not langid_hook(*p)]
-
     src, src_ok = encode_masked(student, [s for s, _ in pairs])
     tgt, tgt_ok = encode_masked(teacher, [t for _, t in pairs])
     valid = np.flatnonzero(src_ok & tgt_ok)  # a pair participates only when whole
@@ -143,7 +136,7 @@ def score_corpus(
     if valid.size:
         S = src[valid]
         T = tgt[valid]
-        dx, dy = neighborhoods(normalize_rows(S), normalize_rows(T), cfg.k, threads)
+        dx, dy = neighborhoods(normalize_rows(S), normalize_rows(T), cfg.k)
         diag = np.clip(np.einsum("nd,nd->n", S, T), -1.0, 1.0)
         scores[valid] = margin_scores(diag, dx + dy, cfg.margin_kind)
     return [

@@ -19,7 +19,6 @@ margin.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ MARGIN_RATIO = "ratio"
 MARGIN_KINDS = (MARGIN_ABSOLUTE, MARGIN_DISTANCE, MARGIN_RATIO)
 
 _BLOCK_ROWS = 1024
-# rows of a worker's first block folded on their own into the running
+# rows of the first block folded on their own into the running
 # per-target top k.  Seeding from 32 rows lets about 600k survivors
 # through at n = 20,000 and the fold dominates.  256 rows ran 5% faster,
 # but at m = 5,000 their 10 MB column partition raises glibc's dynamic
@@ -78,21 +77,6 @@ def margin_scores(a, b, kind: str) -> np.ndarray:
     return _MARGIN_UFUNCS[kind](a, b)
 
 
-def _map_workers(work, n: int, threads: int) -> list:
-    """Deal the 1,024-row blocks of n rows round-robin to at most `threads`
-    workers and return [work(blocks) for each worker's blocks].  Each
-    worker writes its rows into preallocated arrays by row index or
-    returns what the caller merges order-free, so parallel output is
-    bitwise identical to serial."""
-    blocks = [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
-    workers = max(1, min(threads, len(blocks)))
-    shares = [blocks[w::workers] for w in range(workers)]
-    if workers == 1:
-        return [work(shares[0])]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, shares))
-
-
 def _top_values(a: np.ndarray, k: int) -> np.ndarray:
     """The k largest values of each row of a, descending, as a new array.
 
@@ -112,7 +96,7 @@ def _unit_rows(queries, candidates):
     return Q, C
 
 
-def knn(queries, candidates, k: int, threads: int = 1):
+def knn(queries, candidates, k: int):
     """Exact top-k candidates by cosine for every query row.
 
     Returns (indices, cosines), both (n_queries, k), columns sorted by
@@ -127,22 +111,19 @@ def knn(queries, candidates, k: int, threads: int = 1):
     n = Q.shape[0]
     idx = np.empty((n, k), dtype=np.int64)
     cos = np.empty((n, k), dtype=np.float64)
-
-    def work(blocks) -> None:
-        for lo, hi in blocks:
-            sims = np.clip(Q[lo:hi] @ C.T, -1.0, 1.0)
-            top = _top_values(sims, k)
-            # every candidate at or above the k-th largest cosine, ordered by
-            # (descending cosine, ascending index); np.nonzero lists each
-            # row's candidates in index order and keeps rows contiguous
-            rows, cols = np.nonzero(sims >= top[:, -1:])
-            order = np.lexsort((cols, -sims[rows, cols], rows))
-            counts = np.bincount(rows, minlength=hi - lo)
-            starts = np.cumsum(counts) - counts
-            idx[lo:hi] = cols[order[starts[:, None] + np.arange(k)]]
-            cos[lo:hi] = top
-
-    _map_workers(work, n, threads)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        sims = np.clip(Q[lo:hi] @ C.T, -1.0, 1.0)
+        top = _top_values(sims, k)
+        # every candidate at or above the k-th largest cosine, ordered by
+        # (descending cosine, ascending index); np.nonzero lists each
+        # row's candidates in index order and keeps rows contiguous
+        rows, cols = np.nonzero(sims >= top[:, -1:])
+        order = np.lexsort((cols, -sims[rows, cols], rows))
+        counts = np.bincount(rows, minlength=hi - lo)
+        starts = np.cumsum(counts) - counts
+        idx[lo:hi] = cols[order[starts[:, None] + np.arange(k)]]
+        cos[lo:hi] = top
     return idx, cos
 
 
@@ -186,54 +167,50 @@ def _fold_columns(top: np.ndarray, cos: np.ndarray) -> None:
     top[:, touched] = vals[order[starts[:, None] + np.arange(k)]].T
 
 
-def neighborhoods(S: np.ndarray, T: np.ndarray, k: int, threads: int = 1):
+def neighborhoods(S: np.ndarray, T: np.ndarray, k: int):
     """Neighbourhood terms (dx, dy) of unit-norm rows S (n, d) and T (m, d).
 
     dx[i] is neighborhood_means of knn(S, T, k)'s cosines for source i and
     dy[j] that of knn(T, S, k) for target j, both taken from one blocked
     pass over S @ T.T.  Each block of rows folds its columns into a
-    running top k per target for dy (one per worker, merged at the end),
-    then partitions its own buffer in place for dx.  Values are clipped to
-    [-1, 1] only once selected: clipping is monotone, so the k largest
-    clipped values are the clipped k largest.  Raises KTooLargeError when
-    k exceeds either side.
+    running top k per target for dy, then partitions its own buffer in
+    place for dx.  Values are clipped to [-1, 1] only once selected:
+    clipping is monotone, so the k largest clipped values are the clipped
+    k largest.  Raises KTooLargeError when k exceeds either side.
     """
     n, m = S.shape[0], T.shape[0]
     if k > min(n, m):
         raise KTooLargeError(f"k={k} but only {min(n, m)} candidates")
     fwd = np.empty((n, k), dtype=np.float64)
     cut = m - k
-
-    def work(blocks) -> np.ndarray:
-        buf = np.empty((min(_BLOCK_ROWS, n), m))
-        top = np.full((k, m), -np.inf)
-        for b, (lo, hi) in enumerate(blocks):
-            cos = buf[: hi - lo]
-            np.matmul(S[lo:hi], T.T, out=cos)
-            # the first few rows go alone: their column top k sets a
-            # threshold that few of the block's other values pass
-            for part in (cos[:_SEED_ROWS], cos[_SEED_ROWS:]) if b == 0 else (cos,):
-                _fold_columns(top, part)
-            cos.partition(cut, axis=1)
-            fwd[lo:hi] = np.clip(-np.sort(-cos[:, cut:], axis=1), -1.0, 1.0)
-        return top
-
-    tops = _map_workers(work, n, threads)
-    bwd = np.clip(-np.sort(-np.concatenate(tops), axis=0)[:k], -1.0, 1.0)
+    buf = np.empty((min(_BLOCK_ROWS, n), m))
+    top = np.full((k, m), -np.inf)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        cos = buf[: hi - lo]
+        np.matmul(S[lo:hi], T.T, out=cos)
+        # the first few rows go alone: their column top k sets a
+        # threshold that few of the block's other values pass
+        for part in (cos[:_SEED_ROWS], cos[_SEED_ROWS:]) if lo == 0 else (cos,):
+            _fold_columns(top, part)
+        cos.partition(cut, axis=1)
+        fwd[lo:hi] = np.clip(-np.sort(-cos[:, cut:], axis=1), -1.0, 1.0)
+    # _fold_columns keeps each column of top in descending order
+    bwd = np.clip(top, -1.0, 1.0)
     # bwd.T is a strided (m, k) view, so each dy[j] adds its k values one
     # rank at a time in descending order, while the contiguous fwd rows sum
     # pairwise; for k >= 8 the two orders differ in the last bits
     return neighborhood_means(fwd, k), neighborhood_means(bwd.T, k)
 
 
-def align(src_emb, tgt_emb, cfg: SearchConfig, threads: int = 1):
+def align(src_emb, tgt_emb, cfg: SearchConfig):
     """Best-scoring target per source row.
 
     Returns (indices, scores): for each source, the argmax target by margin
     score (exact ties toward the lower target index) and that score.
     """
     S, T = _unit_rows(src_emb, tgt_emb)
-    dx, dy = neighborhoods(S, T, cfg.k, threads)
+    dx, dy = neighborhoods(S, T, cfg.k)
     kind = cfg.margin_kind
     # dx_i + dy_j == 0 exactly when -dx_i == dy_j, for finite floats
     if kind == MARGIN_RATIO and np.isin(-dx, dy).any():
@@ -241,28 +218,25 @@ def align(src_emb, tgt_emb, cfg: SearchConfig, threads: int = 1):
     n, m = S.shape[0], T.shape[0]
     best_idx = np.empty(n, dtype=np.int64)
     best_score = np.empty(n, dtype=np.float64)
-
-    def work(blocks) -> None:
-        rows = min(_BLOCK_ROWS, n)
-        buf = np.empty((rows, m))
-        denom = np.empty((rows, m)) if kind in _MARGIN_UFUNCS else None
-        for lo, hi in blocks:
-            scores = buf[: hi - lo]
-            np.matmul(S[lo:hi], T.T, out=scores)
-            np.clip(scores, -1.0, 1.0, out=scores)
-            if denom is not None:
-                d = denom[: hi - lo]
-                np.add(dx[lo:hi, None], dy, out=d)
-                _MARGIN_UFUNCS[kind](scores, d, out=scores)
-            picks = np.argmax(scores, axis=1)  # first max -> lowest index on ties
-            best_idx[lo:hi] = picks
-            best_score[lo:hi] = scores[np.arange(hi - lo), picks]
-
-    _map_workers(work, n, threads)
+    rows = min(_BLOCK_ROWS, n)
+    buf = np.empty((rows, m))
+    denom = np.empty((rows, m)) if kind in _MARGIN_UFUNCS else None
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        scores = buf[: hi - lo]
+        np.matmul(S[lo:hi], T.T, out=scores)
+        np.clip(scores, -1.0, 1.0, out=scores)
+        if denom is not None:
+            d = denom[: hi - lo]
+            np.add(dx[lo:hi, None], dy, out=d)
+            _MARGIN_UFUNCS[kind](scores, d, out=scores)
+        picks = np.argmax(scores, axis=1)  # first max -> lowest index on ties
+        best_idx[lo:hi] = picks
+        best_score[lo:hi] = scores[np.arange(hi - lo), picks]
     return best_idx, best_score
 
 
-def _count_errors(src_emb, tgt_emb, cfg: SearchConfig, threads: int) -> tuple[int, int]:
+def _count_errors(src_emb, tgt_emb, cfg: SearchConfig) -> tuple[int, int]:
     """(n, errors): how many of n aligned sources pick a target other than
     their own (row i of the sources is aligned with row i of the targets)."""
     S = np.asarray(src_emb)
@@ -273,19 +247,21 @@ def _count_errors(src_emb, tgt_emb, cfg: SearchConfig, threads: int) -> tuple[in
         )
     if S.shape[0] == 0:
         raise ValueError("empty evaluation set")
-    best_idx, _ = align(S, T, cfg, threads)
+    best_idx, _ = align(S, T, cfg)
     return S.shape[0], int((best_idx != np.arange(S.shape[0])).sum())
-def xsim_error_rate(src_emb, tgt_emb, cfg: SearchConfig, threads: int = 1) -> float:
+
+
+def xsim_error_rate(src_emb, tgt_emb, cfg: SearchConfig) -> float:
     """Percentage (in [0, 100]) of sources whose best-scoring target is not
     their own (row i of the sources is aligned with row i of the targets)."""
-    n, errors = _count_errors(src_emb, tgt_emb, cfg, threads)
+    n, errors = _count_errors(src_emb, tgt_emb, cfg)
     return 100.0 * errors / n
 
 
-def xsim_report(src_emb, tgt_emb, cfg: SearchConfig, threads: int = 1) -> str:
+def xsim_report(src_emb, tgt_emb, cfg: SearchConfig) -> str:
     """One-line evaluation report:
     ``n=<n> k=<k> margin=<kind> errors=<m> error_rate=<pct>`` (2 decimals)."""
-    n, errors = _count_errors(src_emb, tgt_emb, cfg, threads)
+    n, errors = _count_errors(src_emb, tgt_emb, cfg)
     return (
         f"n={n} k={cfg.k} margin={cfg.margin_kind} "
         f"errors={errors} error_rate={100.0 * errors / n:.2f}"

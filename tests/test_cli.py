@@ -1,14 +1,21 @@
-"""CLI tests: exit codes, config precedence, artifact round trips, and
-the guaranteed absence of partial outputs on failure."""
+"""CLI tests: exit codes, config precedence, artifact round trips, the
+guaranteed absence of partial outputs on failure, and fuzzed sidecar
+headers and config files that must never raise."""
 
 import argparse
+import contextlib
+import io
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bitextkit.cli import build_parser, load_config, main
+from bitextkit.cli import OPTIONS, build_parser, load_config, main
 from bitextkit.embfile import read_embeddings, write_embeddings
 from bitextkit.encoder import FeaturizerConfig, encode_batch, load_encoder, make_teacher, save_encoder
 from bitextkit.errors import ConfigError
@@ -70,16 +77,24 @@ def test_invalid_option_value(tmp_path, corpus_file, teacher_file, capsys):
     assert "tau" in capsys.readouterr().err
 
 
-def test_threads_flag_only_where_it_is_used(tmp_path, corpus_file, teacher_file, capsys):
-    # embed no longer reads --threads, so it must not accept (and ignore) it
+def test_threads_flag_is_rejected_everywhere(tmp_path, corpus_file, teacher_file, capsys):
+    # margin search runs serially, so no subcommand takes (and ignores) --threads
     corpus, _ = corpus_file
     teacher, _ = teacher_file
-    out = tmp_path / "x.emb"
-    for threads in ("2", "abc"):
-        argv = ["embed", "--input", corpus, "--encoder", teacher, "--out", str(out)]
-        assert main(argv + ["--threads", threads]) == 1
-        assert "usage error" in capsys.readouterr().err
-        assert not out.exists()
+    for path in SURFACE:
+        argv = list(path) + _minimal_argv(path, tmp_path, corpus, teacher)
+        assert main(argv + ["--threads", "2"]) == 1, path
+        err = capsys.readouterr().err
+        assert err == "usage error: unrecognized arguments: --threads 2\n", path
+        assert not (tmp_path / "out").exists()
+
+
+def test_threads_config_key_is_unknown(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("k=2\nthreads=2\n")
+    argv = _required_args(["filter"], tmp_path) + ["--config", str(config)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {config}:2: unknown key 'threads'\n"
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):
@@ -149,11 +164,14 @@ def test_malformed_sidecar_is_format_error(tmp_path, corpus_file, teacher_file, 
     meta = tmp_path / "teacher.emb.meta"
     header = meta.read_text(encoding="utf-8")
     out = tmp_path / "x.emb"
-    for bad in (header.replace("frozen=1", "frozen=2"), "# no header\n"):
+    # an order beyond int64 would overflow in the hashing
+    beyond_int64 = header.replace("orders=2,3", f"orders=2,{2**63}")
+    for bad in (header.replace("frozen=1", "frozen=2"), "# no header\n", beyond_int64):
         meta.write_text(bad, encoding="utf-8")
         code = main(["embed", "--input", corpus, "--encoder", teacher, "--out", str(out)])
         assert code == 2
-        assert "format error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"format error: {meta}: ") and err.count("\n") == 1, err
         assert not out.exists()
 
 
@@ -700,8 +718,8 @@ SURFACE = {
         "seed=0 shuffle=on sigma=0.9 step_size=0.05 tau=0.05",
     ),
     ("xsim-eval",): (
-        {"--src", "--tgt", "--out", "--threads", "--k", "--margin"},
-        "config: k=4 margin=ratio seed=0 threads=1",
+        {"--src", "--tgt", "--out", "--k", "--margin"},
+        "config: k=4 margin=ratio seed=0",
     ),
     ("filter",): (
         {
@@ -711,11 +729,10 @@ SURFACE = {
             "--scored-out",
             "--subset-out",
             "--budget",
-            "--threads",
             "--k",
             "--margin",
         },
-        "config: k=4 margin=ratio seed=0 threads=1",
+        "config: k=4 margin=ratio seed=0",
     ),
     ("analyze", "hist"): (
         {"--corpus", "--teacher", "--out", "--batch-size", "--queue-size", "--shuffle", "--bins"},
@@ -812,7 +829,7 @@ REJECTIONS = [
     (["train"], "negatives", "memory", "negatives: expected 'queue' or 'in-batch', got 'memory'"),
     (["train"], "shuffle", "yes", "shuffle: expected 'on' or 'off', got 'yes'"),
     (["train"], "prefilter", "1", "prefilter: expected 'on' or 'off', got '1'"),
-    (["xsim-eval"], "threads", "0", "threads: must be >= 1, got 0"),
+    (["analyze", "sweep"], "seed", "-1", "seed: must be >= 0, got -1"),
     (["xsim-eval"], "k", "0", "k: must be >= 1, got 0"),
     (
         ["xsim-eval"],
@@ -835,7 +852,6 @@ REJECTIONS = [
 # knobs), each with a value it accepts
 FILE_KEYS = {
     "seed": "3",
-    "threads": "2",
     "tau": "0.1",
     "sigma": "0.7",
     "queue_size": "64",
@@ -874,6 +890,13 @@ LIMIT_REJECTIONS = [
     (["gen-synth", "cipher"], "max_len", "1001", "max_len: must be <= 1000, got 1001"),
 ]
 
+# negative seeds, rejected before any file is read (appended last, like
+# the limits)
+SEED_REJECTIONS = [
+    (["train"], "seed", "-1", "seed: must be >= 0, got -1"),
+    (["gen-synth", "cipher"], "map_seed", "-1", "map_seed: must be >= 0, got -1"),
+]
+
 
 def _required_args(command, tmp_path):
     """Required flags naming files that do not exist: option values are
@@ -903,7 +926,7 @@ def _flag(key):
 
 @pytest.mark.parametrize(
     "command, key, value, message",
-    REJECTIONS + ONE_SHOT_REJECTIONS + LIMIT_REJECTIONS,
+    REJECTIONS + ONE_SHOT_REJECTIONS + LIMIT_REJECTIONS + SEED_REJECTIONS,
     ids=lambda v: v if isinstance(v, str) and not v.count(" ") else None,
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, command, key, value, message):
@@ -915,7 +938,7 @@ def test_bad_flag_value_is_usage_error(tmp_path, capsys, command, key, value, me
 
 @pytest.mark.parametrize(
     "command, key, value, message",
-    [case for case in REJECTIONS + LIMIT_REJECTIONS if case[1] in FILE_KEYS],
+    [case for case in REJECTIONS + LIMIT_REJECTIONS + SEED_REJECTIONS if case[1] in FILE_KEYS],
     ids=lambda v: v if isinstance(v, str) and not v.count(" ") else None,
 )
 def test_bad_config_file_value_is_usage_error(tmp_path, capsys, command, key, value, message):
@@ -998,7 +1021,7 @@ def test_undecodable_config_file_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, text, message",
     [
-        (["train"], "threads=abc\n", "1: threads: expected an integer, got 'abc'"),
+        (["train"], "k=abc\n", "1: k: expected an integer, got 'abc'"),
         (["embed"], "# unused here\n\nbins=0\n", "3: bins: must be >= 1, got 0"),
         (["gen-synth", "noise"], "margin=cosine\n", "1: margin: expected one of absolute, distance, ratio, got 'cosine'"),
     ],
@@ -1021,3 +1044,68 @@ def test_config_value_is_checked_even_where_unused(
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError, match=f"^{re.escape(str(config))}:{message.split(':')[0]}: "):
         load_config(config)
+
+
+# --- fuzzed sidecar headers and config files, in-process through main ----------
+
+
+def _assert_exits_cleanly(argv):
+    """main must not raise, must exit 0-3, and a failure writes one stderr line."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    err = stderr.getvalue()
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# values around 2**63 and 2**64, where int64 and uint64 stop, and far beyond
+_HUGE = st.one_of(
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64]), st.integers(0, 2**66)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.one_of(st.sampled_from([2, 3]), _HUGE),
+    buckets=st.one_of(st.sampled_from([2, 16]), _HUGE),
+    orders=st.lists(st.one_of(st.integers(1, 4), _HUGE), min_size=1, max_size=3),
+    seed=st.integers(-(2**66), 2**66),
+)
+def test_any_sidecar_header_exits_cleanly(dim, buckets, orders, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        encoder = Path(tmp) / "enc.emb"
+        # weights of the header's shape when that is small, so that
+        # loading succeeds and embed reaches the hashing
+        shape = (buckets, dim) if 0 < buckets * dim <= 64 else (16, 2)
+        write_embeddings(encoder, np.random.default_rng(0).uniform(-1, 1, shape))
+        Path(f"{encoder}.meta").write_text(
+            f"dim={dim} buckets={buckets} orders={','.join(map(str, orders))} "
+            f"seed={seed} frozen=0\n",
+            encoding="utf-8",
+        )
+        lines = Path(tmp) / "in.txt"
+        lines.write_text("ab cd\nxyz\n", encoding="utf-8")
+        out = str(Path(tmp) / "out.emb")
+        argv = ["embed", "--input", str(lines), "--encoder", str(encoder), "--out", out]
+        _assert_exits_cleanly(argv + ["--format", "lines"])
+
+
+# arbitrary Unicode lines, half of them shaped key=value over the known keys
+_CONFIG_LINE = st.one_of(
+    st.text(),
+    st.builds("{}={}".format, st.sampled_from(sorted(OPTIONS) + ["threads"]), st.text()),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(_CONFIG_LINE, max_size=4), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_any_config_file_exits_cleanly(lines, newline):
+    with tempfile.TemporaryDirectory() as tmp:
+        emb = str(Path(tmp) / "e.emb")
+        write_embeddings(emb, np.random.default_rng(1).normal(size=(6, 4)))
+        config = Path(tmp) / "run.cfg"
+        config.write_bytes(newline.join(lines).encode("utf-8"))
+        argv = ["xsim-eval", "--src", emb, "--tgt", emb, "--config", str(config)]
+        _assert_exits_cleanly(argv)

@@ -40,7 +40,7 @@ def test_config_sorts_and_dedupes_orders():
     assert cfg.ngram_orders == (2, 3)
 
 
-@pytest.mark.parametrize("orders", [(), (0,), (2, 0)])
+@pytest.mark.parametrize("orders", [(), (0,), (2, 0), (2, 2**63)])
 def test_config_rejects_bad_orders(orders):
     with pytest.raises(ValueError):
         FeaturizerConfig(ngram_orders=orders, bucket_count=8, hash_seed=0)

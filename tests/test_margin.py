@@ -224,22 +224,6 @@ def test_align_is_scale_invariant():
     assert np.allclose(base[1], scaled[1], atol=1e-12)
 
 
-def test_align_threads_bitwise_identical_across_blocks():
-    # more than one 1024-row block so the thread pool actually splits work
-    rng = np.random.default_rng(6)
-    S = random_units(rng, 1500, 8)
-    T = random_units(rng, 64, 8)
-    cfg = SearchConfig(k=4, margin_kind="ratio")
-    idx1, score1 = align(S, T, cfg, threads=1)
-    idx2, score2 = align(S, T, cfg, threads=3)
-    assert np.array_equal(idx1, idx2)
-    assert np.array_equal(score1, score2)
-    k1 = knn(S, T, 4, threads=1)
-    k2 = knn(S, T, 4, threads=3)
-    assert np.array_equal(k1[0], k2[0])
-    assert np.array_equal(k1[1], k2[1])
-
-
 @pytest.mark.parametrize("m", [700, 2100])
 def test_align_block_edges_match_knn_margins(m):
     # at n = 1025 the last 1024-row block holds one row, fewer than k
@@ -247,10 +231,7 @@ def test_align_block_edges_match_knn_margins(m):
     S = random_units(rng, 1025, 8)
     T = random_units(rng, m, 8)
     cfg = SearchConfig(k=4, margin_kind="ratio")
-    idx, score = align(S, T, cfg, threads=1)
-    idx3, score3 = align(S, T, cfg, threads=3)
-    assert np.array_equal(idx, idx3)
-    assert np.array_equal(score, score3)
+    idx, score = align(S, T, cfg)
     dx = neighborhood_means(knn(S, T, 4)[1], 4)
     dy = neighborhood_means(knn(T, S, 4)[1], 4)
     scores = np.clip(S @ T.T, -1.0, 1.0) / (dx[:, None] + dy[None, :])
@@ -322,29 +303,29 @@ def search_case(draw):
     """Row counts at and around the 128-row seed, 256 and the 1,024-row block,
     targets both fewer and more than sources, few distinct target rows
     (exact ties), S == T (cosines at +-1, where the clip matters), k up to
-    min(n, m), every margin kind and 1 or 3 threads."""
+    min(n, m) and every margin kind."""
     n = draw(st.sampled_from([1, 4, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 2049]))
     same = draw(st.booleans())
     m = n if same else draw(st.one_of(st.integers(max(1, n - 300), n), st.integers(n + 1, n + 300)))
     distinct = draw(st.integers(1, m))
     k = draw(st.one_of(st.integers(1, min(n, m, 8)), st.just(min(n, m))))
     kind = draw(st.sampled_from(MARGIN_KINDS))
-    return n, m, distinct, same, k, kind, draw(st.sampled_from([1, 3])), draw(st.integers(0, 99))
+    return n, m, distinct, same, k, kind, draw(st.integers(0, 99))
 
 
 @settings(max_examples=40, deadline=None)
 @given(search_case())
-@example((2049, 2049, 2049, True, 2049, "ratio", 3, 0))
-@example((2049, 1900, 7, False, 8, "distance", 3, 1))
-@example((257, 1025, 1025, False, 257, "absolute", 1, 2))
+@example((2049, 2049, 2049, True, 2049, "ratio", 0))
+@example((2049, 1900, 7, False, 8, "distance", 1))
+@example((257, 1025, 1025, False, 257, "absolute", 2))
 def test_search_equals_the_blocked_oracle_bitwise(case):
-    n, m, distinct, same, k, kind, threads, seed = case
+    n, m, distinct, same, k, kind, seed = case
     rng = np.random.default_rng(seed)
     dim = 2 + seed % 5
     S = rng.normal(size=(n, dim))
     T = S if same else rng.normal(size=(distinct, dim))[rng.integers(0, distinct, size=m)]
     Su, Tu = normalize_rows(S), normalize_rows(T)
-    got = neighborhoods(Su, Tu, k, threads)
+    got = neighborhoods(Su, Tu, k)
     want = oracle_neighborhoods(Su, Tu, k)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     cfg = SearchConfig(k=k, margin_kind=kind)
@@ -352,9 +333,9 @@ def test_search_equals_the_blocked_oracle_bitwise(case):
         want = oracle_blocked_align(S, T, cfg)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
-            align(S, T, cfg, threads)
+            align(S, T, cfg)
         return
-    got = align(S, T, cfg, threads)
+    got = align(S, T, cfg)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
