@@ -66,7 +66,6 @@ from .margin import (
 from .synth import CipherSpec, NoisyCorpus, gen_cipher_corpus, inject_noise
 from .trainer import (
     EpochStats,
-    FilterSet,
     NegativeQueue,
     TrainConfig,
     TrainResult,

@@ -84,7 +84,7 @@ def read_embeddings(path: str | os.PathLike) -> np.ndarray:
 def _atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".emb-", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bitextkit-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
@@ -99,19 +99,7 @@ def _atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write text atomically (temp file + rename), UTF-8."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".txt-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 @contextlib.contextmanager

@@ -308,10 +308,11 @@ def load_encoder(path: str | os.PathLike) -> EncoderParams:
             bucket_count=int(buckets),
             hash_seed=int(seed),
         )
+        shape = (featurizer.bucket_count, int(dim))
     except ValueError as exc:
         raise FormatError(f"{meta_path}: {exc}") from None
     weights = read_embeddings(path).astype(np.float64)
-    if weights.shape != (int(buckets), int(dim)):
+    if weights.shape != shape:
         raise DimMismatchError(
             f"{path}: weight shape {weights.shape} does not match sidecar "
             f"({buckets} x {dim})"

@@ -249,28 +249,15 @@ def prefilter_mask(positive, queue_entries, threshold: float) -> np.ndarray:
     return cos < threshold
 
 
-@dataclass(frozen=True)
-class FilterSet:
-    """Per-sample surviving negative indices after threshold + equalization.
-
-    ``indices`` has shape (batch, M) with M = min survivor count across
-    the batch; ``kept_counts`` holds the pre-equalization survivor counts;
-    ``pool_size`` is the candidate count every sample was masked against.
-    """
-
-    indices: np.ndarray
-    kept_counts: np.ndarray
-    pool_size: int
-
-
-def equalize_negatives(mask: np.ndarray, rng: np.random.Generator) -> FilterSet:
+def equalize_negatives(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Equalize per-sample survivor sets to the batch-min size M.
 
     One uniform key per mask entry, drawn at once for the batch; dropped
     entries get key +inf and each row keeps its M smallest keys: a uniform
     M-subset of its survivors, or all of them when it has exactly M.
-    Indices come back ascending.  Raises AllFilteredError, before drawing,
-    when some sample keeps nothing (M == 0).
+    Returns the (batch, pool) keep-mask: M True entries per row, all
+    within ``mask``.  Raises AllFilteredError, before drawing, when some
+    sample keeps nothing (M == 0).
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
@@ -283,26 +270,31 @@ def equalize_negatives(mask: np.ndarray, rng: np.random.Generator) -> FilterSet:
     keys = rng.random(mask.shape)
     keys[~mask] = np.inf
     chosen = np.argpartition(keys, m_min - 1, axis=1)[:, :m_min]
-    return FilterSet(np.sort(chosen, axis=1), sizes.astype(np.int64), mask.shape[1])
+    keep = np.zeros_like(mask)
+    np.put_along_axis(keep, chosen, True, axis=1)
+    return keep
 
 
 def filtered_infonce_loss(
-    queries, positives, negatives_pool, filter_set: FilterSet, temperature: float
+    queries, positives, negatives_pool, keep, temperature: float
 ) -> float:
-    """Batch-mean InfoNCE where sample j sees only its surviving negatives.
+    """Batch-mean InfoNCE where sample j sees only the negatives its row of
+    the (batch, pool) keep-mask allows.
 
-    The same masked loss as the unfiltered path, so a filter that keeps
-    everything reproduces the unfiltered loss.  Each sample's indices
-    are taken as a set (equalize_negatives never repeats one).
+    The same masked loss as the unfiltered path, so a keep-mask that keeps
+    everything reproduces the unfiltered loss.
     """
     q, k, pool = _loss_inputs(queries, positives, negatives_pool, temperature)
-    if filter_set.indices.shape[0] != q.shape[0]:
-        raise DimMismatchError("filter set rows != batch size")
-    if filter_set.indices.shape[1] == 0:
-        raise EmptyNegativesError("need at least one negative")
-    allowed = np.zeros((q.shape[0], pool.shape[0]), dtype=bool)
-    np.put_along_axis(allowed, filter_set.indices, True, axis=1)
-    losses, _ = _masked_infonce(q, k, pool, allowed, temperature)
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (q.shape[0], pool.shape[0]):
+        raise DimMismatchError(
+            f"keep-mask shape {keep.shape} is not (batch, pool) = "
+            f"{(q.shape[0], pool.shape[0])}"
+        )
+    empty = np.flatnonzero(~keep.any(axis=1))
+    if empty.size:
+        raise EmptyNegativesError(f"sample {empty[0]} keeps no negative")
+    losses, _ = _masked_infonce(q, k, pool, keep, temperature)
     return float(losses.mean())
 
 
@@ -374,8 +366,9 @@ def _step_core(
 
     The features form a dense (batch, |u|) matrix F over the batch's unique
     buckets u: z = F W[u] and W[u] -= step * F^T dz.  Candidates are the
-    queue rows or the batch targets, with the own positive (in-batch) and
-    prefilter drops masked out of one softmax.
+    queue rows or the batch targets, and one softmax masks out the own
+    positive (in-batch); with the prefilter on, equalize_negatives'
+    keep-mask is that mask as it is.
     """
     batch = tgt_emb.shape[0]
     u, inv = np.unique(idx, return_inverse=True)
@@ -408,12 +401,9 @@ def _step_core(
         stats.mask_total += total
         stats.filtered_out += total - kept
         try:
-            fs = equalize_negatives(mask, eq_rng)
+            allowed = equalize_negatives(mask, eq_rng)
         except AllFilteredError:
             stats.m_zero_fallbacks += 1  # revert to every candidate
-        else:
-            allowed = np.zeros_like(mask)
-            np.put_along_axis(allowed, fs.indices, True, axis=1)
 
     losses, dq = _masked_infonce(q, tgt_emb, candidates, allowed, cfg.temperature)
     loss = float(losses.mean())

@@ -1,6 +1,6 @@
 """CLI tests: exit codes, config precedence, artifact round trips, the
 guaranteed absence of partial outputs on failure, and fuzzed sidecar
-headers and config files that must never raise."""
+headers, config files, EMB1 files and TSV corpora that must never raise."""
 
 import argparse
 import contextlib
@@ -164,9 +164,16 @@ def test_malformed_sidecar_is_format_error(tmp_path, corpus_file, teacher_file, 
     meta = tmp_path / "teacher.emb.meta"
     header = meta.read_text(encoding="utf-8")
     out = tmp_path / "x.emb"
-    # an order beyond int64 would overflow in the hashing
+    # an order beyond int64 would overflow in the hashing, and Python
+    # refuses to convert integers of more than 4,300 digits
     beyond_int64 = header.replace("orders=2,3", f"orders=2,{2**63}")
-    for bad in (header.replace("frozen=1", "frozen=2"), "# no header\n", beyond_int64):
+    too_many_digits = header.replace("dim=16", "dim=" + "9" * 5000)
+    for bad in (
+        header.replace("frozen=1", "frozen=2"),
+        "# no header\n",
+        beyond_int64,
+        too_many_digits,
+    ):
         meta.write_text(bad, encoding="utf-8")
         code = main(["embed", "--input", corpus, "--encoder", teacher, "--out", str(out)])
         assert code == 2
@@ -1109,3 +1116,96 @@ def test_any_config_file_exits_cleanly(lines, newline):
         config.write_bytes(newline.join(lines).encode("utf-8"))
         argv = ["xsim-eval", "--src", emb, "--tgt", emb, "--config", str(config)]
         _assert_exits_cleanly(argv)
+
+
+# --- fuzzed EMB1 files and TSV corpora, in-process through main ----------------
+
+
+@st.composite
+def emb1_file(draw):
+    """EMB1 bytes: small or huge dim and count, and at most one flaw (a
+    foreign magic, a NaN/Inf value, trailing bytes or a cut-short file)."""
+    dim = draw(st.sampled_from([*range(9), 2**32 - 1]))
+    count = draw(st.sampled_from([*range(9), 2**63, 2**64 - 1]))
+    n = count * dim if count * dim <= 64 else draw(st.integers(0, 16))
+    values = np.array(draw(st.lists(st.floats(-2, 2, width=32), min_size=n, max_size=n)))
+    flaw = draw(st.sampled_from([None, None, "magic", "non-finite", "trailing", "cut"]))
+    magic = b"EMB1"
+    if flaw == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"EMB1"))
+    if flaw == "non-finite" and n:
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    data = struct.pack("<4sIQ", magic, dim, count) + values.astype("<f4").tobytes()
+    if flaw == "trailing":
+        data += draw(st.binary(min_size=1, max_size=6))
+    if flaw == "cut":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    src=emb1_file(),
+    tgt=st.one_of(st.none(), emb1_file()),  # None: the source file again
+    k=st.integers(1, 5),
+    margin=st.sampled_from(["ratio", "distance", "absolute"]),
+)
+def test_any_emb1_file_exits_cleanly(src, tgt, k, margin):
+    with tempfile.TemporaryDirectory() as tmp:
+        src_path, tgt_path = Path(tmp) / "s.emb", Path(tmp) / "t.emb"
+        src_path.write_bytes(src)
+        tgt_path.write_bytes(src if tgt is None else tgt)
+        argv = ["xsim-eval", "--src", str(src_path), "--tgt", str(tgt_path)]
+        _assert_exits_cleanly(argv + ["--k", str(k), "--margin", margin])
+
+
+@pytest.fixture(scope="module")
+def tiny_encoders(tmp_path_factory):
+    """A 16-bucket teacher and student, written once for the fuzzed corpora."""
+    tmp = tmp_path_factory.mktemp("encoders")
+    paths = []
+    for name, seed in (("teacher", 5), ("student", 6)):
+        cfg = FeaturizerConfig(ngram_orders=(1, 2), bucket_count=16, hash_seed=seed)
+        path = tmp / f"{name}.emb"
+        save_encoder(make_teacher(cfg, 4, weight_seed=seed), path)
+        paths.append(str(path))
+    return paths
+
+
+@st.composite
+def tsv_corpus(draw):
+    """Corpus bytes: raw bytes (often not UTF-8), arbitrary Unicode, or
+    tab-separated pairs with at most one stray tab, CR, NUL or bad byte."""
+    kind = draw(st.sampled_from(["pairs", "pairs", "bytes", "unicode"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=80))
+    if kind == "unicode":
+        return draw(st.text(max_size=60)).encode("utf-8", "surrogatepass")
+    words = st.text(alphabet="ab é中#", max_size=8)
+    lines = draw(st.lists(st.builds("{}\t{}".format, words, words), max_size=8))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = newline.join(lines).encode("utf-8")
+    stray = draw(st.sampled_from([None, None, b"\t", b"\r", b"\x00", b"\xff"]))
+    if stray is not None:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + stray + data[at:]
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=tsv_corpus(), k=st.integers(1, 3))
+def test_any_corpus_exits_cleanly_in_filter_and_train(tiny_encoders, corpus, k):
+    teacher, student = tiny_encoders
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.tsv"
+        path.write_bytes(corpus)
+        out = Path(tmp) / "out"
+        _assert_exits_cleanly(
+            ["filter", "--corpus", str(path), "--student", student, "--teacher", teacher]
+            + ["--scored-out", f"{out}.scored", "--subset-out", f"{out}.tsv"]
+            + ["--budget", "12", "--k", str(k)]
+        )
+        _assert_exits_cleanly(
+            ["train", "--corpus", str(path), "--teacher", teacher]
+            + ["--out", f"{out}.emb", "--batch-size", "2"]
+        )

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitextkit import read_embeddings, write_embeddings
-from bitextkit.embfile import open_text
+from bitextkit.embfile import atomic_write_text, open_text
 from bitextkit.errors import BadMagicError, DimZeroError, FormatError, TruncatedFileError
 
 
@@ -139,6 +139,24 @@ def test_no_temp_files_left_behind(tmp_path):
     path = tmp_path / "clean.emb"
     write_embeddings(path, np.ones((2, 2)))
     assert sorted(os.listdir(tmp_path)) == ["clean.emb"]
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: write_embeddings(path, np.ones((2, 2))),
+        lambda path: atomic_write_text(path, "dim=2\n\u00e9\n"),
+    ],
+    ids=["embeddings", "text"],
+)
+def test_failed_rename_leaves_no_target_and_no_temp_file(tmp_path, monkeypatch, write):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write(tmp_path / "out")
+    assert os.listdir(tmp_path) == []
 
 
 @settings(max_examples=200, deadline=None)

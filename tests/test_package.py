@@ -16,7 +16,7 @@ EXPORTED = {
     "encode_masked", "featurize", "featurize_batch", "load_encoder", "make_teacher",
     "save_encoder", "read_embeddings", "write_embeddings", "normalize_rows",
     # trainer
-    "EpochStats", "FilterSet", "NegativeQueue", "TrainConfig", "TrainResult",
+    "EpochStats", "NegativeQueue", "TrainConfig", "TrainResult",
     "batch_indices", "default_student", "equalize_negatives", "filtered_infonce_loss",
     "infonce_loss", "prefilter_mask", "queue_update", "train_distill", "train_step",
     # margin search and filtering

@@ -33,7 +33,6 @@ from bitextkit.errors import (
 from bitextkit.filtering import count_tokens
 from bitextkit.synth import CipherSpec, gen_cipher_corpus
 from bitextkit.trainer import (
-    FilterSet,
     NegativeQueue,
     TrainConfig,
     batch_indices,
@@ -245,32 +244,27 @@ def test_equalize_subsamples_to_batch_min():
     mask[0, [0, 2, 4, 5, 7]] = True  # 5 survivors
     mask[1, [1, 3, 6]] = True  # 3 survivors (the minimum)
     mask[2, [0, 1, 2, 3]] = True  # 4 survivors
-    fs = equalize_negatives(mask, np.random.default_rng(0))
-    assert isinstance(fs, FilterSet)
-    assert fs.indices.shape == (3, 3)
-    assert fs.kept_counts.tolist() == [5, 3, 4]
-    assert fs.pool_size == 8
-    assert fs.indices[1].tolist() == [1, 3, 6]  # min row is passed through
-    for j in range(3):
-        row = fs.indices[j]
-        assert (np.diff(row) > 0).all()  # sorted, no repeats
-        assert mask[j, row].all()  # a subset of that row's survivors
+    keep = equalize_negatives(mask, np.random.default_rng(0))
+    assert keep.dtype == bool and keep.shape == mask.shape
+    assert keep.sum(axis=1).tolist() == [3, 3, 3]
+    assert (keep <= mask).all()  # a subset of each row's survivors
+    assert np.array_equal(keep[1], mask[1])  # min row is passed through
 
 
 def test_equalize_identity_when_sizes_match():
     mask = np.zeros((2, 6), dtype=bool)
     mask[0, [1, 4]] = True
     mask[1, [0, 5]] = True
-    fs = equalize_negatives(mask, np.random.default_rng(99))
-    assert fs.indices.tolist() == [[1, 4], [0, 5]]
+    keep = equalize_negatives(mask, np.random.default_rng(99))
+    assert np.array_equal(keep, mask)
 
 
 def test_equalize_deterministic_for_fixed_rng():
     rng_mask = np.random.default_rng(3)
     mask = rng_mask.random((6, 40)) < 0.5
     mask[:, 0] = True  # guarantee no empty row
-    a = equalize_negatives(mask, np.random.default_rng(7)).indices
-    b = equalize_negatives(mask, np.random.default_rng(7)).indices
+    a = equalize_negatives(mask, np.random.default_rng(7))
+    b = equalize_negatives(mask, np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 
@@ -288,19 +282,17 @@ def survivor_mask(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(survivor_mask(), st.integers(0, 2**32 - 1))
-def test_equalize_keeps_m_sorted_survivors_per_row(mask, seed):
-    fs = equalize_negatives(mask, np.random.default_rng(seed))
+def test_equalize_keeps_m_survivors_per_row(mask, seed):
+    keep = equalize_negatives(mask, np.random.default_rng(seed))
     sizes = mask.sum(axis=1)
     m_min = int(sizes.min())
-    assert fs.indices.shape == (mask.shape[0], m_min)
-    assert fs.kept_counts.tolist() == sizes.tolist()
-    for j, row in enumerate(fs.indices):
-        assert (np.diff(row) > 0).all()  # sorted, no repeats
-        assert mask[j, row].all()  # a subset of that row's survivors
-        if sizes[j] == m_min:  # a min-size row passes through unchanged
-            assert row.tolist() == np.flatnonzero(mask[j]).tolist()
+    assert keep.shape == mask.shape
+    assert (keep.sum(axis=1) == m_min).all()
+    assert (keep <= mask).all()  # a subset of each row's survivors
+    min_rows = sizes == m_min  # a min-size row passes through unchanged
+    assert np.array_equal(keep[min_rows], mask[min_rows])
     again = equalize_negatives(mask, np.random.default_rng(seed))
-    assert np.array_equal(fs.indices, again.indices)
+    assert np.array_equal(keep, again)
 
 
 def test_equalize_raises_when_a_row_keeps_nothing():
@@ -323,8 +315,8 @@ def test_filtered_loss_with_keep_all_threshold_matches_unfiltered():
         pool = random_units(rng, pool_n, dim)
         tau = float(rng.uniform(0.05, 1.5))
         mask = np.stack([prefilter_mask(k[j], pool, 1.5) for j in range(batch)])
-        fs = equalize_negatives(mask, rng)
-        filtered = filtered_infonce_loss(q, k, pool, fs, tau)
+        keep = equalize_negatives(mask, rng)
+        filtered = filtered_infonce_loss(q, k, pool, keep, tau)
         plain = np.mean([infonce_loss(q[j], k[j], pool, tau) for j in range(batch)])
         assert abs(filtered - plain) <= 1e-12
 
@@ -341,17 +333,22 @@ def test_filtered_loss_composed_closed_form():
         ]
     )
     mask = prefilter_mask(q, pool, 0.9)[None, :]
-    fs = equalize_negatives(mask, np.random.default_rng(0))
-    assert fs.indices.tolist() == [[1, 2]]
-    got = filtered_infonce_loss(q[None, :], q[None, :], pool, fs, 1.0)
+    keep = equalize_negatives(mask, np.random.default_rng(0))
+    assert keep.tolist() == [[False, True, True]]
+    got = filtered_infonce_loss(q[None, :], q[None, :], pool, keep, 1.0)
     assert got == pytest.approx(LN_1P_2E_M1, abs=1e-12)
 
 
 def test_filtered_loss_validation():
     q = np.eye(2)
-    fs = FilterSet(np.array([[0]]), np.array([1]), 1)
-    with pytest.raises(DimMismatchError):
-        filtered_infonce_loss(q, q, np.eye(2), fs, 1.0)  # 2 samples, 1 filter row
+    one_row = np.ones((1, 2), dtype=bool)  # 2 samples, 1 mask row
+    with pytest.raises(DimMismatchError, match="keep-mask shape"):
+        filtered_infonce_loss(q, q, np.eye(2), one_row, 1.0)
+    with pytest.raises(DimMismatchError, match="keep-mask shape"):
+        filtered_infonce_loss(q, q, np.eye(2), np.ones((2, 3), dtype=bool), 1.0)
+    keep = np.array([[True, False], [False, False]])
+    with pytest.raises(EmptyNegativesError, match="sample 1"):
+        filtered_infonce_loss(q, q, np.eye(2), keep, 1.0)
 
 
 # --- batching -----------------------------------------------------------------
@@ -561,8 +558,8 @@ def test_train_step_prefilter_loss_equals_filtered_infonce(source):
         np.fill_diagonal(mask, False)
     assert mask.sum(axis=1).min() > 0  # no m = 0 fallback
     assert len(set(mask.sum(axis=1))) > 1  # equalization subsamples
-    fs = equalize_negatives(mask, np.random.default_rng(5))
-    want = filtered_infonce_loss(q, k, pool, fs, cfg.temperature)
+    keep = equalize_negatives(mask, np.random.default_rng(5))
+    want = filtered_infonce_loss(q, k, pool, keep, cfg.temperature)
     assert loss == pytest.approx(want, abs=1e-12)
 
 
