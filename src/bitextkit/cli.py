@@ -38,7 +38,7 @@ from .analysis import (
 )
 from .embfile import atomic_write_text, open_text, read_embeddings, write_embeddings
 from .encoder import encode_batch, load_encoder, save_encoder
-from .errors import BitextkitError, ConfigError, FormatError
+from .errors import BitextkitError, ConfigError, FormatError, TooFewPairsError
 from .filtering import (
     read_pairs_tsv,
     score_corpus,
@@ -267,9 +267,17 @@ def _cmd_train(args, vals: dict, echo: str) -> None:
     print(f"wrote {args.out} (+.meta), log {log_path}")
 
 
+def _read_evaluation_set(path: str) -> np.ndarray:
+    """An EMB1 file's rows as float64; a file of 0 rows is too few pairs."""
+    rows = read_embeddings(path).astype(np.float64)
+    if not rows.shape[0]:
+        raise TooFewPairsError(f"{path}: no embeddings to evaluate (0 rows)")
+    return rows
+
+
 def _cmd_xsim_eval(args, vals: dict, echo: str) -> None:
-    src = read_embeddings(args.src).astype(np.float64)
-    tgt = read_embeddings(args.tgt).astype(np.float64)
+    src = _read_evaluation_set(args.src)
+    tgt = _read_evaluation_set(args.tgt)
     report = xsim_report(src, tgt, _search_config(vals))
     print(echo)
     print(report)

@@ -1,10 +1,11 @@
 """Parallel-corpus scoring and token-budgeted subset selection.
 
 Corpora travel as TSV: one ``source<TAB>target`` pair per line.  Blank
-lines and comment lines ('#' first character, no tab) are skipped on read;
-any other line without exactly one tab is rejected with its 1-based line
-number.  Scored corpora are written as ``score<TAB>source<TAB>target``
-with six fractional digits, descending by score.
+lines (whitespace, no tab) and comment lines ('#' first character, no tab)
+are skipped on read; every other line is a pair and must hold exactly one
+tab, or it is rejected with its 1-based line number.  Scored corpora are
+written as ``score<TAB>source<TAB>target`` with six fractional digits,
+descending by score.
 
 Scoring embeds sources with the student and targets with the teacher and
 assigns each aligned pair its margin score against k-NN neighbourhoods
@@ -44,7 +45,9 @@ def count_tokens(sentence: str) -> int:
 def read_pairs_tsv(path: str | os.PathLike) -> list[Pair]:
     """Read a pair-per-line TSV corpus.
 
-    Raises CorpusFormatError listing every offending line number when any
+    Every line with a tab is a pair, even one of blank sentences, so
+    whatever write_pairs_tsv wrote reads back as it was.  Raises
+    CorpusFormatError listing every offending line number when any
     non-comment, non-blank line does not contain exactly one tab, and
     FormatError naming the line of the first byte that is not UTF-8.
     """
@@ -54,9 +57,7 @@ def read_pairs_tsv(path: str | os.PathLike) -> list[Pair]:
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#") and "\t" not in line:
+            if "\t" not in line and (not line.strip() or line.startswith("#")):
                 continue
             if line.count("\t") != 1:
                 bad.append(lineno)

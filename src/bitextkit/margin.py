@@ -134,37 +134,43 @@ def neighborhood_means(nn_cosines: np.ndarray, k: int) -> np.ndarray:
 
 def _fold_columns(top: np.ndarray, cos: np.ndarray) -> None:
     """Fold the rows of cos into top, the running k largest values of each
-    column: top[r, j] is column j's (r+1)-th largest value, -inf until k
-    rows have been folded.
+    column of cos: row j of top holds column j's in ascending order (-inf
+    until k rows have been folded), so top[j, 0] is its threshold.
 
-    Only values above a column's current k-th largest can enter its top k,
-    so one contiguous compare finds them.  A single lexsort over those
-    survivors and the touched columns' tops, by (column, descending
-    value), then yields each touched column's new top k.  The lexsort
-    handles about k + 1 values per survivor, so once more than 1/16k of
-    the block survives, as all of it does against a -inf threshold, a
-    partition of the block's columns is cheaper.
+    top is target-major, (m, k), so that every sort runs along contiguous
+    rows; sorting a rank-major (k, m) top along its columns cost twice the
+    whole search once k reached the block size.  Only values above a
+    column's threshold can enter its top k, so one compare finds them.  A
+    single lexsort over those survivors and the touched columns' tops, by
+    (column, descending value), then yields each touched column's new top
+    k.  The lexsort handles about k + 1 values per survivor, so once more
+    than 1/16k of the block survives, as all of it does against a -inf
+    threshold, a partition of the block's columns and a sort of each
+    target's 2k (or k + rows) candidates is cheaper.
     """
-    k, m = top.shape
-    above = cos > top[k - 1]
+    m, k = top.shape
+    above = cos > np.ascontiguousarray(top[:, 0])
     survivors = np.count_nonzero(above)
     if 16 * k * survivors > cos.size:
         rows = cos.shape[0]
         if rows > k:
             cos = np.partition(cos, rows - k, axis=0)[rows - k :]
-        top[:] = -np.sort(-np.concatenate([top, cos]), axis=0)[:k]
+        both = np.concatenate([top, cos.T], axis=1)
+        both.sort(axis=1)
+        top[:] = both[:, -k:]
         return
     # a flat index: np.nonzero on the 2-D mask is ten times slower
     flat = np.flatnonzero(above)
     cols = flat % m
     counts = np.bincount(cols, minlength=m)
     touched = np.flatnonzero(counts)
-    vals = np.concatenate([top[:, touched].T.ravel(), cos.ravel()[flat]])
+    vals = np.concatenate([top[touched].ravel(), cos.ravel()[flat]])
     owner = np.concatenate([np.repeat(touched, k), cols])
     order = np.lexsort((-vals, owner))
     sizes = counts[touched] + k
     starts = np.cumsum(sizes) - sizes
-    top[:, touched] = vals[order[starts[:, None] + np.arange(k)]].T
+    # each touched column's k largest, in ascending order
+    top[touched] = vals[order[starts[:, None] + np.arange(k - 1, -1, -1)]]
 
 
 def neighborhoods(S: np.ndarray, T: np.ndarray, k: int):
@@ -184,7 +190,7 @@ def neighborhoods(S: np.ndarray, T: np.ndarray, k: int):
     fwd = np.empty((n, k), dtype=np.float64)
     cut = m - k
     buf = np.empty((min(_BLOCK_ROWS, n), m))
-    top = np.full((k, m), -np.inf)
+    top = np.full((m, k), -np.inf)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         cos = buf[: hi - lo]
@@ -195,8 +201,8 @@ def neighborhoods(S: np.ndarray, T: np.ndarray, k: int):
             _fold_columns(top, part)
         cos.partition(cut, axis=1)
         fwd[lo:hi] = np.clip(-np.sort(-cos[:, cut:], axis=1), -1.0, 1.0)
-    # _fold_columns keeps each column of top in descending order
-    bwd = np.clip(top, -1.0, 1.0)
+    # each target's top k in descending order, stored rank-major (k, m)
+    bwd = np.clip(top[:, ::-1].T, -1.0, 1.0, order="C")
     # bwd.T is a strided (m, k) view, so each dy[j] adds its k values one
     # rank at a time in descending order, while the contiguous fwd rows sum
     # pairwise; for k >= 8 the two orders differ in the last bits

@@ -180,21 +180,38 @@ def _rng_streams(seed: int) -> list[np.random.Generator]:
 # ---------------------------------------------------------------------------
 
 
+# added to a logit: -inf drops a disallowed one (index 0), 0.0 keeps it
+_MASK_BIAS = np.array([-np.inf, 0.0])
+
+
 def _masked_infonce(q, k, candidates, allowed, tau: float):
     """Per-sample InfoNCE of queries q against [k+; allowed candidates].
 
-    Row j's logits are <q_j, k+_j>/tau and q_j C^T/tau, the latter -inf
-    where ``allowed[j]`` is False (``allowed`` None allows every candidate).
-    Returns (losses, dq): losses[j] = lse_j - l_pos[j] and
+    Row j's logits are <q_j, k+_j>/tau and q_j C^T/tau, the latter left
+    out where ``allowed[j]`` is False (``allowed`` None allows every
+    candidate): they do not reach the peak, and their exponentials are
+    zeroed, exactly what exp(-inf) gives.  Returns (losses, dq):
+    losses[j] = lse_j - l_pos[j] and
     dq = d(sum of losses)/dq = ((p_pos - 1) k+ + P_neg C)/tau.
     """
     l_pos = np.einsum("bd,bd->b", q, k) / tau
     l_neg = (q @ candidates.T) / tau
-    if allowed is not None:
-        np.copyto(l_neg, -np.inf, where=~allowed)
-    peak = np.maximum(l_pos, l_neg.max(axis=1))
+    if allowed is None:
+        peak = np.maximum(l_pos, l_neg.max(axis=1))
+        e_neg = np.exp(l_neg - peak[:, None])
+    else:
+        # The mask is applied by arithmetic, not np.where, which branches
+        # per entry and mispredicts on a mixed mask.  exp sees only finite
+        # logits (exp(-inf) is far slower), capped at 0, which the allowed
+        # ones never exceed, so a disallowed one cannot overflow and the
+        # product with the mask is an exact 0.0.
+        bias = _MASK_BIAS.take(allowed.view(np.uint8))
+        peak = np.maximum(l_pos, (l_neg + bias).max(axis=1))
+        e_neg = l_neg - peak[:, None]
+        np.minimum(e_neg, 0.0, out=e_neg)
+        np.exp(e_neg, out=e_neg)
+        e_neg *= allowed
     e_pos = np.exp(l_pos - peak)
-    e_neg = np.exp(l_neg - peak[:, None])
     denom = e_pos + e_neg.sum(axis=1)
     losses = np.log(denom) + peak - l_pos
     p_neg = e_neg / denom[:, None]
@@ -245,7 +262,11 @@ def prefilter_mask(positive, queue_entries, threshold: float) -> np.ndarray:
     pool = np.asarray(queue_entries, dtype=np.float64)
     if pool.ndim != 2 or k.ndim not in (1, 2) or pool.shape[1] != k.shape[-1]:
         raise DimMismatchError(f"shapes disagree: k+ {k.shape}, pool {pool.shape}")
-    cos = np.clip(k @ pool.T, -1.0, 1.0)
+    cos = k @ pool.T
+    # for a threshold in (0, 1], cos < threshold exactly when the cosine
+    # clipped to [-1, 1] is, so only a higher threshold needs the clip
+    if threshold > 1.0:
+        np.minimum(cos, 1.0, out=cos)
     return cos < threshold
 
 
@@ -267,11 +288,17 @@ def equalize_negatives(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray
     if m_min == 0:
         bad = int(np.argmin(sizes)) if sizes.size else 0
         raise AllFilteredError(f"sample {bad} has no surviving negatives")
-    keys = rng.random(mask.shape)
-    keys[~mask] = np.inf
-    chosen = np.argpartition(keys, m_min - 1, axis=1)[:, :m_min]
-    keep = np.zeros_like(mask)
-    np.put_along_axis(keep, chosen, True, axis=1)
+    keys = np.where(mask, rng.random(mask.shape), np.inf)
+    # the keys are >= 0, so their bits order as they do, and integers
+    # partition faster than floats
+    bits = keys.view(np.int64)
+    kth = np.partition(bits, m_min - 1, axis=1)[:, m_min - 1 : m_min]
+    keep = bits <= kth
+    if np.count_nonzero(keep) != keep.shape[0] * m_min:
+        # a tie at some row's M-th key kept more than M: select M indices
+        chosen = np.argpartition(keys, m_min - 1, axis=1)[:, :m_min]
+        keep = np.zeros_like(mask)
+        np.put_along_axis(keep, chosen, True, axis=1)
     return keep
 
 
@@ -350,6 +377,22 @@ class EpochStats:
         return self.mask_kept / self.mask_total if self.mask_total else 1.0
 
 
+def _unique_buckets(idx: np.ndarray, slot: np.ndarray):
+    """(u, inv) as np.unique(idx, return_inverse=True) gives them: u the
+    sorted distinct bucket ids of idx and u[inv] == idx.
+
+    One sort of idx finds u; ``slot``, an int64 table with one entry per
+    bucket, then maps each id of u to its position, so the cost follows
+    idx's size, not the bucket count.  Entries outside u are left stale.
+    """
+    flat = np.sort(idx, axis=None)
+    first = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    u = flat[first]
+    slot[u] = np.arange(u.size)
+    return u, slot[idx]
+
+
 @np.errstate(over="ignore", invalid="ignore")  # divergence is checked explicitly
 def _step_core(
     W: np.ndarray,
@@ -360,18 +403,20 @@ def _step_core(
     cfg: TrainConfig,
     eq_rng: np.random.Generator,
     stats: EpochStats,
+    slot: np.ndarray,
 ) -> float | None:
     """One in-place step on W, against the queue before this batch is
     enqueued; returns the loss, or None for a skipped step.
 
     The features form a dense (batch, |u|) matrix F over the batch's unique
-    buckets u: z = F W[u] and W[u] -= step * F^T dz.  Candidates are the
-    queue rows or the batch targets, and one softmax masks out the own
-    positive (in-batch); with the prefilter on, equalize_negatives'
-    keep-mask is that mask as it is.
+    buckets u: z = F W[u] and W[u] -= step * F^T dz.  ``slot`` is
+    _unique_buckets' scratch table of W.shape[0] int64 entries.
+    Candidates are the queue rows or the batch targets, and one softmax
+    masks out the own positive (in-batch); with the prefilter on,
+    equalize_negatives' keep-mask is that mask as it is.
     """
     batch = tgt_emb.shape[0]
-    u, inv = np.unique(idx, return_inverse=True)
+    u, inv = _unique_buckets(idx, slot)
     rows = np.repeat(np.arange(batch) * u.size, idx.shape[1])
     F = np.bincount(rows + inv.ravel(), weights=val.ravel(), minlength=batch * u.size)
     F = F.reshape(batch, u.size)
@@ -396,7 +441,7 @@ def _step_core(
         if in_batch:
             mask &= allowed  # the own positive is never a negative
         total = mask.size - (batch if in_batch else 0)
-        kept = int(mask.sum())
+        kept = int(np.count_nonzero(mask))
         stats.mask_kept += kept
         stats.mask_total += total
         stats.filtered_out += total - kept
@@ -471,7 +516,8 @@ def train_step(
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     W = student.weights.copy()
-    loss = _step_core(W, idx, val, tgt_emb, queue.entries, cfg, rng, EpochStats())
+    slot = np.empty(W.shape[0], dtype=np.int64)
+    loss = _step_core(W, idx, val, tgt_emb, queue.entries, cfg, rng, EpochStats(), slot)
     student = EncoderParams(student.featurizer, W, frozen=False)
     return loss, student, queue_update(queue, tgt_emb)
 
@@ -554,6 +600,7 @@ def train_distill(
 
     W = student_init.weights.copy()
     queue_mat = np.empty((0, teacher.dim), dtype=np.float64)
+    slot = np.empty(W.shape[0], dtype=np.int64)
     all_stats: list[EpochStats] = []
     log_lines: list[str] = []
 
@@ -562,7 +609,7 @@ def train_distill(
         for step, batch in enumerate(batch_indices(lengths, cfg, batch_rng), 1):
             idx, val, tgt = idx_all[batch], val_all[batch], tgt_all[batch]
             try:
-                _step_core(W, idx, val, tgt, queue_mat, cfg, eq_rng, stats)
+                _step_core(W, idx, val, tgt, queue_mat, cfg, eq_rng, stats, slot)
             except DivergenceError as exc:
                 raise DivergenceError(f"epoch {epoch} step {step}: {exc}") from None
             queue_mat = _fifo_push(queue_mat, tgt, cfg.queue_size)  # after the loss

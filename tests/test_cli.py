@@ -202,6 +202,20 @@ def test_k_too_large_is_numerical_error(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("empty", ["src", "tgt", "both"])
+def test_empty_evaluation_file_is_numerical_error_naming_it(tmp_path, capsys, empty):
+    paths = {side: str(tmp_path / f"{side}.emb") for side in ("src", "tgt")}
+    for side, path in paths.items():
+        rows = 0 if empty in (side, "both") else 3
+        write_embeddings(path, np.eye(3)[:rows])
+    code = main(["xsim-eval", "--src", paths["src"], "--tgt", paths["tgt"], "--k", "1"])
+    assert code == 3
+    named = paths["tgt" if empty == "tgt" else "src"]
+    assert capsys.readouterr().err == (
+        f"numerical error: {named}: no embeddings to evaluate (0 rows)\n"
+    )
+
+
 # --- config file handling -------------------------------------------------------
 
 

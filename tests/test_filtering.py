@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitextkit.encoder import EncoderParams, FeaturizerConfig, encode_batch, make_teacher
 from bitextkit.errors import CorpusFormatError
@@ -91,6 +93,31 @@ def test_write_read_round_trip(tmp_path):
     path = tmp_path / "out.tsv"
     write_pairs_tsv(path, pairs, comments=["generated for a test"])
     assert path.read_text().startswith("# generated for a test\n")
+    assert read_pairs_tsv(path) == pairs
+
+
+@pytest.mark.parametrize("line", ["\t", " \t", "\t ", "\x0b\t\x1c", "#\t"])
+def test_read_pairs_a_line_with_a_tab_is_a_pair(tmp_path, line):
+    path = tmp_path / "corpus.tsv"
+    path.write_text(f"{line}\n", encoding="utf-8")
+    assert read_pairs_tsv(path) == [tuple(line.split("\t"))]
+
+
+# any Unicode the writer accepts: no tab, LF or CR (and no surrogates,
+# which UTF-8 cannot encode)
+_SENTENCE = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"), max_size=12
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_SENTENCE, _SENTENCE), max_size=6),
+    comments=st.lists(_SENTENCE, max_size=2),
+)
+def test_write_read_round_trips_any_unicode(tmp_path_factory, pairs, comments):
+    path = tmp_path_factory.mktemp("tsv") / "corpus.tsv"
+    write_pairs_tsv(path, pairs, comments=comments)
     assert read_pairs_tsv(path) == pairs
 
 
