@@ -6,7 +6,9 @@ flags > config file > defaults; the config file is flat ``key=value``
 lines with '#' comments.  A config file may set seed, tau, sigma,
 queue_size, batch_size, epochs, step_size, negatives, shuffle, prefilter,
 k, margin, bins and sigmas; each value it sets is checked even where the
-subcommand does not read it.  Sizes allocated from a flag are capped:
+subcommand does not read it.  train reads sigma only with the prefilter
+on: a --sigma flag without it is a usage error, and a config file's sigma
+is echoed as unused.  Sizes allocated from a flag are capped:
 bins at 100,000, gen-synth cipher --pairs at 10,000,000 and --min-len and
 --max-len at 1,000 words.  The resolved config is echoed to stdout and
 embedded as '#' comments in every text artifact (the binary EMB1 format
@@ -252,6 +254,12 @@ def _cmd_embed(args, vals: dict, echo: str) -> None:
 
 def _cmd_train(args, vals: dict, echo: str) -> None:
     cfg = _train_config(vals)
+    # sigma thresholds the negatives only when the prefilter is on
+    if not cfg.prefilter_enabled:
+        if args.sigma is not None:
+            raise ConfigError("--sigma is unused without --prefilter on")
+        if args.config and "sigma" in load_config(args.config):
+            echo += " unused=sigma"
     pairs = read_pairs_tsv(args.corpus)
     teacher = load_encoder(args.teacher)
     print(echo)

@@ -283,9 +283,9 @@ def load_encoder(path: str | os.PathLike) -> EncoderParams:
     """Inverse of save_encoder.
 
     Weights come back as float64 (the file stores float32, so a save/load
-    round trip quantizes to float32 precision).  The sidecar header must
-    agree with the matrix shape.  A sidecar without a valid header, or with
-    bytes that are not UTF-8, raises FormatError.
+    round trip quantizes to float32 precision).  A sidecar without a valid
+    header, with bytes that are not UTF-8, or whose header disagrees with
+    the matrix shape, raises FormatError.
     """
     meta_path = os.fspath(path) + _META_SUFFIX
     header = None
@@ -313,7 +313,7 @@ def load_encoder(path: str | os.PathLike) -> EncoderParams:
         raise FormatError(f"{meta_path}: {exc}") from None
     weights = read_embeddings(path).astype(np.float64)
     if weights.shape != shape:
-        raise DimMismatchError(
+        raise FormatError(
             f"{path}: weight shape {weights.shape} does not match sidecar "
             f"({buckets} x {dim})"
         )

@@ -26,7 +26,7 @@ from .embfile import atomic_write_text, open_text
 # traces them under this module's name
 from .encoder import EncoderParams, encode, encode_masked  # noqa: F401
 from .errors import CorpusFormatError
-from .margin import SearchConfig, knn, margin_scores, neighborhoods  # noqa: F401
+from .margin import SearchConfig, knn, margin_scores, neighborhoods, pair_cosines  # noqa: F401
 from .vectors import normalize_rows
 
 Pair = tuple[str, str]
@@ -137,8 +137,10 @@ def score_corpus(
     if valid.size:
         S = src[valid]
         T = tgt[valid]
-        dx, dy = neighborhoods(normalize_rows(S), normalize_rows(T), cfg.k)
-        diag = np.clip(np.einsum("nd,nd->n", S, T), -1.0, 1.0)
+        dx, dy = neighborhoods(S, T, cfg.k)
+        # the pair's cosine as align computes it, bit for bit
+        rows = np.arange(valid.size)
+        diag = pair_cosines(normalize_rows(S), normalize_rows(T), rows, rows)
         scores[valid] = margin_scores(diag, dx + dy, cfg.margin_kind)
     return [
         ScoredPair(source, target, float(scores[i]), count_tokens(target))

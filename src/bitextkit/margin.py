@@ -12,6 +12,10 @@ Alignment picks, for every source row, the target with the highest margin
 score; on an aligned evaluation set the xsim error rate is the fraction of
 sources whose best-scoring target is not their own counterpart.
 
+Every cosine in a neighbourhood term, a score or a pick is a float64
+``pair_cosines`` value, whose bits depend only on its two rows; float32 GEMMs
+only screen, keeping every entry that their error bound cannot rule out.
+
 Neighbourhoods are *not* purged of the true counterpart; on clean data the
 counterpart typically is one of the neighbours, which simply tightens the
 margin.
@@ -19,6 +23,7 @@ margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +36,15 @@ MARGIN_DISTANCE = "distance"
 MARGIN_RATIO = "ratio"
 MARGIN_KINDS = (MARGIN_ABSOLUTE, MARGIN_DISTANCE, MARGIN_RATIO)
 
-_BLOCK_ROWS = 1024
-# rows of the first block folded on their own into the running
-# per-target top k.  Seeding from 32 rows lets about 600k survivors
-# through at n = 20,000 and the fold dominates.  256 rows ran 5% faster,
-# but at m = 5,000 their 10 MB column partition raises glibc's dynamic
-# mmap threshold, and the freed heap it then keeps cost 30 MiB of peak RSS
-_SEED_ROWS = 128
+# rows per float32 screen: a 1,024-row screen (20 MB at m = 5,000), freed
+# after each search, lifts glibc's dynamic mmap threshold, and the heap it
+# then keeps raised the mine benchmark's peak RSS from 176 to 207 MiB
+_BLOCK_ROWS = 512
+# strided chunks per row whose maxima bound its k-th largest screen value:
+# 128 bound as tightly as 16, and NumPy reduces them three times faster
+_CHUNKS = 128
+# float64 values gathered from each side per pair_cosines chunk (1 MiB)
+_GATHER = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -77,15 +84,32 @@ def margin_scores(a, b, kind: str) -> np.ndarray:
     return _MARGIN_UFUNCS[kind](a, b)
 
 
-def _top_values(a: np.ndarray, k: int) -> np.ndarray:
-    """The k largest values of each row of a, descending, as a new array.
+def pair_cosines(S: np.ndarray, T: np.ndarray, rows, cols) -> np.ndarray:
+    """Cosines of the pairs (S[rows[t]], T[cols[t]]) of unit rows, clipped
+    to [-1, 1]: one float64 dot per pair, over rows gathered in bounded
+    chunks, so a value's bits depend only on its two rows."""
+    out = np.empty(len(rows))
+    step = max(1, _GATHER // S.shape[1])
+    for lo in range(0, len(rows), step):
+        hi = lo + step
+        pairs = np.take(S, rows[lo:hi], axis=0), np.take(T, cols[lo:hi], axis=0)
+        out[lo:hi] = np.einsum("nd,nd->n", *pairs)
+    return np.clip(out, -1.0, 1.0, out=out)
 
-    Partial selection, then a sort of the k survivors only.  The result
-    never views a's partition (which would keep a whole block alive), and
-    its rows sum in the same order as knn's cosines.
-    """
-    cut = a.shape[1] - k
-    return -np.sort(-np.partition(a, cut, axis=1)[:, cut:], axis=1)
+
+def _screen_eps(d: int) -> float:
+    # Bound on |G - c|, G the float32 GEMM entry of rows x, y of
+    # normalize_rows rounded to float32, c their pair_cosines value.  The
+    # rounding scales each product x_i y_i by (1 + e1)(1 + e2), |e| <= u =
+    # 2^-24, and a d-term float32 sum (any order, FMA or not) by gamma_d =
+    # du / (1 - du) more, so |G - x.y| <= gamma_{d+2} N, N = |x||y| <=
+    # 1 + (d + 4) 2^-52.  c is within d 2^-52 N of x.y, or N - 1 beyond once
+    # clipped.  2^-48 covers float32 underflow (d 2^-149 at most) and the
+    # rounding of align's float64 floors (ulps of values below 4).
+    u = 2.0**-24
+    gamma = (d + 2) * u / (1 - (d + 2) * u) if (d + 2) * u < 1 else math.inf
+    slack = (d + 4) * 2.0**-52
+    return (gamma + d * 2.0**-52) * (1 + slack) + slack + 2.0**-48
 
 
 def _unit_rows(queries, candidates):
@@ -96,35 +120,67 @@ def _unit_rows(queries, candidates):
     return Q, C
 
 
+def _kept(G: np.ndarray, keep: np.ndarray, floors: np.ndarray):
+    """(rows, cols), row-major, of the entries of G at or above their row's
+    float64 floor, which is rounded down to float32 for the compare."""
+    f32 = floors.astype(np.float32)
+    f32 = np.where(f32 > floors, np.nextafter(f32, np.float32(-np.inf)), f32)
+    np.greater_equal(G, f32[:, None], out=keep)
+    return np.divmod(np.flatnonzero(keep), G.shape[1])
+
+
+def _grid(rows: np.ndarray, n: int, values: np.ndarray, fill: float):
+    """(grid, starts): row i's values (given row-major) left-aligned in grid[i]
+    and padded with fill, and the position in values of row i's first."""
+    counts = np.bincount(rows, minlength=n)
+    starts = np.cumsum(counts) - counts
+    grid = np.full((n, counts.max()), fill)
+    grid[rows, np.arange(len(rows)) - starts[rows]] = values
+    return grid, starts
+
+
+def _row_search(Q: np.ndarray, C: np.ndarray, k: int):
+    """Yield (lo, G, keep, rows, cols, cos) per block of unit rows of Q from
+    lo: G is its float32 screen against C, keep a bool array of G's shape
+    (both reused buffers), and rows, cols (row-major) and their pair cosines
+    cos every entry that can be in its row's top k.  If L is the k-th
+    largest of a row's entries in k or more columns, such as its strided
+    chunk maxima, k pair cosines are >= L - eps, so its top k have G >= L - 2 eps.
+    """
+    eps, m = _screen_eps(Q.shape[1]), C.shape[0]
+    Q32, C32 = Q.astype(np.float32), C.astype(np.float32)
+    screen = np.empty((min(_BLOCK_ROWS, Q.shape[0]), m), np.float32)
+    keep = np.empty(screen.shape, bool)
+    for lo in range(0, Q.shape[0], _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, Q.shape[0] - lo)
+        G = np.matmul(Q32[lo : lo + rows], C32.T, out=screen[:rows])
+        bound = G
+        if k <= _CHUNKS and m >= 2 * _CHUNKS:
+            bound = G[:, : m - m % _CHUNKS].reshape(rows, -1, _CHUNKS).max(axis=1)
+        cut = bound.shape[1] - k
+        L = np.partition(bound, cut, axis=1)[:, cut].astype(np.float64)
+        r, c = _kept(G, keep[:rows], L - 2 * eps)
+        yield lo, G, keep[:rows], r, c, pair_cosines(Q, C, lo + r, c)
+
+
 def knn(queries, candidates, k: int):
     """Exact top-k candidates by cosine for every query row.
 
     Returns (indices, cosines), both (n_queries, k), columns sorted by
-    descending cosine with exact ties broken toward the lower candidate
-    index.  Raises KTooLargeError if k exceeds the candidate count.
+    descending pair_cosines value with exact ties broken toward the lower
+    candidate index.  Raises KTooLargeError if k exceeds the candidate count.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     Q, C = _unit_rows(queries, candidates)
     if k > C.shape[0]:
         raise KTooLargeError(f"k={k} but only {C.shape[0]} candidates")
-    n = Q.shape[0]
-    idx = np.empty((n, k), dtype=np.int64)
-    cos = np.empty((n, k), dtype=np.float64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        sims = np.clip(Q[lo:hi] @ C.T, -1.0, 1.0)
-        top = _top_values(sims, k)
-        # every candidate at or above the k-th largest cosine, ordered by
-        # (descending cosine, ascending index); np.nonzero lists each
-        # row's candidates in index order and keeps rows contiguous
-        rows, cols = np.nonzero(sims >= top[:, -1:])
-        order = np.lexsort((cols, -sims[rows, cols], rows))
-        counts = np.bincount(rows, minlength=hi - lo)
-        starts = np.cumsum(counts) - counts
-        idx[lo:hi] = cols[order[starts[:, None] + np.arange(k)]]
-        cos[lo:hi] = top
-    return idx, cos
+    idx, top = np.empty((Q.shape[0], k), dtype=np.int64), np.empty((Q.shape[0], k))
+    for lo, G, _, r, c, cos in _row_search(Q, C, k):
+        grid, starts = _grid(r, len(G), -cos, np.inf)  # stable: ties by column
+        pick = starts[:, None] + np.argsort(grid, axis=1, kind="stable")[:, :k]
+        idx[lo : lo + len(G)], top[lo : lo + len(G)] = c[pick], cos[pick]
+    return idx, top
 
 
 def neighborhood_means(nn_cosines: np.ndarray, k: int) -> np.ndarray:
@@ -132,81 +188,12 @@ def neighborhood_means(nn_cosines: np.ndarray, k: int) -> np.ndarray:
     return nn_cosines.sum(axis=1) / (2.0 * k)
 
 
-def _fold_columns(top: np.ndarray, cos: np.ndarray) -> None:
-    """Fold the rows of cos into top, the running k largest values of each
-    column of cos: row j of top holds column j's in ascending order (-inf
-    until k rows have been folded), so top[j, 0] is its threshold.
-
-    top is target-major, (m, k), so that every sort runs along contiguous
-    rows; sorting a rank-major (k, m) top along its columns cost twice the
-    whole search once k reached the block size.  Only values above a
-    column's threshold can enter its top k, so one compare finds them.  A
-    single lexsort over those survivors and the touched columns' tops, by
-    (column, descending value), then yields each touched column's new top
-    k.  The lexsort handles about k + 1 values per survivor, so once more
-    than 1/16k of the block survives, as all of it does against a -inf
-    threshold, a partition of the block's columns and a sort of each
-    target's 2k (or k + rows) candidates is cheaper.
-    """
-    m, k = top.shape
-    above = cos > np.ascontiguousarray(top[:, 0])
-    survivors = np.count_nonzero(above)
-    if 16 * k * survivors > cos.size:
-        rows = cos.shape[0]
-        if rows > k:
-            cos = np.partition(cos, rows - k, axis=0)[rows - k :]
-        both = np.concatenate([top, cos.T], axis=1)
-        both.sort(axis=1)
-        top[:] = both[:, -k:]
-        return
-    # a flat index: np.nonzero on the 2-D mask is ten times slower
-    flat = np.flatnonzero(above)
-    cols = flat % m
-    counts = np.bincount(cols, minlength=m)
-    touched = np.flatnonzero(counts)
-    vals = np.concatenate([top[touched].ravel(), cos.ravel()[flat]])
-    owner = np.concatenate([np.repeat(touched, k), cols])
-    order = np.lexsort((-vals, owner))
-    sizes = counts[touched] + k
-    starts = np.cumsum(sizes) - sizes
-    # each touched column's k largest, in ascending order
-    top[touched] = vals[order[starts[:, None] + np.arange(k - 1, -1, -1)]]
-
-
-def neighborhoods(S: np.ndarray, T: np.ndarray, k: int):
-    """Neighbourhood terms (dx, dy) of unit-norm rows S (n, d) and T (m, d).
-
-    dx[i] is neighborhood_means of knn(S, T, k)'s cosines for source i and
-    dy[j] that of knn(T, S, k) for target j, both taken from one blocked
-    pass over S @ T.T.  Each block of rows folds its columns into a
-    running top k per target for dy, then partitions its own buffer in
-    place for dx.  Values are clipped to [-1, 1] only once selected:
-    clipping is monotone, so the k largest clipped values are the clipped
-    k largest.  Raises KTooLargeError when k exceeds either side.
-    """
-    n, m = S.shape[0], T.shape[0]
-    if k > min(n, m):
-        raise KTooLargeError(f"k={k} but only {min(n, m)} candidates")
-    fwd = np.empty((n, k), dtype=np.float64)
-    cut = m - k
-    buf = np.empty((min(_BLOCK_ROWS, n), m))
-    top = np.full((m, k), -np.inf)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        cos = buf[: hi - lo]
-        np.matmul(S[lo:hi], T.T, out=cos)
-        # the first few rows go alone: their column top k sets a
-        # threshold that few of the block's other values pass
-        for part in (cos[:_SEED_ROWS], cos[_SEED_ROWS:]) if lo == 0 else (cos,):
-            _fold_columns(top, part)
-        cos.partition(cut, axis=1)
-        fwd[lo:hi] = np.clip(-np.sort(-cos[:, cut:], axis=1), -1.0, 1.0)
-    # each target's top k in descending order, stored rank-major (k, m)
-    bwd = np.clip(top[:, ::-1].T, -1.0, 1.0, order="C")
-    # bwd.T is a strided (m, k) view, so each dy[j] adds its k values one
-    # rank at a time in descending order, while the contiguous fwd rows sum
-    # pairwise; for k >= 8 the two orders differ in the last bits
-    return neighborhood_means(fwd, k), neighborhood_means(bwd.T, k)
+def neighborhoods(S, T, k: int):
+    """Neighbourhood terms (dx, dy) of the rows of S (n, d) and T (m, d):
+    neighborhood_means of knn(S, T, k)'s and knn(T, S, k)'s cosines.
+    Raises KTooLargeError when k exceeds either side."""
+    dx = neighborhood_means(knn(S, T, k)[1], k)
+    return dx, neighborhood_means(knn(T, S, k)[1], k)
 
 
 def align(src_emb, tgt_emb, cfg: SearchConfig):
@@ -214,31 +201,42 @@ def align(src_emb, tgt_emb, cfg: SearchConfig):
 
     Returns (indices, scores): for each source, the argmax target by margin
     score (exact ties toward the lower target index) and that score.
+
+    dy comes from knn(targets, sources); one screened pass over the sources
+    gives dx and each row's best-cosine target, whose score s the pick must
+    reach.  With denominators in dx + [min dy, max dy], only a cosine of at
+    least s (absolute), s + dx + min dy (distance), s (dx + min dy) or, for
+    s < 0, s (dx + max dy) (ratio, every denominator > 0; else -inf) can, so
+    the screen keeps G >= that floor - eps, and margin scores decide.
     """
     S, T = _unit_rows(src_emb, tgt_emb)
-    dx, dy = neighborhoods(S, T, cfg.k)
-    kind = cfg.margin_kind
-    # dx_i + dy_j == 0 exactly when -dx_i == dy_j, for finite floats
-    if kind == MARGIN_RATIO and np.isin(-dx, dy).any():
-        raise ZeroDivisionError("ratio margin with zero denominator")
-    n, m = S.shape[0], T.shape[0]
-    best_idx = np.empty(n, dtype=np.int64)
-    best_score = np.empty(n, dtype=np.float64)
-    rows = min(_BLOCK_ROWS, n)
-    buf = np.empty((rows, m))
-    denom = np.empty((rows, m)) if kind in _MARGIN_UFUNCS else None
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        scores = buf[: hi - lo]
-        np.matmul(S[lo:hi], T.T, out=scores)
-        np.clip(scores, -1.0, 1.0, out=scores)
-        if denom is not None:
-            d = denom[: hi - lo]
-            np.add(dx[lo:hi, None], dy, out=d)
-            _MARGIN_UFUNCS[kind](scores, d, out=scores)
-        picks = np.argmax(scores, axis=1)  # first max -> lowest index on ties
-        best_idx[lo:hi] = picks
-        best_score[lo:hi] = scores[np.arange(hi - lo), picks]
+    k, kind = cfg.k, cfg.margin_kind
+    if k > T.shape[0]:
+        raise KTooLargeError(f"k={k} but only {T.shape[0]} candidates")
+    dy = neighborhood_means(knn(tgt_emb, src_emb, k)[1], k)
+    lowest, highest = dy.min(), dy.max()
+    eps = _screen_eps(S.shape[1])
+    best_idx, best_score = np.empty(S.shape[0], dtype=np.int64), np.empty(S.shape[0])
+    for lo, G, keep, r, c, cos in _row_search(S, T, k):
+        hi = lo + len(G)
+        grid, starts = _grid(r, hi - lo, cos, -np.inf)
+        dx = neighborhood_means(-np.sort(-grid, axis=1)[:, :k], k)
+        # dx_i + dy_j == 0 exactly when -dx_i == dy_j, for finite floats
+        if kind == MARGIN_RATIO and np.isin(-dx, dy).any():
+            raise ZeroDivisionError("ratio margin with zero denominator")
+        b = starts + np.argmax(grid, axis=1)  # first max: lowest index
+        floors = s = margin_scores(cos[b], dx + dy[c[b]], kind)
+        if kind == MARGIN_DISTANCE:
+            floors = s + (dx + lowest)
+        elif kind == MARGIN_RATIO:
+            floors = s * (dx + np.where(s < 0, highest, lowest))
+            floors[dx + lowest <= 0] = -np.inf
+        r, c = _kept(G, keep, floors - eps)
+        scores = margin_scores(pair_cosines(S, T, lo + r, c), dx[r] + dy[c], kind)
+        grid, starts = _grid(r, hi - lo, scores, -np.inf)
+        pick = starts + np.argmax(grid, axis=1)
+        best_idx[lo:hi] = c[pick]
+        best_score[lo:hi] = scores[pick]
     return best_idx, best_score
 
 

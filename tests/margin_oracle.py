@@ -1,53 +1,60 @@
-"""Bitwise oracle for ``margin.neighborhoods`` and ``margin.align``.
+"""Exhaustive oracle for ``margin.knn``, ``margin.neighborhoods`` and
+``margin.align``, built on ``margin.pair_cosines``.
 
-This is the blocked search the package used before it kept a running
-per-target threshold: every 1,024-row block of S @ T.T is clipped whole,
-its rows' top k come from a copying partition, its columns' top k from a
-partition of the strided transpose, and the scoring pass builds a fresh
-denominator block.  The package must return the same picks and scores
-bit for bit, so the tests compare with ``np.array_equal``.
+Every query-candidate cosine is a ``pair_cosines`` value, taken one query
+row at a time against every candidate.  Neighbourhoods come from a stable
+descending sort of each whole row, and picks from an argmax over every
+target's margin score.  The package screens with float32 GEMMs and
+rescores only the entries its error bound keeps, so any entry it wrongly
+rules out changes a pick, a score or a neighbourhood term, and the tests
+compare with ``np.array_equal``.
 """
 
 import numpy as np
 
-from bitextkit.margin import margin_scores, neighborhood_means
+from bitextkit.margin import margin_scores, neighborhood_means, pair_cosines
 from bitextkit.vectors import normalize_rows
 
-BLOCK_ROWS = 1024
+
+def cosines(Q, C):
+    """(n, m) pair_cosines of every unit row of Q against every one of C."""
+    cols = np.arange(C.shape[0])
+    out = np.empty((Q.shape[0], C.shape[0]))
+    for i in range(Q.shape[0]):
+        out[i] = pair_cosines(Q, C, np.full_like(cols, i), cols)
+    return out
 
 
-def _top_values(a, k):
-    cut = a.shape[1] - k
-    return -np.sort(-np.partition(a, cut, axis=1)[:, cut:], axis=1)
+def knn(queries, candidates, k):
+    """(indices, cosines) of each query's k best candidates, as ``margin.knn``:
+    a stable descending sort of each row."""
+    cos = cosines(normalize_rows(queries), normalize_rows(candidates))
+    idx = np.argsort(-cos, axis=1, kind="stable")[:, :k]
+    return idx, np.take_along_axis(cos, idx, axis=1)
 
 
-def _blocks(n):
-    return [(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
+def _means(cos, k):
+    """neighborhood_means of each row's k largest values, in descending order.
+
+    The rows are made contiguous first, so that each row's k values add up
+    in the order knn's (n, k) rows do (a column-major copy would add them
+    one rank at a time instead)."""
+    return neighborhood_means(-np.sort(-np.ascontiguousarray(cos), axis=1)[:, :k], k)
 
 
-def neighborhoods(S, T, k):
-    """(dx, dy) of unit-norm rows S and T, as ``margin.neighborhoods``."""
-    fwd = np.empty((S.shape[0], k))
-    bwd = []
-    for lo, hi in _blocks(S.shape[0]):
-        cos = np.clip(S[lo:hi] @ T.T, -1.0, 1.0)
-        fwd[lo:hi] = _top_values(cos, k)
-        bwd.append(_top_values(cos.T, min(k, hi - lo)))
-    dy = neighborhood_means(_top_values(np.concatenate(bwd, axis=1), k), k)
-    return neighborhood_means(fwd, k), dy
+def search(src_emb, tgt_emb, k):
+    """(cos, dx, dy): every source-target cosine and the neighbourhood
+    terms, as ``margin.neighborhoods`` returns them.
+
+    A pair's cosine has the same bits with its rows in either order, so
+    the targets' neighbourhoods come from the transposed matrix."""
+    cos = cosines(normalize_rows(src_emb), normalize_rows(tgt_emb))
+    return cos, _means(cos, k), _means(cos.T, k)
 
 
-def align(src_emb, tgt_emb, cfg):
-    """(indices, scores) of the best-scoring target, as ``margin.align``."""
-    S, T = normalize_rows(src_emb), normalize_rows(tgt_emb)
-    dx, dy = neighborhoods(S, T, cfg.k)
-    n = S.shape[0]
-    best_idx = np.empty(n, dtype=np.int64)
-    best_score = np.empty(n)
-    for lo, hi in _blocks(n):
-        cos = np.clip(S[lo:hi] @ T.T, -1.0, 1.0)
-        scores = margin_scores(cos, dx[lo:hi, None] + dy[None, :], cfg.margin_kind)
-        picks = np.argmax(scores, axis=1)
-        best_idx[lo:hi] = picks
-        best_score[lo:hi] = scores[np.arange(hi - lo), picks]
-    return best_idx, best_score
+def picks(cos, dx, dy, kind):
+    """(indices, scores) of each source's best-scoring target over a
+    search's cosines and terms, as ``margin.align`` returns them."""
+    scores = margin_scores(cos, dx[:, None] + dy[None, :], kind)
+    best = np.argmax(scores, axis=1)
+    return best, scores[np.arange(len(best)), best]

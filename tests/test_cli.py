@@ -235,7 +235,7 @@ def test_flags_override_config_file(tmp_path, corpus_file, teacher_file, capsys)
     corpus, _ = corpus_file
     teacher, _ = teacher_file
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("sigma=0.7\nepochs=0\nqueue_size=32\n")
+    cfg.write_text("sigma=0.7\nepochs=0\nqueue_size=32\nprefilter=on\n")
     out = str(tmp_path / "student.emb")
     code = main(
         [
@@ -462,6 +462,55 @@ def test_train_is_deterministic_at_the_byte_level(tmp_path, corpus_file, teacher
         assert f1.read() == f2.read()
     log1, log2 = (tmp_path / "s1.emb.log"), (tmp_path / "s2.emb.log")
     assert log1.read_bytes() == log2.read_bytes()  # weights digest included
+
+
+def test_train_sigma_flag_without_prefilter_is_usage_error(
+    tmp_path, corpus_file, teacher_file, capsys
+):
+    # the threshold filters negatives only with the prefilter on; it used to
+    # be ignored and the run gave the plain queue run's weights
+    corpus, _ = corpus_file
+    teacher_path, _ = teacher_file
+    out = tmp_path / "student.emb"
+    assert main(train_args(corpus, teacher_path, str(out), sigma="0.3")) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error: ")
+    assert "--sigma" in err and "--prefilter" in err
+    assert not out.exists()
+    assert main(train_args(corpus, teacher_path, str(out), sigma="0.3", prefilter="on")) == 0
+
+
+def test_train_config_sigma_without_prefilter_is_echoed_as_unused(
+    tmp_path, corpus_file, teacher_file, capsys
+):
+    corpus, _ = corpus_file
+    teacher_path, _ = teacher_file
+    config = tmp_path / "run.cfg"
+    config.write_text("sigma=0.3\n")
+    out = str(tmp_path / "student.emb")
+    assert main(train_args(corpus, teacher_path, out) + ["--config", str(config)]) == 0
+    echo = capsys.readouterr().out.splitlines()[0]
+    assert echo.startswith("config: ")
+    assert echo.endswith(" sigma=0.3 step_size=0.3 tau=0.1 unused=sigma")
+    assert (tmp_path / "student.emb.log").read_text().splitlines()[0] == f"# {echo}"
+
+
+def test_train_log_of_a_config_that_uses_sigma_is_unchanged(tmp_path, corpus_file, teacher_file):
+    # the same settings from a config file and from flags write the same
+    # log, whose echo names nothing as unused
+    corpus, _ = corpus_file
+    teacher_path, _ = teacher_file
+    config = tmp_path / "run.cfg"
+    config.write_text("sigma=0.7\nprefilter=on\n")
+    from_file, from_flags = str(tmp_path / "a.emb"), str(tmp_path / "b.emb")
+    assert main(train_args(corpus, teacher_path, from_file) + ["--config", str(config)]) == 0
+    assert main(train_args(corpus, teacher_path, from_flags, sigma="0.7", prefilter="on")) == 0
+    log = (tmp_path / "a.emb.log").read_bytes()
+    assert log == (tmp_path / "b.emb.log").read_bytes()
+    assert log.startswith(
+        b"# config: batch_size=16 epochs=2 negatives=queue prefilter=on queue_size=32 "
+        b"seed=0 shuffle=on sigma=0.7 step_size=0.3 tau=0.1\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -1093,24 +1142,48 @@ _HUGE = st.one_of(
     buckets=st.one_of(st.sampled_from([2, 16]), _HUGE),
     orders=st.lists(st.one_of(st.integers(1, 4), _HUGE), min_size=1, max_size=3),
     seed=st.integers(-(2**66), 2**66),
+    preamble=st.lists(st.sampled_from(["", "  ", "#", "# dim=9 buckets=9", "\t# x"]), max_size=3),
+    bom=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    frozen=st.sampled_from(["0", "1", "2", "01", ""]),
+    extra_dim=st.sampled_from([0, 0, 1]),
 )
-def test_any_sidecar_header_exits_cleanly(dim, buckets, orders, seed):
+def test_any_sidecar_header_exits_cleanly(
+    dim, buckets, orders, seed, preamble, bom, newline, frozen, extra_dim
+):
+    # the header may follow comment and blank lines, a byte-order mark and
+    # CRLF line ends, carry a frozen flag other than 0/1, and disagree with
+    # the weight file's shape (extra_dim)
     with tempfile.TemporaryDirectory() as tmp:
         encoder = Path(tmp) / "enc.emb"
         # weights of the header's shape when that is small, so that
         # loading succeeds and embed reaches the hashing
-        shape = (buckets, dim) if 0 < buckets * dim <= 64 else (16, 2)
+        shape = (buckets, dim + extra_dim) if 0 < buckets * dim <= 64 else (16, 2)
         write_embeddings(encoder, np.random.default_rng(0).uniform(-1, 1, shape))
-        Path(f"{encoder}.meta").write_text(
+        header = (
             f"dim={dim} buckets={buckets} orders={','.join(map(str, orders))} "
-            f"seed={seed} frozen=0\n",
-            encoding="utf-8",
+            f"seed={seed} frozen={frozen}"
         )
+        text = newline.join(preamble + [header]) + newline
+        Path(f"{encoder}.meta").write_bytes(("\ufeff" if bom else "").encode() + text.encode())
         lines = Path(tmp) / "in.txt"
         lines.write_text("ab cd\nxyz\n", encoding="utf-8")
         out = str(Path(tmp) / "out.emb")
         argv = ["embed", "--input", str(lines), "--encoder", str(encoder), "--out", out]
         _assert_exits_cleanly(argv + ["--format", "lines"])
+
+
+def test_sidecar_disagreeing_with_the_weights_is_a_format_error(tmp_path, capsys):
+    encoder = tmp_path / "t.emb"
+    write_embeddings(encoder, np.random.default_rng(0).uniform(-1, 1, (64, 4)))
+    Path(f"{encoder}.meta").write_text("dim=5 buckets=64 orders=1,2 seed=0 frozen=0\n")
+    lines = tmp_path / "in.txt"
+    lines.write_text("ab cd\n", encoding="utf-8")
+    argv = ["embed", "--input", str(lines), "--encoder", str(encoder), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--format", "lines"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("format error: ") and "does not match sidecar (64 x 5)" in err
+    assert err.count("\n") == 1
 
 
 # arbitrary Unicode lines, half of them shaped key=value over the known keys

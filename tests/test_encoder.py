@@ -313,5 +313,5 @@ def test_load_rejects_shape_disagreement(tmp_path):
     save_encoder(params, path)
     meta = tmp_path / "enc.emb.meta"
     meta.write_text("dim=6 buckets=8 orders=1,2 seed=0 frozen=0\n")
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(FormatError, match=r"does not match sidecar \(8 x 6\)"):
         load_encoder(path)

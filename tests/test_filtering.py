@@ -21,7 +21,7 @@ from bitextkit.filtering import (
     write_scored_tsv,
 )
 from bitextkit.hashing import ngram_bucket_ids
-from bitextkit.margin import SearchConfig, knn, neighborhood_means
+from bitextkit.margin import MARGIN_KINDS, SearchConfig, align, knn, neighborhood_means
 from bitextkit.synth import CipherSpec, gen_cipher_corpus
 
 
@@ -226,6 +226,33 @@ def test_score_corpus_across_blocks_matches_knn_margins_and_threads():
     want = np.clip(np.einsum("nd,nd->n", S, T), -1.0, 1.0) / (dx + dy)
     got = np.array(scores[:500] + scores[502:])
     assert np.allclose(got, want, atol=1e-12, rtol=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), k=st.integers(1, 4), kind=st.sampled_from(MARGIN_KINDS))
+def test_score_corpus_scores_each_pair_with_align_bits(seed, k, kind):
+    # filter and mine score a pair with the same cosine, neighbourhood
+    # terms and margin, bit for bit: every source that align pairs with its
+    # own target gets score_corpus's score for that pair, and each pair
+    # aligned on its own gets its cosine.  The student is the teacher plus
+    # noise and both sides are the same text, so most sources pick their own
+    featurizer = FeaturizerConfig(ngram_orders=(1, 2), bucket_count=64, hash_seed=seed)
+    teacher = make_teacher(featurizer, 8, weight_seed=seed)
+    noise = np.random.default_rng(seed).normal(scale=0.05, size=teacher.weights.shape)
+    student = EncoderParams(featurizer, teacher.weights + noise)
+    texts = [t for _, t in gen_cipher_corpus(CipherSpec(vocab_size=20, max_len=5), 60, seed)]
+    pairs = list(zip(texts, texts))
+    cfg = SearchConfig(k=k, margin_kind=kind)
+    scores = np.array([p.score for p in score_corpus(pairs, student, teacher, cfg)])
+    S, T = encode_batch(student, texts), encode_batch(teacher, texts)
+    picks, best = align(S, T, cfg)
+    own = picks == np.arange(len(pairs))
+    assert own.mean() > 0.5
+    assert np.array_equal(best[own], scores[own])
+    alone = SearchConfig(k=1, margin_kind="absolute")
+    cosines = score_corpus(pairs, student, teacher, alone)
+    for i in range(0, len(pairs), 7):
+        assert align(S[i : i + 1], T[i : i + 1], alone)[1][0] == cosines[i].score
 
 
 def test_score_corpus_counts_target_tokens():

@@ -1,7 +1,7 @@
-"""Margin scoring and alignment tests: the margin combinator, exact-kNN
-with tie-breaking, hand-computed 2x2 scores, an exhaustive alignment
-oracle, a bitwise oracle of the blocked search, and the evaluation report
-format."""
+"""Margin scoring and alignment tests: the margin combinator, the per-pair
+cosine and the float32 screen's error bound, exact-kNN with tie-breaking,
+hand-computed 2x2 scores, an exhaustive alignment oracle, a bitwise
+exhaustive oracle over pair_cosines, and the evaluation report format."""
 
 import tracemalloc
 
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bitextkit import margin
 from bitextkit.errors import DimMismatchError, KTooLargeError, SizeMismatchError
 from bitextkit.margin import (
     MARGIN_KINDS,
@@ -19,12 +20,15 @@ from bitextkit.margin import (
     margin_scores,
     neighborhood_means,
     neighborhoods,
+    pair_cosines,
     xsim_error_rate,
     xsim_report,
 )
 from bitextkit.vectors import normalize_rows
-from margin_oracle import align as oracle_blocked_align
-from margin_oracle import neighborhoods as oracle_neighborhoods
+from margin_oracle import cosines as oracle_cosines
+from margin_oracle import knn as oracle_knn
+from margin_oracle import picks as oracle_picks
+from margin_oracle import search as oracle_search
 
 
 def random_units(rng, n, dim) -> np.ndarray:
@@ -55,6 +59,61 @@ def test_search_config_validation():
         SearchConfig(k=0)
     with pytest.raises(ValueError):
         SearchConfig(margin_kind="euclidean")
+
+
+# --- pair cosines and the float32 screen -------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 3, 7, 8, 9, 16, 64, 65, 300]),
+    n=st.integers(1, 40),
+    gather=st.sampled_from([1, 5, 64, 1 << 17]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_cosines_bits_depend_only_on_the_two_rows(dim, n, gather, seed):
+    rng = np.random.default_rng(seed)
+    S = random_units(rng, n, dim)
+    T = random_units(rng, n + 3, dim)
+    rows, cols = rng.integers(0, n, 50), rng.integers(0, n + 3, 50)
+    alone = np.array([pair_cosines(S, T, rows[i : i + 1], cols[i : i + 1])[0] for i in range(50)])
+    # the same pairs behind a random prefix, in a random order, gathered in
+    # chunks of another size, and with the two rows' roles swapped
+    lead = int(rng.integers(0, 9))
+    order = rng.permutation(50)
+    pre_rows = np.concatenate([rng.integers(0, n, lead), rows[order]])
+    pre_cols = np.concatenate([rng.integers(0, n + 3, lead), cols[order]])
+    saved = margin._GATHER
+    margin._GATHER = gather * dim
+    try:
+        shuffled = pair_cosines(S, T, pre_rows, pre_cols)[lead:]
+        swapped = pair_cosines(T, S, cols, rows)
+    finally:
+        margin._GATHER = saved
+    assert np.array_equal(shuffled, alone[order])
+    assert np.array_equal(swapped, alone)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 8, 64, 300]),
+    shape=st.sampled_from(["normal", "abs", "near"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float32_screen_stays_within_the_error_bound(dim, shape, seed):
+    # random unit rows, rows in one orthant (cosines bunched), and rows
+    # near +-S (cosines at +-1, where the clip acts)
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(60, dim))
+    T = rng.normal(size=(70, dim))
+    if shape == "abs":
+        S, T = np.abs(S), np.abs(T)
+    if shape == "near":
+        T = np.concatenate([S, -S[:10]]) + 1e-7 * T
+    S, T = normalize_rows(S), normalize_rows(T)
+    screen = S.astype(np.float32) @ T.astype(np.float32).T
+    gap = np.abs(screen.astype(np.float64) - oracle_cosines(S, T)).max()
+    assert gap <= margin._screen_eps(dim)
 
 
 # --- knn ----------------------------------------------------------------------
@@ -106,11 +165,10 @@ def tie_heavy_knn_case(draw):
 @given(tie_heavy_knn_case())
 def test_knn_equals_stable_argsort_oracle_bitwise(case):
     Q, C, k = case
-    sims = np.clip(normalize_rows(Q) @ normalize_rows(C).T, -1.0, 1.0)
-    want_idx = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    want_idx, want_cos = oracle_knn(Q, C, k)
     idx, cos = knn(Q, C, k)
     assert np.array_equal(idx, want_idx)
-    assert np.array_equal(cos, np.take_along_axis(sims, want_idx, axis=1))
+    assert np.array_equal(cos, want_cos)
 
 
 def test_knn_validation():
@@ -248,21 +306,23 @@ def test_align_k_exceeds_either_side():
 
 
 def test_align_traced_peak_stays_within_three_blocks():
-    # the scoring pass holds two 1024-row blocks (cosines and denominators)
-    # and the neighbourhood pass one; a pass that allocates a fresh block
-    # per step, or a selection that keeps a view of a block's partition,
-    # breaks this bound
+    # each pass holds one float32 screen of at most 1,024 rows and its
+    # boolean mask, reused for every block, and gathers only its block's
+    # kept pairs, in bounded chunks; a whole n x m screen, a float64 screen
+    # per pass held at once, or one gather of the whole search's kept pairs
+    # (18 per row when all cosines are positive) breaks two float64 blocks
     n = 5000
     rng = np.random.default_rng(4)
-    S = random_units(rng, n, 64)
-    T = random_units(rng, n, 64)
-    tracemalloc.start()
-    try:
-        align(S, T, SearchConfig(k=4, margin_kind="ratio"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 1024 * n * 8
+    for shape in (lambda rows: rows, np.abs):
+        S = normalize_rows(shape(rng.normal(size=(n, 64))))
+        T = normalize_rows(shape(rng.normal(size=(n, 64))))
+        tracemalloc.start()
+        try:
+            align(S, T, SearchConfig(k=4, margin_kind="ratio"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 1024 * n * 8
 
 
 def test_align_ratio_zero_denominator_raises():
@@ -300,10 +360,10 @@ def test_align_ratio_zero_term_without_zero_denominator_scores():
 
 @st.composite
 def search_case(draw):
-    """Row counts at and around the 128-row seed, 256 and the 1,024-row block,
-    targets both fewer and more than sources, few distinct target rows
-    (exact ties), S == T (cosines at +-1, where the clip matters), k up to
-    min(n, m) and every margin kind."""
+    """Row counts at and around 128 (the chunk count), 256 (two columns per
+    chunk) and 1,024 (two blocks), targets both fewer and more than sources,
+    few distinct target rows (exact ties), S == T (cosines at +-1, where the
+    clip matters), k up to min(n, m) and every margin kind."""
     n = draw(st.sampled_from([1, 4, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 2049]))
     same = draw(st.booleans())
     m = n if same else draw(st.one_of(st.integers(max(1, n - 300), n), st.integers(n + 1, n + 300)))
@@ -324,19 +384,66 @@ def test_search_equals_the_blocked_oracle_bitwise(case):
     dim = 2 + seed % 5
     S = rng.normal(size=(n, dim))
     T = S if same else rng.normal(size=(distinct, dim))[rng.integers(0, distinct, size=m)]
-    Su, Tu = normalize_rows(S), normalize_rows(T)
-    got = neighborhoods(Su, Tu, k)
-    want = oracle_neighborhoods(Su, Tu, k)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    cos, dx, dy = oracle_search(S, T, k)
+    got = neighborhoods(S, T, k)
+    assert np.array_equal(got[0], dx) and np.array_equal(got[1], dy)
     cfg = SearchConfig(k=k, margin_kind=kind)
     try:
-        want = oracle_blocked_align(S, T, cfg)
+        want = oracle_picks(cos, dx, dy, kind)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             align(S, T, cfg)
         return
     got = align(S, T, cfg)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _assert_search_equals_oracle(S, T, k, kind):
+    cos, dx, dy = oracle_search(S, T, k)
+    try:
+        want = oracle_picks(cos, dx, dy, kind)
+    except ZeroDivisionError:
+        return
+    got = align(S, T, SearchConfig(k=k, margin_kind=kind))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(MARGIN_KINDS),
+    k=st.integers(1, 6),
+    spread=st.sampled_from([1e-9, 1e-7, 1e-6]),
+)
+def test_search_decides_near_duplicates_by_pair_cosines(seed, kind, k, spread):
+    # rows a float32 ulp or less apart: the screen ties or misorders them,
+    # and a bound short of the screen's error drops the pair cosines' top k
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(6, 16))
+    S = base[rng.integers(0, 6, 200)] + spread * rng.normal(size=(200, 16))
+    T = base[rng.integers(0, 6, 300)] + spread * rng.normal(size=(300, 16))
+    idx, cos = knn(S, T, k)
+    want_idx, want_cos = oracle_knn(S, T, k)
+    assert np.array_equal(idx, want_idx) and np.array_equal(cos, want_cos)
+    _assert_search_equals_oracle(S, T, k, kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(MARGIN_KINDS),
+    k=st.integers(1, 6),
+    pull=st.sampled_from([-0.1, -0.3, -0.6]),
+)
+def test_search_picks_for_rows_with_only_negative_cosines(seed, kind, k, pull):
+    # every target sits in one cone and 60 of the 200 sources point away from
+    # it, so their best score is negative and the ratio floor flips bounds
+    rng = np.random.default_rng(seed)
+    axis = normalize_rows(rng.normal(size=(1, 16)))
+    T = axis + 0.075 * rng.normal(size=(300, 16))
+    S = axis + 0.075 * rng.normal(size=(200, 16))
+    S[:60] = pull * axis + 0.075 * rng.normal(size=(60, 16))
+    _assert_search_equals_oracle(S, T, k, kind)
 
 
 def test_non_finite_embeddings_are_rejected():
