@@ -7,12 +7,13 @@ lines with '#' comments.  A config file may set seed, tau, sigma,
 queue_size, batch_size, epochs, step_size, negatives, shuffle, prefilter,
 k, margin, bins and sigmas; each value it sets is checked even where the
 subcommand does not read it.  train reads sigma only with the prefilter
-on: a --sigma flag without it is a usage error, and a config file's sigma
-is echoed as unused.  Sizes allocated from a flag are capped:
-bins at 100,000, gen-synth cipher --pairs at 10,000,000 and --min-len and
---max-len at 1,000 words.  The resolved config is echoed to stdout and
-embedded as '#' comments in every text artifact (the binary EMB1 format
-is fixed, so embed/train print it instead).
+on and queue_size only with queue negatives: either flag where it is
+unread is a usage error, and a config file's value is echoed as unused.
+Sizes allocated from a flag are capped: bins at 100,000, gen-synth
+cipher --pairs at 10,000,000, --min-len and --max-len at 1,000 words.
+The resolved config is echoed to stdout and embedded as '#' comments in
+every text artifact (the binary EMB1 format is fixed, so embed/train
+print it instead).
 
 Exit codes: 0 success; 1 usage or invalid configuration; 2 I/O or file
 format errors, including input files that are not valid UTF-8 (messages
@@ -254,12 +255,14 @@ def _cmd_embed(args, vals: dict, echo: str) -> None:
 
 def _cmd_train(args, vals: dict, echo: str) -> None:
     cfg = _train_config(vals)
-    # sigma thresholds the negatives only when the prefilter is on
-    if not cfg.prefilter_enabled:
-        if args.sigma is not None:
-            raise ConfigError("--sigma is unused without --prefilter on")
-        if args.config and "sigma" in load_config(args.config):
-            echo += " unused=sigma"
+    for key, unread, why in (
+        ("sigma", not cfg.prefilter_enabled, "without --prefilter on"),
+        ("queue_size", cfg.negatives_source == NEGATIVES_IN_BATCH, "with --negatives in-batch"),
+    ):
+        if unread and getattr(args, key) is not None:
+            raise ConfigError(f"--{key.replace('_', '-')} is unused {why}")
+        if unread and args.config and key in load_config(args.config):
+            echo += f" unused={key}"
     pairs = read_pairs_tsv(args.corpus)
     teacher = load_encoder(args.teacher)
     print(echo)

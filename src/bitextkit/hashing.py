@@ -47,8 +47,9 @@ def bucket_ids(
     """
     if n_buckets < 1:
         raise ValueError("n_buckets must be >= 1")
-    orders = sorted({int(o) for o in orders if int(o) >= 1})
     n_chars = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    longest = int(n_chars.max(initial=0))  # a longer order has no n-grams
+    orders = sorted({int(o) for o in orders if 1 <= int(o) <= longest})
     data = "".join(texts).encode("utf-8")
     raw = np.frombuffer(data, dtype=np.uint8)
     # byte offset of each character: characters start at every byte that is
@@ -65,18 +66,21 @@ def bucket_ids(
     # where each text's block of the current order begins in ``ids``
     dest_base = bounds[:-1].copy()
     for order, counts in zip(orders, per_order):
-        text = np.repeat(np.arange(len(texts)), counts)
-        local = np.arange(text.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        start_char = first_char[text] + local
+        skip = np.cumsum(counts) - counts  # n-gram k is number k - skip[i] of text i
+        k = np.arange(int(counts.sum()))
+        start_char = k + np.repeat(first_char - skip, counts)
         start = offsets[start_char]
         length = offsets[start_char + order] - start
-        h = np.full(text.size, basis, dtype=np.uint64)
-        for j in range(int(length.max(initial=0))):  # j-th byte of each n-gram
+        h = np.full(k.size, basis, dtype=np.uint64)
+        for j in range(order):  # every n-gram has at least ``order`` bytes
+            h ^= raw[start + j]
+            h *= _FNV_PRIME
+        for j in range(order, int(length.max(initial=0))):  # j-th byte, if any
             live = length > j
             byte = raw[np.where(live, start + j, 0)]
             h = np.where(live, (h ^ byte) * _FNV_PRIME, h)
         buckets = _fmix64(h) % np.uint64(n_buckets)
-        ids[dest_base[text] + local] = buckets.astype(np.int64)
+        ids[k + np.repeat(dest_base - skip, counts)] = buckets.astype(np.int64)
         dest_base += counts
     return ids, bounds
 

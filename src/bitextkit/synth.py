@@ -85,12 +85,12 @@ def gen_cipher_corpus(spec: CipherSpec, n_pairs: int, seed: int) -> list[Pair]:
     src_words, tgt_words, word_map = spec.vocabulary()
     rng = np.random.default_rng(seed)
     lengths = rng.integers(spec.min_len, spec.max_len + 1, size=n_pairs)
+    mapped = [tgt_words[j] for j in word_map.tolist()]  # lists index fastest
     pairs: list[Pair] = []
-    for length in lengths:
-        words = rng.integers(0, spec.vocab_size, size=int(length))
-        source = " ".join(src_words[w] for w in words)
-        target = " ".join(tgt_words[word_map[w]] for w in words)
-        pairs.append((source, target))
+    for length in lengths.tolist():
+        words = rng.integers(0, spec.vocab_size, size=length).tolist()
+        source = " ".join([src_words[w] for w in words])
+        pairs.append((source, " ".join([mapped[w] for w in words])))
     return pairs
 
 

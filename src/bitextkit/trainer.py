@@ -612,7 +612,8 @@ def train_distill(
                 _step_core(W, idx, val, tgt, queue_mat, cfg, eq_rng, stats, slot)
             except DivergenceError as exc:
                 raise DivergenceError(f"epoch {epoch} step {step}: {exc}") from None
-            queue_mat = _fifo_push(queue_mat, tgt, cfg.queue_size)  # after the loss
+            if cfg.negatives_source != NEGATIVES_IN_BATCH:  # in-batch never reads it
+                queue_mat = _fifo_push(queue_mat, tgt, cfg.queue_size)  # after the loss
         all_stats.append(stats)
         line = (
             f"epoch={epoch} loss={stats.mean_loss:.6f} "

@@ -513,6 +513,47 @@ def test_train_log_of_a_config_that_uses_sigma_is_unchanged(tmp_path, corpus_fil
     )
 
 
+def in_batch_args(corpus, teacher, out, **extra):
+    """train_args with in-batch negatives and no --queue-size flag."""
+    args = train_args(corpus, teacher, out, negatives="in-batch", **extra)
+    at = args.index("--queue-size")
+    return args[:at] + args[at + 2 :]
+
+
+def test_train_queue_size_flag_with_in_batch_negatives_is_usage_error(
+    tmp_path, corpus_file, teacher_file, capsys
+):
+    # in-batch negatives never read the queue; every size used to be
+    # accepted and gave the same weights
+    corpus, _ = corpus_file
+    teacher_path, _ = teacher_file
+    out = tmp_path / "student.emb"
+    assert main(in_batch_args(corpus, teacher_path, str(out), queue_size="64")) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: --queue-size is unused with --negatives in-batch\n"
+    assert not out.exists()
+    assert main(in_batch_args(corpus, teacher_path, str(out))) == 0
+
+
+def test_train_config_queue_size_with_in_batch_negatives_is_echoed_as_unused(
+    tmp_path, corpus_file, teacher_file, capsys
+):
+    corpus, _ = corpus_file
+    teacher_path, _ = teacher_file
+    config = tmp_path / "run.cfg"
+    config.write_text("queue_size=64\n")
+    with_file, without = str(tmp_path / "a.emb"), str(tmp_path / "b.emb")
+    assert main(in_batch_args(corpus, teacher_path, with_file) + ["--config", str(config)]) == 0
+    echo = capsys.readouterr().out.splitlines()[0]
+    assert echo.endswith(
+        " queue_size=64 seed=0 shuffle=on sigma=0.9 step_size=0.3 tau=0.1 unused=queue_size"
+    )
+    log = (tmp_path / "a.emb.log").read_text().splitlines()
+    assert log[0] == f"# {echo}"
+    assert main(in_batch_args(corpus, teacher_path, without)) == 0
+    assert log[-1] == (tmp_path / "b.emb.log").read_text().splitlines()[-1]  # weights
+
+
 @pytest.mark.parametrize(
     "flag, value", [("step-size", "inf"), ("step-size", "nan"), ("tau", "inf"), ("sigma", "nan")]
 )

@@ -4,9 +4,11 @@ the EMB1 + sidecar round trip."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from encoder_oracle import embed as oracle_embed
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bitextkit import encoder, hashing
 from bitextkit.encoder import (
     EncoderParams,
     FeaturizerConfig,
@@ -144,24 +146,77 @@ def test_make_teacher_is_deterministic_frozen_uniform():
     assert (np.abs(t1.weights) <= 1.0).all()
 
 
+# characters of 1 to 4 UTF-8 bytes, the sentinels among them
+LETTERS = "ab ^$\u0436\u20ac\u1200\U0001f600"
+
+
+@st.composite
+def corpora(draw):
+    """(pool, rows): a corpus of pool sentences that straddles the encoder's
+    bounds.  It may run past two projection groups of rows and hold one
+    sentence longer than a hash chunk, and it always offers the empty
+    sentence and a one-character one, which has no n-grams above order 3."""
+    text = st.one_of(st.text(max_size=30), st.text(LETTERS, max_size=30))
+    pool = ["", "z"] + draw(st.lists(text, max_size=150))
+    n = draw(st.integers(0, 2 * encoder._GROUP_ROWS + 8))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, len(pool), n)
+    piece = draw(st.text(LETTERS, min_size=1, max_size=8))
+    if n and draw(st.booleans()):
+        pool.append(piece * (encoder._CHUNK_CHARS // len(piece) + 1))
+        rows[draw(st.integers(0, n - 1))] = len(pool) - 1
+    return pool, rows.tolist()
+
+
+def long_corpus():
+    """A corpus with every case of ``corpora``, for explicit examples."""
+    pool = ["", "z", "ab \u0436\u20ac", "\U0001f600" * (encoder._CHUNK_CHARS + 1)]
+    rows = [i % 3 for i in range(encoder._GROUP_ROWS + 5)]
+    rows[encoder._GROUP_ROWS // 2] = 3
+    return pool, rows
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    sentences=st.lists(st.text(max_size=25), max_size=150),
+    corpus=corpora(),
     orders=st.sets(st.integers(1, 5), min_size=1, max_size=3),
     buckets=st.integers(2, 300),
     hash_seed=st.integers(-(2**63), 2**64 - 1),
 )
-def test_featurize_batch_rows_match_featurize(sentences, orders, buckets, hash_seed):
+@example(corpus=long_corpus(), orders={4, 5}, buckets=97, hash_seed=1)
+def test_featurize_batch_rows_match_featurize(corpus, orders, buckets, hash_seed):
+    pool, rows = corpus
     cfg = FeaturizerConfig(
         ngram_orders=tuple(orders), bucket_count=buckets, hash_seed=hash_seed
     )
-    idx, val = featurize_batch(sentences, cfg)
-    feats = [featurize(s, cfg) for s in sentences]
-    assert idx.shape == val.shape == (len(sentences), max([1] + [f.nnz for f in feats]))
-    for i, f in enumerate(feats):
+    idx, val = featurize_batch([pool[r] for r in rows], cfg)
+    feats = [featurize(s, cfg) for s in pool]
+    width = max([1] + [feats[r].nnz for r in rows])
+    assert idx.shape == val.shape == (len(rows), width)
+    for i, r in enumerate(rows):
+        f = feats[r]
         assert idx[i, : f.nnz].tolist() == f.indices.tolist()
         assert val[i, : f.nnz].tolist() == f.counts.tolist()
         assert not idx[i, f.nnz :].any() and not val[i, f.nnz :].any()
+
+
+def test_batch_calls_hash_each_sentence_once(monkeypatch):
+    hashed = []
+
+    def counting(texts, *args):
+        hashed.append(sum(map(len, texts)))
+        return bucket_ids(texts, *args)
+
+    bucket_ids = hashing.bucket_ids
+    monkeypatch.setattr(hashing, "bucket_ids", counting)
+    pool, rows = long_corpus()
+    sentences = [pool[r] for r in rows]
+    wrapped = sum(len(s) + 2 for s in sentences if s)  # with sentinels
+    params = small_params()
+    featurize_batch(sentences, params.featurizer)
+    assert sum(hashed) == wrapped and len(hashed) > 1  # several chunks
+    hashed.clear()
+    encode_masked(params, sentences)
+    assert sum(hashed) == wrapped
 
 
 # --- encode ------------------------------------------------------------------
@@ -224,19 +279,40 @@ def test_encode_batch_matches_encode_bitwise():
 @settings(max_examples=25, deadline=None)
 @given(
     pool=st.lists(st.text(min_size=1, max_size=40), min_size=1, max_size=20),
-    n=st.integers(65, 200),
+    n=st.integers(encoder._GROUP_ROWS - 64, encoder._GROUP_ROWS + 200),
     dim=st.integers(2, 70),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_encode_batch_rows_match_encode_across_blocks(pool, n, dim, seed):
-    # more sentences than one featurize/project block, with repeats landing
-    # in blocks of different padding widths
+    # more sentences than one projection group, with repeats landing in
+    # different hash chunks, groups and feature-count ranks
     rng = np.random.default_rng(seed)
     sentences = [pool[i] for i in rng.integers(0, len(pool), size=n)]
     params = small_params(buckets=97, dim=dim, seed=seed)
     batch = encode_batch(params, sentences)
+    single = {s: encode(params, s) for s in pool}
     for i, s in enumerate(sentences):
-        assert np.array_equal(batch[i], encode(params, s))
+        assert np.array_equal(batch[i], single[s])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    corpus=corpora(),
+    orders=st.sets(st.integers(1, 5), min_size=1, max_size=3),
+    dim=st.integers(2, 70),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(corpus=long_corpus(), orders={4, 5}, dim=64, seed=1)
+def test_encode_masked_rows_equal_the_sequential_oracle(corpus, orders, dim, seed):
+    # bit for bit: the oracle sums z = z + c * W[i] in ascending index order
+    pool, rows = corpus
+    cfg = FeaturizerConfig(ngram_orders=tuple(orders), bucket_count=97, hash_seed=seed)
+    params = EncoderParams(cfg, np.random.default_rng(seed).normal(size=(97, dim)))
+    out, ok = encode_masked(params, [pool[r] for r in rows])
+    want = [oracle_embed(params, s) for s in pool]
+    assert out.shape == (len(rows), dim)
+    for i, r in enumerate(rows):
+        assert np.array_equal(out[i], want[r][0]) and ok[i] == want[r][1]
 
 
 def test_encode_masked_marks_failing_rows():

@@ -101,6 +101,11 @@ def test_empty_text_and_oversized_orders():
     assert hashing.ngram_bucket_ids("", (2,), 16, 0).size == 0
     assert hashing.ngram_bucket_ids("ab", (3, 9), 16, 0).size == 0
     assert hashing.ngram_bucket_ids("ab", (2, 9), 16, 0).size == 1
+    # an order no text reaches costs no work (a loop over its bytes would
+    # not end)
+    ids, bounds = hashing.bucket_ids(["ab", "", "abc"], (2, 2**62, 2**63 - 1), 16, 0)
+    want, want_bounds = hashing.bucket_ids(["ab", "", "abc"], (2,), 16, 0)
+    assert ids.tolist() == want.tolist() and bounds.tolist() == want_bounds.tolist()
 
 
 def test_multibyte_characters_count_as_single_positions():

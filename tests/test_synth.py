@@ -1,6 +1,8 @@
 """Synthetic corpus tests: cipher vocabulary/bijection invariants,
 deterministic generation, and the derangement-based noise injector."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,32 @@ def test_corpus_is_deterministic():
     assert a != c
     assert len(a) == 50
     assert gen_cipher_corpus(spec(), 0, seed=1) == []
+
+
+@pytest.mark.parametrize(
+    "cipher, n_pairs, seed, digest",
+    [
+        (
+            CipherSpec(vocab_size=100, min_len=1, max_len=12, map_seed=7),
+            500,
+            3,
+            "9b98c4462d02966062d68cd9309ab34264c5934966259f5e7a27ec839d3e5588",
+        ),
+        (
+            CipherSpec(vocab_size=300, min_len=20, max_len=60, map_seed=5),
+            200,
+            8,
+            "04b7814cd0e0129d0ec936907f7e064d0808bbf1757f116530e721a924efd5a0",
+        ),
+    ],
+    ids=["short", "long"],
+)
+def test_corpus_bytes_are_pinned(cipher, n_pairs, seed, digest):
+    # every benchmark and acceptance corpus is drawn this way, so a change to
+    # the generator's draws or joins must not move a single byte
+    pairs = gen_cipher_corpus(cipher, n_pairs, seed)
+    text = "".join(f"{source}\t{target}\n" for source, target in pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_corpus_lengths_and_surfaces():

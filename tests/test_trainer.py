@@ -681,6 +681,25 @@ def run_cfg(**overrides):
     return TrainConfig(**base)
 
 
+def test_in_batch_distill_never_pushes_onto_the_queue(monkeypatch):
+    # in-batch steps contrast against the batch's own targets, so the FIFO
+    # is never read there: its size cannot move the weights, and nothing
+    # is pushed onto it
+    teacher = tiny_teacher()
+    runs = [
+        train_distill(tiny_corpus(), teacher, run_cfg(negatives_source="in_batch", queue_size=q))
+        for q in (8, 4096)
+    ]
+    assert np.array_equal(runs[0].student.weights, runs[1].student.weights)
+
+    def pushed(*args):
+        raise AssertionError("in-batch training pushed onto the queue")
+
+    monkeypatch.setattr(trainer, "_fifo_push", pushed)
+    again = train_distill(tiny_corpus(), teacher, run_cfg(negatives_source="in_batch"))
+    assert np.array_equal(again.student.weights, runs[0].student.weights)
+
+
 def test_distill_zero_epochs_returns_init_unchanged():
     teacher = tiny_teacher()
     student = default_student(teacher, 5)
