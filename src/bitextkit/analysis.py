@@ -1,11 +1,11 @@
 """Training diagnostics: queue-similarity distributions and threshold sweeps.
 
-``similarity_distribution`` replays the exact batching and queue dynamics
-of a training run (no weight updates) and records, for every target at the
-moment its batch is processed, the average cosine between its teacher
-embedding and the queue contents.  Batching by similar length concentrates
-near-duplicates, which shows up as probability mass at high similarity —
-the regime where hard-negative pre-filtering matters.
+``similarity_distribution`` walks the first epoch of train_distill's own
+schedule (same batches, same queue rows, no weight updates) and records,
+for every target, the average cosine between its teacher embedding and
+the queue its batch is contrasted with.  Batching by similar length
+concentrates near-duplicates, which shows up as probability mass at high
+similarity — the regime where hard-negative pre-filtering matters.
 
 ``threshold_sweep`` trains one student per filter threshold from the same
 seed/init and reports held-out alignment error plus the fraction of
@@ -23,15 +23,8 @@ import numpy as np
 from .embfile import atomic_write_text
 from .encoder import EncoderParams, encode_batch
 from .errors import BitextkitError
-from .filtering import count_tokens
 from .margin import SearchConfig, xsim_error_rate
-from .trainer import (
-    TrainConfig,
-    _fifo_push,
-    _rng_streams,
-    batch_indices,
-    train_distill,
-)
+from .trainer import TrainConfig, _schedule, train_distill
 
 Pair = tuple[str, str]
 
@@ -62,29 +55,19 @@ def cosine_histogram(values, bins: int = DEFAULT_BINS) -> Histogram:
 def similarity_values(
     targets: list[str], teacher: EncoderParams, cfg: TrainConfig
 ) -> np.ndarray:
-    """Average target-vs-queue similarity for one replayed pass.
+    """Each target's average similarity against the queue its batch meets
+    in the first epoch of the schedule train_distill runs with ``cfg``.
 
-    Replays the batch order and FIFO queue updates a training run with
-    ``cfg`` would perform (same derived RNG streams), recording each
-    target's average similarity against the queue as it stood when the
-    target's batch was processed.  Targets of the warm-up batch (empty
-    queue) are excluded.  Weights never enter: only the frozen teacher's
-    embeddings matter.
+    Targets of the warm-up batch (empty queue) are excluded.  Weights
+    never enter: only the frozen teacher's embeddings matter.
     """
     tgt = encode_batch(teacher, targets)
-    lengths = [count_tokens(t) for t in targets]
-    _, batch_rng, _ = _rng_streams(cfg.rng_seed)
-    queue_mat = np.empty((0, teacher.dim), dtype=np.float64)
-    values: list[np.ndarray] = []
-    for batch in batch_indices(lengths, cfg, batch_rng):
-        emb = tgt[batch]
-        if queue_mat.shape[0]:
-            sims = np.clip(emb @ queue_mat.T, -1.0, 1.0)
-            values.append(sims.mean(axis=1))
-        queue_mat = _fifo_push(queue_mat, emb, cfg.queue_size)
-    if not values:
-        return np.empty(0, dtype=np.float64)
-    return np.concatenate(values)
+    values = [
+        np.clip(tgt[batch] @ tgt[queue].T, -1.0, 1.0).mean(axis=1)
+        for batch, queue in next(_schedule(targets, cfg))
+        if queue.size
+    ]
+    return np.concatenate(values) if values else np.empty(0, dtype=np.float64)
 
 
 def similarity_distribution(

@@ -6,9 +6,10 @@ flags > config file > defaults; the config file is flat ``key=value``
 lines with '#' comments.  A config file may set seed, tau, sigma,
 queue_size, batch_size, epochs, step_size, negatives, shuffle, prefilter,
 k, margin, bins and sigmas; each value it sets is checked even where the
-subcommand does not read it.  train reads sigma only with the prefilter
-on and queue_size only with queue negatives: either flag where it is
-unread is a usage error, and a config file's value is echoed as unused.
+subcommand does not read it.  Only train, analyze and gen-synth take
+--seed; sigma and each sigmas item lie in (0, 1.5].  A flag the run will
+not read (sigma without the prefilter, queue_size with in-batch
+negatives) is a usage error; such a config-file value is echoed as unused.
 Sizes allocated from a flag are capped: bins at 100,000, gen-synth
 cipher --pairs at 10,000,000, --min-len and --max-len at 1,000 words.
 The resolved config is echoed to stdout and embedded as '#' comments in
@@ -72,7 +73,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(
-    kind: type, low: float | None = None, strict: bool = False, high: int | None = None
+    kind: type, low: float | None = None, strict: bool = False, high: float = math.inf
 ):
     """Converter to ``kind`` (int or finite float), optionally bounded
     below by ``low`` (exclusive when ``strict``) and above by ``high``."""
@@ -88,7 +89,7 @@ def _number(
         if low is not None and not (value > low if strict else value >= low):
             bound = f"{'>' if strict else '>='} {low}"
             raise ConfigError(f"{key}: must be {bound}, got {value}")
-        if high is not None and value > high:
+        if value > high:
             raise ConfigError(f"{key}: must be <= {high}, got {value}")
         return value
 
@@ -97,6 +98,7 @@ def _number(
 
 _float = _number(float)
 _count = _number(int, 0)
+_sigma = _number(float, 0, strict=True, high=1.5)  # TrainConfig's filter_threshold
 
 # caps on the sizes allocated from a flag: whole (histogram bins, cipher
 # pairs) or once per drawn cipher sentence length
@@ -128,11 +130,11 @@ def _choice(*allowed: str):
     return convert
 
 
-def _float_list(text: str, key: str) -> list[float]:
+def _sigmas(text: str, key: str) -> list[float]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise ConfigError(f"{key}: expected a comma-separated list of numbers")
-    return [_float(piece, key) for piece in items]
+    return [_sigma(piece, key) for piece in items]
 
 
 # key -> (converter, default text, settable from a config file); paths and
@@ -140,7 +142,7 @@ def _float_list(text: str, key: str) -> list[float]:
 OPTIONS: dict = {
     "seed": (_number(int, 0), "0", True),
     "tau": (_number(float, 0, strict=True), "0.05", True),
-    "sigma": (_float, "0.9", True),
+    "sigma": (_sigma, "0.9", True),
     "queue_size": (_number(int, 1), "4096", True),
     "batch_size": (_number(int, 1), "32", True),
     "epochs": (_count, "1", True),
@@ -151,7 +153,7 @@ OPTIONS: dict = {
     "k": (_number(int, 1), "4", True),
     "margin": (_choice(*MARGIN_KINDS), "ratio", True),
     "bins": (_number(int, 1, high=MAX_BINS), "40", True),
-    "sigmas": (_float_list, "0.5,0.7,0.9,1.5", True),
+    "sigmas": (_sigmas, "0.5,0.7,0.9,1.5", True),
     "format": (_choice("tsv", "lines"), "tsv", False),
     "side": (_choice("source", "target"), "source", False),
     "vocab_size": (_number(int, 1), "100", False),
@@ -194,7 +196,7 @@ def _resolve(args) -> tuple[dict, str]:
     """Resolve the subcommand's options (flags > config file > defaults).
 
     Returns (converted values, echo line); the echo shows the raw textual
-    values in sorted key order.
+    values in sorted key order, then names each config-file value left unread.
     """
     file_values = load_config(args.config) if args.config else {}
     raw: dict[str, str] = {}
@@ -203,6 +205,16 @@ def _resolve(args) -> tuple[dict, str]:
         raw[key] = flag if flag is not None else file_values.get(key, OPTIONS[key][1])
     values = {key: OPTIONS[key][0](text, key) for key, text in raw.items()}
     echo = "config: " + " ".join(f"{k}={raw[k]}" for k in sorted(raw))
+    # (option, the option deciding whether it is read, value leaving it unread, why)
+    for key, gate, unread, why in (
+        ("sigma", "prefilter", False, "without --prefilter on"),
+        ("queue_size", "negatives", NEGATIVES_IN_BATCH, "with --negatives in-batch"),
+    ):
+        if key in values and gate in values and values[gate] == unread:
+            if getattr(args, key) is not None:
+                raise ConfigError(f"{_flag(key)} is unused {why}")
+            if key in file_values:
+                echo += f" unused={key}"
     return values, echo
 
 
@@ -255,14 +267,6 @@ def _cmd_embed(args, vals: dict, echo: str) -> None:
 
 def _cmd_train(args, vals: dict, echo: str) -> None:
     cfg = _train_config(vals)
-    for key, unread, why in (
-        ("sigma", not cfg.prefilter_enabled, "without --prefilter on"),
-        ("queue_size", cfg.negatives_source == NEGATIVES_IN_BATCH, "with --negatives in-batch"),
-    ):
-        if unread and getattr(args, key) is not None:
-            raise ConfigError(f"--{key.replace('_', '-')} is unused {why}")
-        if unread and args.config and key in load_config(args.config):
-            echo += f" unused={key}"
     pairs = read_pairs_tsv(args.corpus)
     teacher = load_encoder(args.teacher)
     print(echo)
@@ -385,8 +389,8 @@ def _cmd_gen_noise(args, vals: dict, echo: str) -> None:
 # ---------------------------------------------------------------------------
 
 # One entry per leaf subcommand: (name, help, handler, file and one-shot
-# flags, option keys).  A flag is required unless it ends in "?" (optional)
-# or "*" (repeatable); every subcommand also takes --seed and --config.
+# flags, option keys: "seed" only where it is read).  A flag is required
+# unless it ends in "?" (optional) or "*" (repeatable).  All take --config.
 COMMANDS = [
     (
         "embed",
@@ -400,7 +404,7 @@ COMMANDS = [
         "distill a student encoder",
         _cmd_train,
         "corpus teacher out log?",
-        "tau sigma queue_size batch_size epochs step_size negatives shuffle prefilter",
+        "seed tau sigma queue_size batch_size epochs step_size negatives shuffle prefilter",
     ),
     (
         "xsim-eval",
@@ -421,28 +425,28 @@ COMMANDS = [
         "target-vs-queue similarity histogram",
         _cmd_analyze_hist,
         "corpus teacher out",
-        "batch_size queue_size shuffle bins",
+        "seed batch_size queue_size shuffle bins",
     ),
     (
         "analyze sweep",
         "filter-threshold sweep with held-out eval",
         _cmd_analyze_sweep,
         "corpus eval_corpus teacher out",
-        "tau queue_size batch_size epochs step_size negatives shuffle sigmas k margin",
+        "seed tau queue_size batch_size epochs step_size negatives shuffle sigmas k margin",
     ),
     (
         "gen-synth cipher",
         "cipher-language bitext",
         _cmd_gen_cipher,
         "out pairs",
-        "vocab_size min_len max_len map_seed",
+        "seed vocab_size min_len max_len map_seed",
     ),
     (
         "gen-synth noise",
         "inject misalignments",
         _cmd_gen_noise,
         "corpus rate out labels_out?",
-        "",
+        "seed",
     ),
 ]
 
@@ -467,7 +471,6 @@ def build_parser() -> _Parser:
             p.set_defaults(func=None)
             subparsers[group] = p.add_subparsers(dest="mode")
         p = subparsers[group].add_parser(leaf, help=help_text)
-        p.add_argument("--seed")
         p.add_argument("--config", help="key=value config file")
         for flag in flags.split():
             if flag.endswith("*"):
@@ -476,7 +479,7 @@ def build_parser() -> _Parser:
                 p.add_argument(_flag(flag.rstrip("?")), required=not flag.endswith("?"))
         for key in keys.split():
             p.add_argument(_flag(key))
-        p.set_defaults(func=func, option_keys=["seed"] + keys.split())
+        p.set_defaults(func=func, option_keys=keys.split())
     return parser
 
 

@@ -5,8 +5,9 @@ targets with the teacher (positives k+), scores q against [k+; negatives]
 with temperature-scaled softmax cross-entropy (label = positive), and takes
 one plain gradient step on the student weights.  Negatives come either
 from a FIFO memory queue of past teacher target embeddings or from the
-other targets in the batch.  Targets are enqueued only *after* the loss
-and gradient are computed.
+other targets in the batch.  One schedule, shared with the similarity
+histogram, gives every step its batch and queue: targets are enqueued
+only *after* the loss and gradient are computed.
 
 Optional hard-negative pre-filtering drops queue entries too similar to
 the positive (cos >= threshold) and equalizes the surviving set sizes
@@ -160,13 +161,8 @@ def queue_update(queue: NegativeQueue, new_targets) -> NegativeQueue:
             f"pushed rows of shape {rows.shape} onto a queue of dim "
             f"{queue.entries.shape[1]}"
         )
-    merged = _fifo_push(queue.entries, rows, queue.capacity)
+    merged = np.vstack([queue.entries, rows])[-queue.capacity :]
     return NegativeQueue(queue.capacity, merged)
-
-
-def _fifo_push(entries: np.ndarray, rows: np.ndarray, capacity: int) -> np.ndarray:
-    """Append ``rows`` after ``entries`` and keep the newest ``capacity``."""
-    return np.vstack([entries, rows])[-capacity:]
 
 
 def _rng_streams(seed: int) -> list[np.random.Generator]:
@@ -331,23 +327,41 @@ def filtered_infonce_loss(
 
 
 def batch_indices(
-    target_lengths, cfg: TrainConfig, rng: np.random.Generator | None = None
+    target_lengths, cfg: TrainConfig, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Partition corpus indices into batches.
 
-    shuffle=True draws a seeded permutation; shuffle=False stably sorts by
-    ascending target length (original order breaks ties) and chunks, so
-    similar-length targets land in the same batch.  The last batch may be
-    short.
+    shuffle=True draws a permutation from ``rng``; shuffle=False stably
+    sorts by ascending target length (original order breaks ties) and
+    chunks, so similar-length targets land in the same batch.  The last
+    batch may be short.
     """
     n = len(target_lengths)
     if cfg.shuffle:
-        if rng is None:
-            rng = np.random.default_rng(cfg.rng_seed)
         order = rng.permutation(n)
     else:
         order = np.argsort(np.asarray(target_lengths), kind="stable")
     return [order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
+
+
+def _schedule(targets: list[str], cfg: TrainConfig):
+    """The run's batches and the FIFO queue each one is contrasted against.
+
+    Yields, per epoch and without end, a list of (batch, queue) corpus-row
+    views into one index array: batch_indices' batches from the run's
+    batch-order stream and, for each, the last cfg.queue_size targets
+    before it in the run's target stream (earlier epochs included), oldest
+    first.  A target thus joins the queue only after its own step.
+    """
+    lengths = [count_tokens(t) for t in targets]
+    batch_rng = _rng_streams(cfg.rng_seed)[1]
+    b, q = cfg.batch_size, cfg.queue_size
+    stream = np.empty(0, dtype=np.intp)
+    while True:
+        carry = stream[-q:]  # the queue at the epoch's start
+        stream = np.concatenate([carry, *batch_indices(lengths, cfg, batch_rng)])
+        starts = range(carry.size, stream.size, b)
+        yield [(stream[i : i + b], stream[max(0, i - q) : i]) for i in starts]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +413,7 @@ def _step_core(
     idx: np.ndarray,
     val: np.ndarray,
     tgt_emb: np.ndarray,
-    queue_mat: np.ndarray,
+    queue_mat: np.ndarray | None,
     cfg: TrainConfig,
     eq_rng: np.random.Generator,
     stats: EpochStats,
@@ -579,7 +593,8 @@ def train_distill(
     epoch and step, at the first step whose loss or updated weights are
     not finite.
     """
-    minimum = 2 if cfg.negatives_source == NEGATIVES_IN_BATCH else cfg.batch_size + 1
+    in_batch = cfg.negatives_source == NEGATIVES_IN_BATCH
+    minimum = 2 if in_batch else cfg.batch_size + 1
     if cfg.epochs >= 1 and len(pairs) < minimum:
         raise TooFewPairsError(
             f"{len(pairs)} pairs leave an epoch without a loss step: "
@@ -594,26 +609,23 @@ def train_distill(
     targets = [t for _, t in pairs]
     idx_all, val_all = _featurize_sources(sources, student_init.featurizer)
     tgt_all = encode_batch(teacher, targets)
-    lengths = [count_tokens(t) for t in targets]
 
-    _, batch_rng, eq_rng = _rng_streams(cfg.rng_seed)
+    eq_rng = _rng_streams(cfg.rng_seed)[2]
 
     W = student_init.weights.copy()
-    queue_mat = np.empty((0, teacher.dim), dtype=np.float64)
     slot = np.empty(W.shape[0], dtype=np.int64)
     all_stats: list[EpochStats] = []
     log_lines: list[str] = []
 
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch, steps in zip(range(1, cfg.epochs + 1), _schedule(targets, cfg)):
         stats = EpochStats()
-        for step, batch in enumerate(batch_indices(lengths, cfg, batch_rng), 1):
+        for step, (batch, queue) in enumerate(steps, 1):
             idx, val, tgt = idx_all[batch], val_all[batch], tgt_all[batch]
+            queue_mat = None if in_batch else tgt_all[queue]
             try:
                 _step_core(W, idx, val, tgt, queue_mat, cfg, eq_rng, stats, slot)
             except DivergenceError as exc:
                 raise DivergenceError(f"epoch {epoch} step {step}: {exc}") from None
-            if cfg.negatives_source != NEGATIVES_IN_BATCH:  # in-batch never reads it
-                queue_mat = _fifo_push(queue_mat, tgt, cfg.queue_size)  # after the loss
         all_stats.append(stats)
         line = (
             f"epoch={epoch} loss={stats.mean_loss:.6f} "

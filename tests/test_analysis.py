@@ -122,7 +122,7 @@ def test_similarity_values_match_queue_replay_oracle():
     from bitextkit.filtering import count_tokens
     from bitextkit.trainer import batch_indices, queue_update
 
-    order = batch_indices([count_tokens(t) for t in targets], cfg)
+    order = batch_indices([count_tokens(t) for t in targets], cfg, np.random.default_rng(0))
     queue = NegativeQueue.empty(16, teacher.dim)
     expected = []
     for batch in order:
@@ -131,6 +131,31 @@ def test_similarity_values_match_queue_replay_oracle():
             expected.extend(avg_target_similarity(e, queue) for e in emb)
         queue = queue_update(queue, emb)
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+def test_shuffled_similarity_values_score_the_queues_training_steps_see(monkeypatch):
+    # epoch 1 of a shuffled training run: each step's targets against the
+    # queue train_distill hands that step, bit for bit
+    from bitextkit import trainer
+
+    pairs = gen_cipher_corpus(CipherSpec(vocab_size=30, min_len=1, max_len=6, map_seed=7), 75, 11)
+    teacher = tiny_teacher()
+    cfg = sim_cfg(batch_size=8, queue_size=20, epochs=2)
+    seen = []
+    step_core = trainer._step_core
+
+    def recording(W, idx, val, tgt_emb, queue_mat, *rest):
+        seen.append((tgt_emb.copy(), queue_mat.copy()))
+        return step_core(W, idx, val, tgt_emb, queue_mat, *rest)
+
+    monkeypatch.setattr(trainer, "_step_core", recording)
+    trainer.train_distill(pairs, teacher, cfg)
+    assert len(seen) == 2 * 10
+    epoch1 = [np.clip(t @ q.T, -1.0, 1.0).mean(axis=1) for t, q in seen[:10] if q.shape[0]]
+    assert [q.shape[0] for _, q in seen[:4]] == [0, 8, 16, 20]
+    got = similarity_values([t for _, t in pairs], teacher, cfg)
+    assert got.shape == (75 - 8,)
+    assert np.array_equal(got, np.concatenate(epoch1))
 
 
 def test_similarity_distribution_wraps_values_into_histogram():

@@ -267,7 +267,7 @@ def test_config_echo_is_sorted(tmp_path, corpus_file, teacher_file, capsys):
     out = str(tmp_path / "emb.emb")
     assert main(["embed", "--input", corpus, "--encoder", teacher, "--out", out]) == 0
     echo = capsys.readouterr().out.splitlines()[0]
-    assert echo == "config: format=tsv seed=0 side=source"
+    assert echo == "config: format=tsv side=source"
 
 
 # --- gen-synth -------------------------------------------------------------------
@@ -799,15 +799,44 @@ def test_analyze_sweep_writes_csv(tmp_path, corpus_file, teacher_file):
     assert kept == 1.0  # sigma 1.5 keeps every negative
 
 
+def test_sweep_queue_size_flag_with_in_batch_negatives_is_usage_error(tmp_path, capsys):
+    # rejected before any input is opened (the files do not exist), so no
+    # student is trained
+    argv = _required_args(["analyze", "sweep"], tmp_path)
+    assert main(argv + ["--negatives", "in-batch", "--queue-size", "8"]) == 1
+    assert capsys.readouterr().err == "usage error: --queue-size is unused with --negatives in-batch\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_config_queue_size_with_in_batch_negatives_is_echoed_as_unused(
+    tmp_path, corpus_file, teacher_file, capsys
+):
+    corpus, _ = corpus_file
+    teacher_path, _ = teacher_file
+    config = tmp_path / "run.cfg"
+    config.write_text("queue_size=64\n")
+    out = tmp_path / "sweep.csv"
+    argv = [
+        "analyze", "sweep", "--corpus", corpus, "--eval-corpus", corpus, "--teacher",
+        teacher_path, "--out", str(out), "--sigmas", "1.5", "--negatives", "in-batch",
+        "--batch-size", "16", "--config", str(config),
+    ]
+    assert main(argv) == 0
+    echo = capsys.readouterr().out.splitlines()[0]
+    assert echo.startswith("config: ") and echo.endswith(" tau=0.05 unused=queue_size")
+    assert f"# {echo}" in out.read_text().splitlines()
+
+
 # --- CLI surface: accepted flags and resolved defaults per subcommand -------------
 
-_COMMON_FLAGS = {"-h", "--help", "--seed", "--config"}
+_COMMON_FLAGS = {"-h", "--help", "--config"}
 
-# flags beyond the common ones, and the default ``config:`` echo, per leaf subcommand
+# flags beyond the common ones, and the default ``config:`` echo, per leaf
+# subcommand; only the subcommands that read a seed take --seed
 SURFACE = {
     ("embed",): (
         {"--input", "--encoder", "--out", "--format", "--side"},
-        "config: format=tsv seed=0 side=source",
+        "config: format=tsv side=source",
     ),
     ("train",): (
         {
@@ -815,6 +844,7 @@ SURFACE = {
             "--teacher",
             "--out",
             "--log",
+            "--seed",
             "--tau",
             "--sigma",
             "--queue-size",
@@ -830,7 +860,7 @@ SURFACE = {
     ),
     ("xsim-eval",): (
         {"--src", "--tgt", "--out", "--k", "--margin"},
-        "config: k=4 margin=ratio seed=0",
+        "config: k=4 margin=ratio",
     ),
     ("filter",): (
         {
@@ -843,10 +873,19 @@ SURFACE = {
             "--k",
             "--margin",
         },
-        "config: k=4 margin=ratio seed=0",
+        "config: k=4 margin=ratio",
     ),
     ("analyze", "hist"): (
-        {"--corpus", "--teacher", "--out", "--batch-size", "--queue-size", "--shuffle", "--bins"},
+        {
+            "--corpus",
+            "--teacher",
+            "--out",
+            "--seed",
+            "--batch-size",
+            "--queue-size",
+            "--shuffle",
+            "--bins",
+        },
         "config: batch_size=32 bins=40 queue_size=4096 seed=0 shuffle=on",
     ),
     ("analyze", "sweep"): (
@@ -855,6 +894,7 @@ SURFACE = {
             "--eval-corpus",
             "--teacher",
             "--out",
+            "--seed",
             "--tau",
             "--queue-size",
             "--batch-size",
@@ -870,11 +910,11 @@ SURFACE = {
         "seed=0 shuffle=on sigmas=0.5,0.7,0.9,1.5 step_size=0.05 tau=0.05",
     ),
     ("gen-synth", "cipher"): (
-        {"--out", "--pairs", "--vocab-size", "--min-len", "--max-len", "--map-seed"},
+        {"--out", "--pairs", "--seed", "--vocab-size", "--min-len", "--max-len", "--map-seed"},
         "config: map_seed=0 max_len=12 min_len=1 seed=0 vocab_size=100",
     ),
     ("gen-synth", "noise"): (
-        {"--corpus", "--rate", "--out", "--labels-out"},
+        {"--corpus", "--rate", "--out", "--labels-out", "--seed"},
         "config: seed=0",
     ),
 }
@@ -915,6 +955,13 @@ def _minimal_argv(path, tmp_path, corpus, teacher):
         ("gen-synth", "cipher"): ["--out", out, "--pairs", "3"],
         ("gen-synth", "noise"): ["--corpus", corpus, "--rate", "0.2", "--out", out],
     }[path]
+
+
+@pytest.mark.parametrize("command", [["embed"], ["xsim-eval"], ["filter"]], ids=" ".join)
+def test_seed_flag_is_rejected_where_no_seed_is_read(tmp_path, capsys, command):
+    assert main(_required_args(command, tmp_path) + ["--seed", "3"]) == 1
+    assert capsys.readouterr().err == "usage error: unrecognized arguments: --seed 3\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("path", list(SURFACE), ids=" ".join)
@@ -1008,6 +1055,15 @@ SEED_REJECTIONS = [
     (["gen-synth", "cipher"], "map_seed", "-1", "map_seed: must be >= 0, got -1"),
 ]
 
+# thresholds outside TrainConfig's (0, 1.5], rejected before any student is
+# trained (appended last, like the seeds)
+SIGMA_REJECTIONS = [
+    (["train"], "sigma", "2", "sigma: must be <= 1.5, got 2.0"),
+    (["train"], "sigma", "0", "sigma: must be > 0, got 0.0"),
+    (["analyze", "sweep"], "sigmas", "0.5,0.9,2", "sigmas: must be <= 1.5, got 2.0"),
+    (["analyze", "sweep"], "sigmas", "0.5,0", "sigmas: must be > 0, got 0.0"),
+]
+
 
 def _required_args(command, tmp_path):
     """Required flags naming files that do not exist: option values are
@@ -1037,7 +1093,7 @@ def _flag(key):
 
 @pytest.mark.parametrize(
     "command, key, value, message",
-    REJECTIONS + ONE_SHOT_REJECTIONS + LIMIT_REJECTIONS + SEED_REJECTIONS,
+    REJECTIONS + ONE_SHOT_REJECTIONS + LIMIT_REJECTIONS + SEED_REJECTIONS + SIGMA_REJECTIONS,
     ids=lambda v: v if isinstance(v, str) and not v.count(" ") else None,
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, command, key, value, message):
@@ -1049,7 +1105,11 @@ def test_bad_flag_value_is_usage_error(tmp_path, capsys, command, key, value, me
 
 @pytest.mark.parametrize(
     "command, key, value, message",
-    [case for case in REJECTIONS + LIMIT_REJECTIONS + SEED_REJECTIONS if case[1] in FILE_KEYS],
+    [
+        case
+        for case in REJECTIONS + LIMIT_REJECTIONS + SEED_REJECTIONS + SIGMA_REJECTIONS
+        if case[1] in FILE_KEYS
+    ],
     ids=lambda v: v if isinstance(v, str) and not v.count(" ") else None,
 )
 def test_bad_config_file_value_is_usage_error(tmp_path, capsys, command, key, value, message):
@@ -1074,15 +1134,16 @@ def test_file_keys_are_exactly_the_configurable_options(tmp_path):
 
 @pytest.mark.parametrize("via_config", [False, True])
 def test_library_value_error_is_usage_error(tmp_path, capsys, via_config):
+    # each value passes its converter; only TrainConfig rejects the pair
     argv = _required_args(["train"], tmp_path)
     if via_config:
         config = tmp_path / "run.cfg"
-        config.write_text("sigma=2\n")
+        config.write_text("negatives=in-batch\nbatch_size=1\n")
         argv += ["--config", str(config)]
     else:
-        argv += ["--sigma", "2"]
+        argv += ["--negatives", "in-batch", "--batch-size", "1"]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "usage error: filter_threshold must be in (0, 1.5], got 2.0\n"
+    assert capsys.readouterr().err == "usage error: in-batch negatives require batch_size >= 2\n"
 
 
 # --- undecodable input files and config values no subcommand reads ---------------

@@ -356,31 +356,56 @@ def test_filtered_loss_validation():
 
 def test_batches_without_shuffle_group_by_length():
     cfg = TrainConfig(batch_size=2, shuffle=False)
-    batches = batch_indices([5, 2, 9, 2], cfg)
+    batches = batch_indices([5, 2, 9, 2], cfg, np.random.default_rng(0))
     assert [b.tolist() for b in batches] == [[1, 3], [0, 2]]
 
 
 def test_make_batches_keys_on_target_token_count():
     pairs = [("s0", "a b c"), ("s1", "a"), ("s2", "a b c d"), ("s3", "b")]
     cfg = TrainConfig(batch_size=2, shuffle=False)
-    batches = batch_indices([count_tokens(t) for _, t in pairs], cfg)
+    batches = batch_indices([count_tokens(t) for _, t in pairs], cfg, np.random.default_rng(0))
     assert [b.tolist() for b in batches] == [[1, 3], [0, 2]]
 
 
 def test_shuffled_batches_are_seeded_permutations():
+    # the order comes from the generator passed in; there is no fallback
+    # that would draw an order no training run uses
     cfg = TrainConfig(batch_size=4, shuffle=True, rng_seed=5)
     lengths = list(range(11))
-    a = batch_indices(lengths, cfg)
-    b = batch_indices(lengths, cfg)
+    a = batch_indices(lengths, cfg, np.random.default_rng(5))
+    b = batch_indices(lengths, cfg, np.random.default_rng(5))
     assert [x.tolist() for x in a] == [x.tolist() for x in b]
     assert sorted(np.concatenate(a).tolist()) == list(range(11))
     assert [len(x) for x in a] == [4, 4, 3]
     c = batch_indices(lengths, cfg, np.random.default_rng(6))
     assert [x.tolist() for x in a] != [x.tolist() for x in c]
+    with pytest.raises(TypeError):
+        batch_indices(lengths, cfg)
 
 
 def test_empty_corpus_gives_no_batches():
-    assert batch_indices([], TrainConfig()) == []
+    assert batch_indices([], TrainConfig(), np.random.default_rng(0)) == []
+
+
+@pytest.mark.parametrize("queue_size", [1, 7, 16, 40, 100])
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_schedule_queues_are_a_fifo_over_the_run_target_stream(queue_size, shuffle):
+    # one FIFO of corpus rows pushed after every batch, across epochs,
+    # against the schedule's windows (a queue longer than the corpus spans
+    # several epochs)
+    targets = [t for _, t in tiny_corpus(37)]
+    lengths = [count_tokens(t) for t in targets]
+    cfg = run_cfg(batch_size=8, queue_size=queue_size, shuffle=shuffle)
+    batch_rng = trainer._rng_streams(cfg.rng_seed)[1]
+    fifo, epochs = [], trainer._schedule(targets, cfg)
+    for _ in range(4):
+        steps = next(epochs)
+        assert [b.tolist() for b, _ in steps] == [
+            b.tolist() for b in batch_indices(lengths, cfg, batch_rng)
+        ]
+        for batch, queue in steps:
+            assert queue.tolist() == fifo
+            fifo = (fifo + batch.tolist())[-queue_size:]
 
 
 def test_length_batching_reduces_within_batch_spread():
@@ -390,11 +415,12 @@ def test_length_batching_reduces_within_batch_spread():
     def mean_within_var(batches):
         return float(np.mean([np.var(lengths[b]) for b in batches if len(b) > 1]))
 
+    rng = np.random.default_rng(1)
     sorted_var = mean_within_var(
-        batch_indices(lengths, TrainConfig(batch_size=32, shuffle=False))
+        batch_indices(lengths, TrainConfig(batch_size=32, shuffle=False), rng)
     )
     shuffled_var = mean_within_var(
-        batch_indices(lengths, TrainConfig(batch_size=32, shuffle=True, rng_seed=1))
+        batch_indices(lengths, TrainConfig(batch_size=32, shuffle=True), rng)
     )
     assert sorted_var < shuffled_var
 
@@ -681,10 +707,10 @@ def run_cfg(**overrides):
     return TrainConfig(**base)
 
 
-def test_in_batch_distill_never_pushes_onto_the_queue(monkeypatch):
+def test_in_batch_distill_never_gathers_queue_rows(monkeypatch):
     # in-batch steps contrast against the batch's own targets, so the FIFO
-    # is never read there: its size cannot move the weights, and nothing
-    # is pushed onto it
+    # is never read there: its size cannot move the weights, and no step
+    # is handed a queue row
     teacher = tiny_teacher()
     runs = [
         train_distill(tiny_corpus(), teacher, run_cfg(negatives_source="in_batch", queue_size=q))
@@ -692,12 +718,16 @@ def test_in_batch_distill_never_pushes_onto_the_queue(monkeypatch):
     ]
     assert np.array_equal(runs[0].student.weights, runs[1].student.weights)
 
-    def pushed(*args):
-        raise AssertionError("in-batch training pushed onto the queue")
+    step_core, queues = trainer._step_core, []
 
-    monkeypatch.setattr(trainer, "_fifo_push", pushed)
+    def recording(W, idx, val, tgt_emb, queue_mat, *rest):
+        queues.append(queue_mat)
+        return step_core(W, idx, val, tgt_emb, queue_mat, *rest)
+
+    monkeypatch.setattr(trainer, "_step_core", recording)
     again = train_distill(tiny_corpus(), teacher, run_cfg(negatives_source="in_batch"))
     assert np.array_equal(again.student.weights, runs[0].student.weights)
+    assert queues and all(q is None or q.shape[0] == 0 for q in queues)
 
 
 def test_distill_zero_epochs_returns_init_unchanged():
