@@ -8,8 +8,8 @@ queue_size, batch_size, epochs, step_size, negatives, shuffle, prefilter,
 k, margin, bins and sigmas; each value it sets is checked even where the
 subcommand does not read it.  Only train, analyze and gen-synth take
 --seed; sigma and each sigmas item lie in (0, 1.5].  A flag the run will
-not read (sigma without the prefilter, queue_size with in-batch
-negatives) is a usage error; such a config-file value is echoed as unused.
+not read (sigma without --prefilter on, for one) is a usage error; such a
+config-file value is echoed as unused.
 Sizes allocated from a flag are capped: bins at 100,000, gen-synth
 cipher --pairs at 10,000,000, --min-len and --max-len at 1,000 words.
 The resolved config is echoed to stdout and embedded as '#' comments in
@@ -205,14 +205,11 @@ def _resolve(args) -> tuple[dict, str]:
         raw[key] = flag if flag is not None else file_values.get(key, OPTIONS[key][1])
     values = {key: OPTIONS[key][0](text, key) for key, text in raw.items()}
     echo = "config: " + " ".join(f"{k}={raw[k]}" for k in sorted(raw))
-    # (option, the option deciding whether it is read, value leaving it unread, why)
-    for key, gate, unread, why in (
-        ("sigma", "prefilter", False, "without --prefilter on"),
-        ("queue_size", "negatives", NEGATIVES_IN_BATCH, "with --negatives in-batch"),
-    ):
-        if key in values and gate in values and values[gate] == unread:
+    for key, condition in args.option_keys.items():
+        gate, _, wanted = condition.partition("=")
+        if condition and values[gate] != OPTIONS[gate][0](wanted, gate):
             if getattr(args, key) is not None:
-                raise ConfigError(f"{_flag(key)} is unused {why}")
+                raise ConfigError(f"{_flag(key)} is unused with {_flag(gate)} {raw[gate]}")
             if key in file_values:
                 echo += f" unused={key}"
     return values, echo
@@ -306,6 +303,8 @@ def _cmd_filter(args, vals: dict, echo: str) -> None:
         raise ConfigError("nothing to do: pass --scored-out and/or --budget")
     if budgets and not args.subset_out:
         raise ConfigError("--budget requires --subset-out")
+    if args.subset_out and not budgets:
+        raise ConfigError("--subset-out requires --budget")
     if len(budgets) > 1 and "{budget}" not in args.subset_out:
         raise ConfigError(
             "--subset-out needs a {budget} placeholder with multiple budgets"
@@ -391,20 +390,22 @@ def _cmd_gen_noise(args, vals: dict, echo: str) -> None:
 # One entry per leaf subcommand: (name, help, handler, file and one-shot
 # flags, option keys: "seed" only where it is read).  A flag is required
 # unless it ends in "?" (optional) or "*" (repeatable).  All take --config.
+# An option key "key:gate=value" is read only when option gate has that value.
 COMMANDS = [
     (
         "embed",
         "encode sentences to EMB1",
         _cmd_embed,
         "input encoder out",
-        "format side",
+        "format side:format=tsv",
     ),
     (
         "train",
         "distill a student encoder",
         _cmd_train,
         "corpus teacher out log?",
-        "seed tau sigma queue_size batch_size epochs step_size negatives shuffle prefilter",
+        "seed tau sigma:prefilter=on queue_size:negatives=queue batch_size epochs step_size"
+        " negatives shuffle prefilter",
     ),
     (
         "xsim-eval",
@@ -425,14 +426,15 @@ COMMANDS = [
         "target-vs-queue similarity histogram",
         _cmd_analyze_hist,
         "corpus teacher out",
-        "seed batch_size queue_size shuffle bins",
+        "seed:shuffle=on batch_size queue_size shuffle bins",
     ),
     (
         "analyze sweep",
         "filter-threshold sweep with held-out eval",
         _cmd_analyze_sweep,
         "corpus eval_corpus teacher out",
-        "seed tau queue_size batch_size epochs step_size negatives shuffle sigmas k margin",
+        "seed tau queue_size:negatives=queue batch_size epochs step_size negatives shuffle"
+        " sigmas k margin",
     ),
     (
         "gen-synth cipher",
@@ -477,9 +479,10 @@ def build_parser() -> _Parser:
                 p.add_argument(_flag(flag[:-1]), action="append")
             else:
                 p.add_argument(_flag(flag.rstrip("?")), required=not flag.endswith("?"))
-        for key in keys.split():
+        keys = dict(word.partition(":")[::2] for word in keys.split())  # key -> "gate=value"
+        for key in keys:
             p.add_argument(_flag(key))
-        p.set_defaults(func=func, option_keys=keys.split())
+        p.set_defaults(func=func, option_keys=keys)
     return parser
 
 

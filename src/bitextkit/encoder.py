@@ -7,6 +7,8 @@ is projected and normalized:
 
     embed(s) = W^T f / ||W^T f||,   W in R^(buckets x dim)
 
+Many sentences' counts take one unpadded compressed-row form, which the
+encoder and the trainer both read: featurize_batch's (nnz, indices, counts).
 W^T f is the sequential sum z = z + c * W[i] over f's buckets i in
 ascending order, each product rounded before its add, so the bits of a
 sentence's embedding never depend on the batch it is encoded in.
@@ -82,11 +84,7 @@ _GROUP_ROWS = 1024
 def _block_counts(
     sentences: list[str], cfg: FeaturizerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hashed n-gram counts of a few sentences in compressed-row form.
-
-    Returns (nnz, indices, counts): sentence i owns the next nnz[i]
-    entries of indices (strictly increasing) and counts.
-    """
+    """featurize_batch of a few sentences, hashed in one call."""
     wrapped = [SENTINEL_BEGIN + s + SENTINEL_END if s else "" for s in sentences]
     ids, bounds = hashing.bucket_ids(
         wrapped, cfg.ngram_orders, cfg.bucket_count, cfg.hash_seed
@@ -97,35 +95,19 @@ def _block_counts(
     return nnz, keys % cfg.bucket_count, counts.astype(np.float64)
 
 
-def _group_counts(sentences: list[str], cfg: FeaturizerConfig) -> tuple[np.ndarray, ...]:
-    """_block_counts, one call per chunk of about _CHUNK_CHARS characters."""
+def featurize_batch(sentences: list[str], cfg: FeaturizerConfig) -> tuple[np.ndarray, ...]:
+    """Hashed n-gram counts of many sentences in compressed-row form.
+
+    Returns (nnz, indices, counts): sentence i owns the next nnz[i]
+    entries of indices (strictly increasing) and counts, which are
+    featurize(sentences[i]).  Hashes each sentence once, one call per
+    chunk of about _CHUNK_CHARS characters.
+    """
     ends = np.cumsum(np.fromiter(map(len, sentences), np.int64, len(sentences)))
     cuts = (np.flatnonzero(np.diff(ends // _CHUNK_CHARS)) + 1).tolist()
     spans = zip([0] + cuts, cuts + [len(sentences)])
     chunks = [_block_counts(sentences[lo:hi], cfg) for lo, hi in spans]
     return tuple(np.concatenate(part) for part in zip(*chunks))
-
-
-def featurize_batch(
-    sentences: list[str], cfg: FeaturizerConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hashed n-gram counts of many sentences as padded (n, K) arrays.
-
-    Row i holds featurize(sentences[i]) left-packed: its bucket indices
-    (increasing) and counts, then padding of index 0 with count 0.0, which
-    contributes nothing to any product or scatter-add.  K is the largest
-    feature count (at least 1).  Hashes each sentence once, group by group.
-    """
-    starts = range(0, len(sentences), _GROUP_ROWS)
-    groups = [_group_counts(sentences[lo : lo + _GROUP_ROWS], cfg) for lo in starts]
-    width = max([1] + [int(nnz.max(initial=0)) for nnz, _, _ in groups])
-    idx = np.zeros((len(sentences), width), dtype=np.int64)
-    val = np.zeros((len(sentences), width), dtype=np.float64)
-    for lo, (nnz, indices, counts) in zip(starts, groups):
-        packed = np.arange(width) < nnz[:, None]  # row-major = left-packed
-        idx[lo : lo + nnz.size][packed] = indices
-        val[lo : lo + nnz.size][packed] = counts
-    return idx, val
 
 
 def featurize(sentence: str, cfg: FeaturizerConfig) -> SparseCounts:
@@ -183,7 +165,7 @@ def make_teacher(
 
 
 def _project(W: np.ndarray, nnz: np.ndarray, ind: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-    """W^T f of rows in _block_counts form, adding one feature column at a
+    """W^T f of rows in featurize_batch form, adding one feature column at a
     time to the rows (sorted by feature count) that have it.  The trainer's
     F @ W[u] would not do here: BLAS sums in an order set by the shape.
     """
@@ -216,7 +198,7 @@ def encode_masked(
     ok = np.zeros(n, dtype=bool)
     for lo in range(0, n, _GROUP_ROWS):
         group = sentences[lo : lo + _GROUP_ROWS]  # its features die with the call
-        z = _project(params.weights, *_group_counts(group, params.featurizer))
+        z = _project(params.weights, *featurize_batch(group, params.featurizer))
         norms = np.linalg.norm(z, axis=1)
         good = norms > ZERO_NORM_EPS
         out[lo : lo + len(z)][good] = z[good] / norms[good, None]

@@ -163,6 +163,13 @@ def _row_search(Q: np.ndarray, C: np.ndarray, k: int):
         yield lo, G, keep[:rows], r, c, pair_cosines(Q, C, lo + r, c)
 
 
+def _check_k(k: int, C: np.ndarray) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > C.shape[0]:
+        raise KTooLargeError(f"k={k} but only {C.shape[0]} candidates")
+
+
 def knn(queries, candidates, k: int):
     """Exact top-k candidates by cosine for every query row.
 
@@ -170,11 +177,8 @@ def knn(queries, candidates, k: int):
     descending pair_cosines value with exact ties broken toward the lower
     candidate index.  Raises KTooLargeError if k exceeds the candidate count.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     Q, C = _unit_rows(queries, candidates)
-    if k > C.shape[0]:
-        raise KTooLargeError(f"k={k} but only {C.shape[0]} candidates")
+    _check_k(k, C)
     idx, top = np.empty((Q.shape[0], k), dtype=np.int64), np.empty((Q.shape[0], k))
     for lo, G, _, r, c, cos in _row_search(Q, C, k):
         grid, starts = _grid(r, len(G), -cos, np.inf)  # stable: ties by column
@@ -188,12 +192,27 @@ def neighborhood_means(nn_cosines: np.ndarray, k: int) -> np.ndarray:
     return nn_cosines.sum(axis=1) / (2.0 * k)
 
 
+def _term_search(Q: np.ndarray, C: np.ndarray, k: int):
+    """_row_search's blocks, each followed by grid, starts (_grid of its
+    cosines, padded with -inf) and its rows' neighbourhood terms."""
+    _check_k(k, C)  # at the first next(), before any block
+    for lo, G, keep, r, c, cos in _row_search(Q, C, k):
+        grid, starts = _grid(r, len(G), cos, -np.inf)
+        terms = neighborhood_means(-np.sort(-grid, axis=1)[:, :k], k)
+        yield lo, G, keep, r, c, cos, grid, starts, terms
+
+
+def _terms(Q: np.ndarray, C: np.ndarray, k: int) -> np.ndarray:
+    """Neighbourhood terms of the unit rows of Q against those of C."""
+    return np.concatenate([np.empty(0)] + [block[-1] for block in _term_search(Q, C, k)])
+
+
 def neighborhoods(S, T, k: int):
     """Neighbourhood terms (dx, dy) of the rows of S (n, d) and T (m, d):
-    neighborhood_means of knn(S, T, k)'s and knn(T, S, k)'s cosines.
+    neighborhood_means of the cosines knn(S, T, k) and knn(T, S, k) find.
     Raises KTooLargeError when k exceeds either side."""
-    dx = neighborhood_means(knn(S, T, k)[1], k)
-    return dx, neighborhood_means(knn(T, S, k)[1], k)
+    S, T = _unit_rows(S, T)
+    return _terms(S, T, k), _terms(T, S, k)
 
 
 def align(src_emb, tgt_emb, cfg: SearchConfig):
@@ -202,7 +221,7 @@ def align(src_emb, tgt_emb, cfg: SearchConfig):
     Returns (indices, scores): for each source, the argmax target by margin
     score (exact ties toward the lower target index) and that score.
 
-    dy comes from knn(targets, sources); one screened pass over the sources
+    dy comes from the targets' neighbourhoods; one screened pass over the sources
     gives dx and each row's best-cosine target, whose score s the pick must
     reach.  With denominators in dx + [min dy, max dy], only a cosine of at
     least s (absolute), s + dx + min dy (distance), s (dx + min dy) or, for
@@ -211,16 +230,12 @@ def align(src_emb, tgt_emb, cfg: SearchConfig):
     """
     S, T = _unit_rows(src_emb, tgt_emb)
     k, kind = cfg.k, cfg.margin_kind
-    if k > T.shape[0]:
-        raise KTooLargeError(f"k={k} but only {T.shape[0]} candidates")
-    dy = neighborhood_means(knn(tgt_emb, src_emb, k)[1], k)
+    dy = _terms(T, S, k)
     lowest, highest = dy.min(), dy.max()
     eps = _screen_eps(S.shape[1])
     best_idx, best_score = np.empty(S.shape[0], dtype=np.int64), np.empty(S.shape[0])
-    for lo, G, keep, r, c, cos in _row_search(S, T, k):
+    for lo, G, keep, r, c, cos, grid, starts, dx in _term_search(S, T, k):
         hi = lo + len(G)
-        grid, starts = _grid(r, hi - lo, cos, -np.inf)
-        dx = neighborhood_means(-np.sort(-grid, axis=1)[:, :k], k)
         # dx_i + dy_j == 0 exactly when -dx_i == dy_j, for finite floats
         if kind == MARGIN_RATIO and np.isin(-dx, dy).any():
             raise ZeroDivisionError("ratio margin with zero denominator")

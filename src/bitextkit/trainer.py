@@ -375,7 +375,6 @@ class EpochStats:
 
     loss_sum: float = 0.0
     loss_steps: int = 0
-    filtered_out: int = 0
     m_zero_fallbacks: int = 0
     skipped_steps: int = 0
     mask_kept: int = 0
@@ -386,32 +385,33 @@ class EpochStats:
         return self.loss_sum / self.loss_steps if self.loss_steps else float("nan")
 
     @property
+    def filtered_out(self) -> int:
+        return self.mask_total - self.mask_kept
+
+    @property
     def kept_fraction(self) -> float:
         """Kept share of the pre-filter mask (1.0 when it never ran)."""
         return self.mask_kept / self.mask_total if self.mask_total else 1.0
 
 
-def _unique_buckets(idx: np.ndarray, slot: np.ndarray):
-    """(u, inv) as np.unique(idx, return_inverse=True) gives them: u the
-    sorted distinct bucket ids of idx and u[inv] == idx.
+def _unique_buckets(ids: np.ndarray, slot: np.ndarray):
+    """(u, inv) as np.unique(ids, return_inverse=True) gives them: u the
+    sorted distinct bucket ids of the 1-D ids and u[inv] == ids.
 
-    One sort of idx finds u; ``slot``, an int64 table with one entry per
+    One sort of ids finds u; ``slot``, an int64 table with one entry per
     bucket, then maps each id of u to its position, so the cost follows
-    idx's size, not the bucket count.  Entries outside u are left stale.
+    the id count, not the bucket count.  Entries outside u are left stale.
     """
-    flat = np.sort(idx, axis=None)
-    first = np.ones(flat.size, dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=first[1:])
-    u = flat[first]
+    flat = np.sort(ids)
+    u = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
     slot[u] = np.arange(u.size)
-    return u, slot[idx]
+    return u, slot[ids]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is checked explicitly
 def _step_core(
     W: np.ndarray,
-    idx: np.ndarray,
-    val: np.ndarray,
+    feats: tuple[np.ndarray, np.ndarray, np.ndarray],
     tgt_emb: np.ndarray,
     queue_mat: np.ndarray | None,
     cfg: TrainConfig,
@@ -422,18 +422,18 @@ def _step_core(
     """One in-place step on W, against the queue before this batch is
     enqueued; returns the loss, or None for a skipped step.
 
-    The features form a dense (batch, |u|) matrix F over the batch's unique
-    buckets u: z = F W[u] and W[u] -= step * F^T dz.  ``slot`` is
-    _unique_buckets' scratch table of W.shape[0] int64 entries.
+    ``feats``, the sources' featurize_batch rows, fill a dense (batch, |u|)
+    matrix F over their unique buckets u: z = F W[u], W[u] -= step * F^T dz.
+    ``slot`` is _unique_buckets' scratch table of W.shape[0] int64 entries.
     Candidates are the queue rows or the batch targets, and one softmax
     masks out the own positive (in-batch); with the prefilter on,
     equalize_negatives' keep-mask is that mask as it is.
     """
     batch = tgt_emb.shape[0]
-    u, inv = _unique_buckets(idx, slot)
-    rows = np.repeat(np.arange(batch) * u.size, idx.shape[1])
-    F = np.bincount(rows + inv.ravel(), weights=val.ravel(), minlength=batch * u.size)
-    F = F.reshape(batch, u.size)
+    nnz, ids, counts = feats
+    u, inv = _unique_buckets(ids, slot)
+    F = np.zeros((batch, u.size))  # a row's buckets are distinct: no cell is written twice
+    F.reshape(-1)[np.repeat(np.arange(batch) * u.size, nnz) + inv] = counts
     W_u = W[u]
     z = F @ W_u
     norms = np.linalg.norm(z, axis=1)
@@ -454,11 +454,8 @@ def _step_core(
         mask = prefilter_mask(tgt_emb, candidates, cfg.filter_threshold)
         if in_batch:
             mask &= allowed  # the own positive is never a negative
-        total = mask.size - (batch if in_batch else 0)
-        kept = int(np.count_nonzero(mask))
-        stats.mask_kept += kept
-        stats.mask_total += total
-        stats.filtered_out += total - kept
+        stats.mask_kept += int(np.count_nonzero(mask))
+        stats.mask_total += mask.size - (batch if in_batch else 0)
         try:
             allowed = equalize_negatives(mask, eq_rng)
         except AllFilteredError:
@@ -497,15 +494,13 @@ def _check_roles(student: EncoderParams, teacher: EncoderParams) -> None:
         raise ValueError("student and teacher featurizer hash seeds must differ")
 
 
-def _featurize_sources(
-    sentences: list[str], cfg: FeaturizerConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _featurize_sources(sentences: list[str], cfg: FeaturizerConfig) -> tuple[np.ndarray, ...]:
     """featurize_batch, refusing sentences without features."""
-    idx, val = featurize_batch(sentences, cfg)
-    empty = np.flatnonzero(val[:, 0] == 0.0)  # rows are left-packed
+    feats = featurize_batch(sentences, cfg)
+    empty = np.flatnonzero(feats[0] == 0)
     if empty.size:
         raise ZeroVectorError(f"source sentence {empty[0]} has no features")
-    return idx, val
+    return feats
 
 
 def train_step(
@@ -520,18 +515,18 @@ def train_step(
 
     Returns (loss, updated student, updated queue); the loss is the batch
     loss *before* the update, or None for a skipped (warm-up) step where
-    only the enqueue happened.  Inputs are never mutated.
+    only the enqueue happened.  Inputs are never mutated.  ``rng``
+    defaults to the equalization stream of train_distill with cfg.rng_seed.
     """
     _check_roles(student, teacher)
     if not batch:
         raise ValueError("empty batch")
-    idx, val = _featurize_sources([s for s, _ in batch], student.featurizer)
+    feats = _featurize_sources([s for s, _ in batch], student.featurizer)
     tgt_emb = encode_batch(teacher, [t for _, t in batch])
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
+    rng = _rng_streams(cfg.rng_seed)[2] if rng is None else rng
     W = student.weights.copy()
     slot = np.empty(W.shape[0], dtype=np.int64)
-    loss = _step_core(W, idx, val, tgt_emb, queue.entries, cfg, rng, EpochStats(), slot)
+    loss = _step_core(W, feats, tgt_emb, queue.entries, cfg, rng, EpochStats(), slot)
     student = EncoderParams(student.featurizer, W, frozen=False)
     return loss, student, queue_update(queue, tgt_emb)
 
@@ -607,7 +602,8 @@ def train_distill(
 
     sources = [s for s, _ in pairs]
     targets = [t for _, t in pairs]
-    idx_all, val_all = _featurize_sources(sources, student_init.featurizer)
+    nnz_all, ids_all, counts_all = _featurize_sources(sources, student_init.featurizer)
+    first_all = np.cumsum(nnz_all) - nnz_all  # where each row's entries start
     tgt_all = encode_batch(teacher, targets)
 
     eq_rng = _rng_streams(cfg.rng_seed)[2]
@@ -620,10 +616,12 @@ def train_distill(
     for epoch, steps in zip(range(1, cfg.epochs + 1), _schedule(targets, cfg)):
         stats = EpochStats()
         for step, (batch, queue) in enumerate(steps, 1):
-            idx, val, tgt = idx_all[batch], val_all[batch], tgt_all[batch]
+            nnz = nnz_all[batch]  # row i's entries: first_all[batch[i]] + arange(nnz[i])
+            at = np.repeat(first_all[batch] - (np.cumsum(nnz) - nnz), nnz) + np.arange(nnz.sum())
+            feats, tgt = (nnz, ids_all[at], counts_all[at]), tgt_all[batch]
             queue_mat = None if in_batch else tgt_all[queue]
             try:
-                _step_core(W, idx, val, tgt, queue_mat, cfg, eq_rng, stats, slot)
+                _step_core(W, feats, tgt, queue_mat, cfg, eq_rng, stats, slot)
             except DivergenceError as exc:
                 raise DivergenceError(f"epoch {epoch} step {step}: {exc}") from None
         all_stats.append(stats)

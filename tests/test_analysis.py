@@ -144,9 +144,9 @@ def test_shuffled_similarity_values_score_the_queues_training_steps_see(monkeypa
     seen = []
     step_core = trainer._step_core
 
-    def recording(W, idx, val, tgt_emb, queue_mat, *rest):
+    def recording(W, feats, tgt_emb, queue_mat, *rest):
         seen.append((tgt_emb.copy(), queue_mat.copy()))
-        return step_core(W, idx, val, tgt_emb, queue_mat, *rest)
+        return step_core(W, feats, tgt_emb, queue_mat, *rest)
 
     monkeypatch.setattr(trainer, "_step_core", recording)
     trainer.train_distill(pairs, teacher, cfg)

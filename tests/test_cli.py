@@ -473,9 +473,7 @@ def test_train_sigma_flag_without_prefilter_is_usage_error(
     teacher_path, _ = teacher_file
     out = tmp_path / "student.emb"
     assert main(train_args(corpus, teacher_path, str(out), sigma="0.3")) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("usage error: ")
-    assert "--sigma" in err and "--prefilter" in err
+    assert capsys.readouterr().err == "usage error: --sigma is unused with --prefilter off\n"
     assert not out.exists()
     assert main(train_args(corpus, teacher_path, str(out), sigma="0.3", prefilter="on")) == 0
 
@@ -806,6 +804,40 @@ def test_sweep_queue_size_flag_with_in_batch_negatives_is_usage_error(tmp_path, 
     assert main(argv + ["--negatives", "in-batch", "--queue-size", "8"]) == 1
     assert capsys.readouterr().err == "usage error: --queue-size is unused with --negatives in-batch\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        (["analyze", "hist"], ["--shuffle", "off", "--seed", "3"], "--seed is unused with --shuffle off"),
+        (["embed"], ["--format", "lines", "--side", "target"], "--side is unused with --format lines"),
+        (["filter"], ["--scored-out", "scored.tsv"], "--subset-out requires --budget"),
+    ],
+    ids=["hist-seed", "embed-side", "filter-subset-out"],
+)
+def test_flag_the_run_would_not_read_is_usage_error(tmp_path, capsys, command, extra, message):
+    # each used to be accepted and left unread: every hist seed wrote the
+    # same CSV, both sides the same lines file, and filter no subset; the
+    # input files do not exist, so the rejection comes before any is read
+    assert main(_required_args(command, tmp_path) + extra) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_hist_config_seed_with_shuffle_off_is_echoed_as_unused(
+    tmp_path, corpus_file, teacher_file, capsys
+):
+    corpus, _ = corpus_file
+    teacher_path, _ = teacher_file
+    config = tmp_path / "run.cfg"
+    config.write_text("seed=3\nshuffle=off\n")
+    argv = ["analyze", "hist", "--corpus", corpus, "--teacher", teacher_path, "--bins", "10"]
+    assert main(argv + ["--out", str(tmp_path / "a.csv"), "--config", str(config)]) == 0
+    echo = capsys.readouterr().out.splitlines()[0]
+    assert echo == "config: batch_size=32 bins=10 queue_size=4096 seed=3 shuffle=off unused=seed"
+    assert main(argv + ["--out", str(tmp_path / "b.csv"), "--shuffle", "off"]) == 0
+    counts = [(tmp_path / name).read_text().splitlines()[3:] for name in ("a.csv", "b.csv")]
+    assert counts[0] == counts[1]
 
 
 def test_sweep_config_queue_size_with_in_batch_negatives_is_echoed_as_unused(

@@ -188,15 +188,15 @@ def test_featurize_batch_rows_match_featurize(corpus, orders, buckets, hash_seed
     cfg = FeaturizerConfig(
         ngram_orders=tuple(orders), bucket_count=buckets, hash_seed=hash_seed
     )
-    idx, val = featurize_batch([pool[r] for r in rows], cfg)
+    nnz, indices, counts = featurize_batch([pool[r] for r in rows], cfg)
     feats = [featurize(s, cfg) for s in pool]
-    width = max([1] + [feats[r].nnz for r in rows])
-    assert idx.shape == val.shape == (len(rows), width)
-    for i, r in enumerate(rows):
-        f = feats[r]
-        assert idx[i, : f.nnz].tolist() == f.indices.tolist()
-        assert val[i, : f.nnz].tolist() == f.counts.tolist()
-        assert not idx[i, f.nnz :].any() and not val[i, f.nnz :].any()
+    assert nnz.tolist() == [feats[r].nnz for r in rows]
+    assert indices.shape == counts.shape == (nnz.sum(),)
+    ends = np.cumsum(nnz)
+    for i, r in enumerate(rows):  # row i's segment is featurize of its sentence
+        segment = slice(ends[i] - nnz[i], ends[i])
+        assert indices[segment].tolist() == feats[r].indices.tolist()
+        assert counts[segment].tolist() == feats[r].counts.tolist()
 
 
 def test_batch_calls_hash_each_sentence_once(monkeypatch):

@@ -35,21 +35,19 @@ def assert_same_arrays(got, want):
 @settings(max_examples=60, deadline=None)
 @given(
     buckets=st.one_of(st.sampled_from([1, 2, 2048, 65536, 2**20]), st.integers(1, 2**20)),
-    batch=st.integers(1, 33),
-    width=st.integers(1, 24),
+    entries=st.integers(1, 33 * 24),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_unique_buckets_equals_np_unique(buckets, batch, width, seed):
+def test_unique_buckets_equals_np_unique(buckets, entries, seed):
     rng = np.random.default_rng(seed)
     slot = np.empty(buckets, dtype=np.int64)  # stale entries, as in a run
     for _ in range(2):  # the second batch reuses the first one's table
-        idx = rng.integers(0, buckets, size=(batch, width))
-        # rows are left-packed and padded with bucket 0, as featurize_batch
-        # writes them
-        used = rng.integers(1, width + 1, size=batch)
-        idx[np.arange(width) >= used[:, None]] = 0
+        # a batch's feature ids, concatenated row after row as the step
+        # gathers them from featurize_batch: unpadded, with repeats
+        pool = rng.integers(0, buckets, size=int(rng.integers(1, entries + 1)))
+        ids = rng.choice(pool, size=int(rng.integers(1, entries + 1)))
         assert_same_arrays(
-            trainer._unique_buckets(idx, slot), step_oracle.unique_buckets(idx)
+            trainer._unique_buckets(ids, slot), step_oracle.unique_buckets(ids)
         )
 
 

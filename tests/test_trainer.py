@@ -720,14 +720,41 @@ def test_in_batch_distill_never_gathers_queue_rows(monkeypatch):
 
     step_core, queues = trainer._step_core, []
 
-    def recording(W, idx, val, tgt_emb, queue_mat, *rest):
+    def recording(W, feats, tgt_emb, queue_mat, *rest):
         queues.append(queue_mat)
-        return step_core(W, idx, val, tgt_emb, queue_mat, *rest)
+        return step_core(W, feats, tgt_emb, queue_mat, *rest)
 
     monkeypatch.setattr(trainer, "_step_core", recording)
     again = train_distill(tiny_corpus(), teacher, run_cfg(negatives_source="in_batch"))
     assert np.array_equal(again.student.weights, runs[0].student.weights)
     assert queues and all(q is None or q.shape[0] == 0 for q in queues)
+
+
+def test_train_step_without_rng_is_the_first_step_of_train_distill(monkeypatch):
+    # with rng omitted, equalization draws from the run's equalization
+    # stream; it used to draw from default_rng(rng_seed), which no run uses
+    teacher, pairs = tiny_teacher(), tiny_corpus()
+    cfg = run_cfg(
+        negatives_source="in_batch", prefilter_enabled=True, filter_threshold=0.5,
+        shuffle=False, epochs=1,
+    )
+    init = default_student(teacher, cfg.rng_seed)
+    step_core, first = trainer._step_core, []
+
+    def recording(W, *rest):
+        loss = step_core(W, *rest)
+        first.append(W.copy())
+        return loss
+
+    monkeypatch.setattr(trainer, "_step_core", recording)
+    train_distill(pairs, teacher, cfg, student_init=init)
+    batch, _ = next(trainer._schedule([t for _, t in pairs], cfg))[0]
+    empty = NegativeQueue.empty(cfg.queue_size, teacher.dim)
+    step_args = (init, teacher, [pairs[i] for i in batch], empty, cfg)
+    assert np.array_equal(train_step(*step_args)[1].weights, first[0])
+    # the draws decide this step: the old stream gives other weights
+    old = train_step(*step_args, np.random.default_rng(cfg.rng_seed))[1]
+    assert not np.array_equal(old.weights, first[0])
 
 
 def test_distill_zero_epochs_returns_init_unchanged():
