@@ -10,8 +10,10 @@ is projected and normalized:
 Many sentences' counts take one unpadded compressed-row form, which the
 encoder and the trainer both read: featurize_batch's (nnz, indices, counts).
 W^T f is the sequential sum z = z + c * W[i] over f's buckets i in
-ascending order, each product rounded before its add, so the bits of a
-sentence's embedding never depend on the batch it is encoded in.
+ascending order, one rounded product then one add, so the bits of a
+sentence's embedding never depend on the batch it is encoded in.  The
+product c * W[i] is made once per distinct (bucket, count) pair of a
+projection group and gathered wherever that pair occurs.
 
 Encoders are plain parameter containers; a frozen encoder's weights are
 read-only, and the trainer refuses to update them.
@@ -36,6 +38,8 @@ DEFAULT_ORDERS = (2, 3)
 DEFAULT_BUCKETS = 4096
 # hashing counts each order's n-grams in int64
 _MAX_ORDER = 2**63 - 1
+# a bucket id fits an int32; a weight matrix that tall is 32 GiB at dim 2
+_MAX_BUCKETS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,10 @@ class FeaturizerConfig:
         if orders[-1] > _MAX_ORDER:
             raise ValueError(f"ngram_orders must be <= {_MAX_ORDER}, got {orders[-1]}")
         object.__setattr__(self, "ngram_orders", orders)
-        if int(self.bucket_count) < 2:
-            raise ValueError("bucket_count must be >= 2")
+        if not 2 <= int(self.bucket_count) <= _MAX_BUCKETS:
+            raise ValueError(
+                f"bucket_count must be in [2, {_MAX_BUCKETS}], got {self.bucket_count}"
+            )
         object.__setattr__(self, "bucket_count", int(self.bucket_count))
         object.__setattr__(self, "hash_seed", int(self.hash_seed))
 
@@ -72,11 +78,13 @@ class SparseCounts:
         return int(self.indices.shape[0])
 
 
-# Hash chunks and projection groups, sized on 2 cores (medians of 12).
-# Hashing the 5,000 short `mine` targets took 47 ms at 64 rows a call, 34
-# in 16k-character chunks; 1,024-row calls on the 3,000 long `filter` ones
-# fell out of cache at 186 ms, against 117.  Encoding the `filter` targets
-# took 239 ms in groups of 256 rows, 215 in 1,024 and 235 in 4,096.
+# Hash chunks and projection groups, sized on 2 cores (medians of 13-15
+# interleaved calls, two sweeps).  featurize_batch of the 3,000 long
+# `filter` targets took 63-79 ms in 8k-character chunks, 52-72 in 16k and
+# 57-71 in 32k; of the 5,000 short `mine` targets 17-18, 17-18 and 15-17.
+# Encoding the `filter` targets took 104-139 ms in groups of 256 rows,
+# 98-117 in 1,024 and 105-138 in 2,048 or 4,096; the `mine` ones 47-53,
+# 41-43 and 45-52.
 _CHUNK_CHARS = 16_384
 _GROUP_ROWS = 1024
 
@@ -86,13 +94,24 @@ def _block_counts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """featurize_batch of a few sentences, hashed in one call."""
     wrapped = [SENTINEL_BEGIN + s + SENTINEL_END if s else "" for s in sentences]
-    ids, bounds = hashing.bucket_ids(
+    ids, text = hashing.bucket_ids(
         wrapped, cfg.ngram_orders, cfg.bucket_count, cfg.hash_seed
     )
-    row = np.repeat(np.arange(len(sentences)), np.diff(bounds))
-    keys, counts = np.unique(row * cfg.bucket_count + ids, return_counts=True)
-    nnz = np.bincount(keys // cfg.bucket_count, minlength=len(sentences))
-    return nnz, keys % cfg.bucket_count, counts.astype(np.float64)
+    B = cfg.bucket_count
+    # key = text * B + id, sorted; int32 keys sort twice as fast, and the
+    # bucket cap makes them fit whenever rows * B does
+    width = np.int32 if len(sentences) * B <= 2**31 else np.int64
+    keys = np.sort(text * width(B) + ids.astype(width, copy=False))
+    # np.unique(keys, return_counts=True), without its extra passes
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=keys.size)
+    keys = keys[starts]
+    row = keys // B
+    nnz = np.bincount(row, minlength=len(sentences))
+    return nnz, (keys - row * B).astype(np.int64), counts.astype(np.float64)
 
 
 def featurize_batch(sentences: list[str], cfg: FeaturizerConfig) -> tuple[np.ndarray, ...]:
@@ -164,21 +183,53 @@ def make_teacher(
     return EncoderParams(featurizer, weights, frozen=True)
 
 
-def _project(W: np.ndarray, nnz: np.ndarray, ind: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-    """W^T f of rows in featurize_batch form, adding one feature column at a
-    time to the rows (sorted by feature count) that have it.  The trainer's
-    F @ W[u] would not do here: BLAS sums in an order set by the shape.
+def _distinct(a: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(a, return_inverse=True) of ints in [0, size): one table
+    lookup when the table is at most 32 entries per element of ``a``, so
+    its memory follows ``a``; a sort otherwise."""
+    if size > 32 * a.size:
+        return np.unique(a, return_inverse=True)
+    table = np.zeros(size, dtype=np.int32)
+    table[a] = 1
+    values = np.flatnonzero(table)
+    table[values] = np.arange(values.size, dtype=np.int32)
+    return values, table[a]
+
+
+def _pair_products(
+    W: np.ndarray, nnz: np.ndarray, ind: np.ndarray, cnt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nnz, slot, products) of rows in featurize_batch form: one product
+    c * W[b] per distinct (bucket, count) pair, and each entry's row of
+    that table, so products[slot[e]] is the rounded cnt[e] * W[ind[e]].
+    """
+    B = W.shape[0]
+    counts, key = _distinct(cnt.astype(np.int64), int(cnt.max(initial=0)) + 1)
+    key = key.astype(np.int32 if counts.size * B <= 2**31 else np.int64, copy=False)
+    key *= B  # (count rank) * B + bucket, built in place
+    key += ind
+    pairs, slot = _distinct(key, counts.size * B)
+    del key  # before the table is made, to keep the peak memory down
+    count_of = pairs // B
+    products = W[pairs - count_of * B]
+    products *= counts.astype(np.float64)[count_of, None]
+    return nnz, slot, products
+
+
+def _project(nnz: np.ndarray, slot: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """W^T f of rows given as _pair_products, adding one feature column at
+    a time to the rows (sorted by feature count) that have it: the same
+    rounded products, added in the same order, as z = z + c * W[i].  The
+    trainer's F @ W[u] would not do here: BLAS sums in an order set by the
+    shape.
     """
     order = np.argsort(-nnz, kind="stable")
     first = (np.cumsum(nnz) - nnz)[order]
     columns = np.arange(nnz.max(initial=0))
     live = np.searchsorted(-nnz[order], -columns, side="left")  # rows with nnz > k
-    z = np.zeros((nnz.size, W.shape[1]))
+    z = np.zeros((nnz.size, products.shape[1]))
     for k, r in enumerate(live.tolist()):
-        pos = first[:r] + k
-        g = W[ind[pos]]
-        g *= cnt[pos, None]
-        z[:r] += g
+        z[:r] += products[slot[first[:r] + k]]
     return z[np.argsort(order)]
 
 
@@ -197,8 +248,12 @@ def encode_masked(
     out = np.zeros((n, params.dim), dtype=np.float64)
     ok = np.zeros(n, dtype=bool)
     for lo in range(0, n, _GROUP_ROWS):
-        group = sentences[lo : lo + _GROUP_ROWS]  # its features die with the call
-        z = _project(params.weights, *featurize_batch(group, params.featurizer))
+        group = sentences[lo : lo + _GROUP_ROWS]
+        # one expression, so that neither the group's features nor its
+        # products outlive the step that reads them
+        z = _project(
+            *_pair_products(params.weights, *featurize_batch(group, params.featurizer))
+        )
         norms = np.linalg.norm(z, axis=1)
         good = norms > ZERO_NORM_EPS
         out[lo : lo + len(z)][good] = z[good] / norms[good, None]

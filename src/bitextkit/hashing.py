@@ -10,7 +10,11 @@ avalanche, then reduced modulo the bucket count:
 
 ``bucket_ids`` hashes every n-gram of a list of texts at once: NumPy's
 uint64 arithmetic wraps mod 2^64 exactly as the recipe does, and the loop
-runs over byte positions within an n-gram, not over n-grams.
+runs over byte positions within an n-gram, not over n-grams.  It returns
+the ids order by order, each with the index of its text, rather than
+scattering them into a per-text layout, and reduces h mod n_buckets as
+h - (h // n_buckets) * n_buckets, which NumPy computes without a hardware
+divide.
 """
 
 from __future__ import annotations
@@ -39,11 +43,13 @@ def bucket_ids(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bucket ids of all character n-grams of every text, one per occurrence.
 
-    Returns ``(ids, bounds)``: the ids of ``texts[i]`` are
-    ``ids[bounds[i]:bounds[i + 1]]``, ordered by ascending n-gram order,
-    then by position.  Texts are hashed as-is (callers add sentinels);
-    orders below 1 or above a text's character length contribute nothing.
-    ids are int64 in [0, n_buckets), deterministic for fixed arguments.
+    Returns ``(ids, text)``: ``ids[j]`` is the bucket of an n-gram of
+    ``texts[text[j]]``.  They are ordered by ascending n-gram order, then by
+    text, then by position, so ``ids[text == i]`` are the ids of
+    ``texts[i]`` by order, then position.  Texts are hashed as-is (callers
+    add sentinels); orders below 1 or above a text's character length
+    contribute nothing.  ids are int64 in [0, n_buckets), deterministic for
+    fixed arguments; text is int32 (int64 past 2^31 texts).
     """
     if n_buckets < 1:
         raise ValueError("n_buckets must be >= 1")
@@ -58,20 +64,20 @@ def bucket_ids(
 
     # per_order[j, i]: n-grams of order orders[j] in texts[i]
     per_order = np.maximum(n_chars - np.array(orders, dtype=np.int64)[:, None] + 1, 0)
-    bounds = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum(per_order.sum(axis=0), out=bounds[1:])
+    index = np.arange(len(texts), dtype=np.int32 if len(texts) <= 2**31 else np.int64)
+    text = np.repeat(np.tile(index, len(orders)), per_order.ravel())
+    ids = np.empty(text.size, dtype=np.uint64)
     first_char = np.cumsum(n_chars) - n_chars
-    ids = np.empty(int(bounds[-1]), dtype=np.int64)
     basis = np.uint64(_FNV_OFFSET ^ (int(seed) & _MASK))
-    # where each text's block of the current order begins in ``ids``
-    dest_base = bounds[:-1].copy()
+    n = np.uint64(n_buckets)
+    lo = 0
     for order, counts in zip(orders, per_order):
+        hi = lo + int(counts.sum())
         skip = np.cumsum(counts) - counts  # n-gram k is number k - skip[i] of text i
-        k = np.arange(int(counts.sum()))
-        start_char = k + np.repeat(first_char - skip, counts)
+        start_char = np.arange(hi - lo) + np.repeat(first_char - skip, counts)
         start = offsets[start_char]
         length = offsets[start_char + order] - start
-        h = np.full(k.size, basis, dtype=np.uint64)
+        h = np.full(hi - lo, basis, dtype=np.uint64)
         for j in range(order):  # every n-gram has at least ``order`` bytes
             h ^= raw[start + j]
             h *= _FNV_PRIME
@@ -79,10 +85,12 @@ def bucket_ids(
             live = length > j
             byte = raw[np.where(live, start + j, 0)]
             h = np.where(live, (h ^ byte) * _FNV_PRIME, h)
-        buckets = _fmix64(h) % np.uint64(n_buckets)
-        ids[k + np.repeat(dest_base - skip, counts)] = buckets.astype(np.int64)
-        dest_base += counts
-    return ids, bounds
+        # h mod n: (h // n) * n <= h, so the subtraction never wraps
+        q = _fmix64(h) // n
+        q *= n
+        np.subtract(h, q, out=ids[lo:hi])
+        lo = hi
+    return ids.view(np.int64), text
 
 
 def ngram_bucket_ids(

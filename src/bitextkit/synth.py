@@ -18,7 +18,8 @@ from .errors import TooFewPairsError
 Pair = tuple[str, str]
 
 # Word surfaces: fixed-length random strings over disjoint per-side
-# alphabets, so the two "languages" share no vocabulary and their n-gram
+# alphabets (these by default; a CipherSpec may spell either side in any
+# script), so the two "languages" share no vocabulary and their n-gram
 # overlap is limited to incidental letter patterns.  Small alphabets keep
 # enough overlap that same-length sentences are measurably more similar
 # under a random-projection encoder than mixed-length ones — the regime
@@ -43,19 +44,45 @@ def _word_forms(
     return forms
 
 
+def _check_alphabet(side: str, alphabet: str) -> int:
+    """Number of distinct letters of a valid word alphabet."""
+    if not isinstance(alphabet, str) or len(set(alphabet)) < 2:
+        raise ValueError(f"{side}_alphabet must hold at least 2 distinct characters")
+    bad = sorted({c for c in alphabet if c.isspace() or c in "^$"})
+    if bad:
+        raise ValueError(
+            f"{side}_alphabet must not hold whitespace or the sentinels ^ and $, "
+            f"got {bad!r}"
+        )
+    try:
+        alphabet.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{side}_alphabet must be encodable as UTF-8") from None
+    return len(set(alphabet))
+
+
 @dataclass(frozen=True)
 class CipherSpec:
-    """Vocabulary size, sentence-length range, and the word-map seed."""
+    """Vocabulary size, sentence-length range, the word-map seed and the
+    letters each side's words are spelled with."""
 
     vocab_size: int = 100
     min_len: int = 1
     max_len: int = 12
     map_seed: int = 0
+    source_alphabet: str = SOURCE_ALPHABET
+    target_alphabet: str = TARGET_ALPHABET
 
     def __post_init__(self):
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
-        limit = len(SOURCE_ALPHABET) ** WORD_LENGTH
+        letters = min(
+            _check_alphabet("source", self.source_alphabet),
+            _check_alphabet("target", self.target_alphabet),
+        )
+        if set(self.source_alphabet) & set(self.target_alphabet):
+            raise ValueError("source_alphabet and target_alphabet must be disjoint")
+        limit = letters**WORD_LENGTH
         if self.vocab_size > limit // 2:
             raise ValueError(
                 f"vocab_size must be <= {limit // 2} to draw distinct words"
@@ -67,8 +94,8 @@ class CipherSpec:
         """(source words, target words, permutation) — all derived from
         map_seed; the bijection sends source word i to target word perm[i]."""
         rng = np.random.default_rng(self.map_seed)
-        src_words = _word_forms(rng, self.vocab_size, SOURCE_ALPHABET, WORD_LENGTH)
-        tgt_words = _word_forms(rng, self.vocab_size, TARGET_ALPHABET, WORD_LENGTH)
+        src_words = _word_forms(rng, self.vocab_size, self.source_alphabet, WORD_LENGTH)
+        tgt_words = _word_forms(rng, self.vocab_size, self.target_alphabet, WORD_LENGTH)
         return src_words, tgt_words, rng.permutation(self.vocab_size)
 
 

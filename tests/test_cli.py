@@ -1320,6 +1320,19 @@ def test_sidecar_disagreeing_with_the_weights_is_a_format_error(tmp_path, capsys
     assert err.count("\n") == 1
 
 
+def test_sidecar_above_the_bucket_cap_is_a_format_error(tmp_path, capsys):
+    encoder = tmp_path / "t.emb"
+    write_embeddings(encoder, np.random.default_rng(0).uniform(-1, 1, (64, 4)))
+    Path(f"{encoder}.meta").write_text(f"dim=4 buckets={2**31} orders=1,2 seed=0 frozen=0\n")
+    lines = tmp_path / "in.txt"
+    lines.write_text("ab cd\n", encoding="utf-8")
+    argv = ["embed", "--input", str(lines), "--encoder", str(encoder), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--format", "lines"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("format error: ") and str(2**31 - 1) in err
+    assert err.count("\n") == 1
+
+
 # arbitrary Unicode lines, half of them shaped key=value over the known keys
 _CONFIG_LINE = st.one_of(
     st.text(),

@@ -2,6 +2,8 @@
 basis-vector encodings, batch rows bitwise equal to single encodings, and
 the EMB1 + sidecar round trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from encoder_oracle import embed as oracle_embed
@@ -51,6 +53,26 @@ def test_config_rejects_bad_orders(orders):
 def test_config_rejects_bucket_count_below_two():
     with pytest.raises(ValueError):
         FeaturizerConfig(ngram_orders=(2,), bucket_count=1, hash_seed=0)
+
+
+@pytest.mark.parametrize("buckets", [2**31, 2**62])
+def test_config_rejects_bucket_count_above_the_int32_cap(buckets):
+    with pytest.raises(ValueError, match=str(2**31 - 1)):
+        FeaturizerConfig(ngram_orders=(2,), bucket_count=buckets, hash_seed=0)
+
+
+def test_featurize_batch_at_the_bucket_cap():
+    # one row's keys fit an int32, three rows' do not
+    cfg = FeaturizerConfig(ngram_orders=(2,), bucket_count=2**31 - 1, hash_seed=0)
+    sentences = ["abc", "abd", "xyz"]
+    nnz, indices, counts = featurize_batch(sentences, cfg)
+    rows = np.split(np.arange(nnz.sum()), np.cumsum(nnz)[:-1])
+    for s, row in zip(sentences, rows):
+        ids = hashing.ngram_bucket_ids(f"^{s}$", (2,), 2**31 - 1, 0)
+        want, times = np.unique(ids, return_counts=True)
+        assert indices[row].tolist() == want.tolist()
+        assert counts[row].tolist() == times.tolist()
+        assert featurize(s, cfg).indices.tolist() == want.tolist()
 
 
 # --- featurize ---------------------------------------------------------------
@@ -313,6 +335,35 @@ def test_encode_masked_rows_equal_the_sequential_oracle(corpus, orders, dim, see
     assert out.shape == (len(rows), dim)
     for i, r in enumerate(rows):
         assert np.array_equal(out[i], want[r][0]) and ok[i] == want[r][1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.lists(st.integers(0, 300), max_size=50),
+    spare=st.integers(0, 20_000),  # past 32 per element the table gives way to a sort
+)
+def test_distinct_is_unique_with_inverse(a, spare):
+    a = np.array(a, dtype=np.int64)
+    values, inverse = encoder._distinct(a, int(a.max(initial=0)) + 1 + spare)
+    want, want_inverse = np.unique(a, return_inverse=True)
+    assert values.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+
+
+def test_encode_masked_memory_is_not_sized_by_the_largest_count():
+    # "aa" occurs 99,999 times: a table keyed by (count - 1) * buckets + bucket
+    # would need tens of GiB; the hashing of the long sentence peaks at 8.7 MiB
+    cfg = FeaturizerConfig((2, 3), 2**16, 0)
+    params = EncoderParams(cfg, np.random.default_rng(0).uniform(-1, 1, (2**16, 2)))
+    sentences = ["a" * 100_000, "ab", "xyz" * 50]
+    tracemalloc.start()
+    try:
+        out, ok = encode_masked(params, sentences)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok.all()
+    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_encode_masked_marks_failing_rows():

@@ -63,6 +63,53 @@ def test_spec_validation():
     CipherSpec(vocab_size=len(SOURCE_ALPHABET) ** WORD_LENGTH // 2)
 
 
+def test_spec_defaults_to_the_module_alphabets():
+    assert spec().source_alphabet == SOURCE_ALPHABET
+    assert spec().target_alphabet == TARGET_ALPHABET
+
+
+def test_spec_alphabets_spell_each_side():
+    geez = "\u1200\u1208\u1210\u1218\u1220\u1228"
+    s = spec(source_alphabet="wxyz", target_alphabet=geez)
+    src_words, tgt_words, _ = s.vocabulary()
+    assert all(set(w) <= set("wxyz") for w in src_words)
+    assert all(set(w) <= set(geez) for w in tgt_words)
+    pairs = gen_cipher_corpus(s, 40, seed=5)
+    assert pairs == gen_cipher_corpus(s, 40, seed=5)
+    assert all(set(t) <= set(geez + " ") for _, t in pairs)
+
+
+@pytest.mark.parametrize(
+    "source, target, needle",
+    [
+        ("a", TARGET_ALPHABET, "at least 2 distinct"),
+        ("aaaa", TARGET_ALPHABET, "at least 2 distinct"),
+        (SOURCE_ALPHABET, "", "at least 2 distinct"),
+        ("ab c", TARGET_ALPHABET, "whitespace"),
+        ("ab\t", TARGET_ALPHABET, "whitespace"),
+        (SOURCE_ALPHABET, "no\u2028", "whitespace"),
+        ("a^b", TARGET_ALPHABET, "sentinels"),
+        (SOURCE_ALPHABET, "n$o", "sentinels"),
+        ("ab\ud800", TARGET_ALPHABET, "UTF-8"),
+        ("abcn", TARGET_ALPHABET, "disjoint"),
+        (["a", "b"], TARGET_ALPHABET, "at least 2 distinct"),
+    ],
+)
+def test_spec_rejects_bad_alphabets(source, target, needle):
+    with pytest.raises(ValueError, match=needle):
+        spec(source_alphabet=source, target_alphabet=target)
+
+
+def test_vocabulary_limit_follows_the_alphabets():
+    # two letters spell 2**4 words, so at most 8 can be drawn by rejection
+    spec(vocab_size=8, target_alphabet="no")
+    with pytest.raises(ValueError, match="<= 8"):
+        spec(vocab_size=9, target_alphabet="no")
+    # ten letters a side lift the default alphabets' cap of 648
+    wide = spec(vocab_size=1000, source_alphabet="abcdefghij", target_alphabet="klmnopqrst")
+    assert len(set(wide.vocabulary()[1])) == 1000
+
+
 # --- corpus generation --------------------------------------------------------
 
 
