@@ -186,7 +186,8 @@ def make_teacher(
 def _distinct(a: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(a, return_inverse=True) of ints in [0, size): one table
     lookup when the table is at most 32 entries per element of ``a``, so
-    its memory follows ``a``; a sort otherwise."""
+    its memory follows ``a``; a sort otherwise.  It dedupes the (bucket,
+    count) pairs here and each training step's bucket ids."""
     if size > 32 * a.size:
         return np.unique(a, return_inverse=True)
     table = np.zeros(size, dtype=np.int32)

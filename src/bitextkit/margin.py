@@ -43,6 +43,12 @@ _BLOCK_ROWS = 512
 # strided chunks per row whose maxima bound its k-th largest screen value:
 # 128 bound as tightly as 16, and NumPy reduces them three times faster
 _CHUNKS = 128
+# row groups whose column maxima seed each target's bound in the first block
+_COLUMN_GROUPS = 64
+# entries per source row kept for its pick: with more, fewer rows need a
+# second screen (_rescan), but every row scores more; align times on the
+# mine benchmark's embeddings are flat from 8 to 32 and slower at 4 and 64
+_TOP = 16
 # float64 values gathered from each side per pair_cosines chunk (1 MiB)
 _GATHER = 1 << 17
 
@@ -120,12 +126,17 @@ def _unit_rows(queries, candidates):
     return Q, C
 
 
-def _kept(G: np.ndarray, keep: np.ndarray, floors: np.ndarray):
-    """(rows, cols), row-major, of the entries of G at or above their row's
-    float64 floor, which is rounded down to float32 for the compare."""
+def _down32(floors: np.ndarray) -> np.ndarray:
+    """float64 floors rounded down to float32, never to nearest."""
     f32 = floors.astype(np.float32)
-    f32 = np.where(f32 > floors, np.nextafter(f32, np.float32(-np.inf)), f32)
-    np.greater_equal(G, f32[:, None], out=keep)
+    return np.where(f32 > floors, np.nextafter(f32, np.float32(-np.inf)), f32)
+
+
+def _kept(G: np.ndarray, keep: np.ndarray, floors: np.ndarray):
+    """(rows, cols), row-major, of the entries of G at or above their float64
+    floor (broadcast against G), which is rounded down to float32 for the
+    compare."""
+    np.greater_equal(G, _down32(floors), out=keep)
     return np.divmod(np.flatnonzero(keep), G.shape[1])
 
 
@@ -139,35 +150,40 @@ def _grid(rows: np.ndarray, n: int, values: np.ndarray, fill: float):
     return grid, starts
 
 
-def _row_search(Q: np.ndarray, C: np.ndarray, k: int):
-    """Yield (lo, G, keep, rows, cols, cos) per block of unit rows of Q from
-    lo: G is its float32 screen against C, keep a bool array of G's shape
-    (both reused buffers), and rows, cols (row-major) and their pair cosines
-    cos every entry that can be in its row's top k.  If L is the k-th
-    largest of a row's entries in k or more columns, such as its strided
-    chunk maxima, k pair cosines are >= L - eps, so its top k have G >= L - 2 eps.
-    """
-    eps, m = _screen_eps(Q.shape[1]), C.shape[0]
-    Q32, C32 = Q.astype(np.float32), C.astype(np.float32)
-    screen = np.empty((min(_BLOCK_ROWS, Q.shape[0]), m), np.float32)
-    keep = np.empty(screen.shape, bool)
-    for lo in range(0, Q.shape[0], _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, Q.shape[0] - lo)
-        G = np.matmul(Q32[lo : lo + rows], C32.T, out=screen[:rows])
-        bound = G
-        if k <= _CHUNKS and m >= 2 * _CHUNKS:
-            bound = G[:, : m - m % _CHUNKS].reshape(rows, -1, _CHUNKS).max(axis=1)
-        cut = bound.shape[1] - k
-        L = np.partition(bound, cut, axis=1)[:, cut].astype(np.float64)
-        r, c = _kept(G, keep[:rows], L - 2 * eps)
-        yield lo, G, keep[:rows], r, c, pair_cosines(Q, C, lo + r, c)
+def _screens(Q: np.ndarray, C: np.ndarray):
+    """(Q32, C32, screen, keep): the unit rows of Q and C rounded to float32,
+    and a float32 screen of up to _BLOCK_ROWS rows against C and a boolean
+    mask of its shape, both reused for every block of a search."""
+    shape = (min(_BLOCK_ROWS, Q.shape[0]), C.shape[0])
+    return Q.astype(np.float32), C.astype(np.float32), np.empty(shape, np.float32), np.empty(shape, bool)
 
 
-def _check_k(k: int, C: np.ndarray) -> None:
+def _screen(buffers, rows):
+    """(G, keep): the screen of the rows of Q that rows (a slice or at most
+    _BLOCK_ROWS indices) selects, and the mask rows of the same count."""
+    Q32, C32, screen, keep = buffers
+    block = Q32[rows]
+    return np.matmul(block, C32.T, out=screen[: len(block)]), keep[: len(block)]
+
+
+def _row_bound(G: np.ndarray, k: int) -> np.ndarray:
+    """Per row of G, the k-th largest of its strided chunk maxima, or of the
+    row itself with fewer than k chunks of two or more columns: entries of
+    k distinct columns are at least that large."""
+    m = G.shape[1]
+    bound = G
+    if k <= _CHUNKS and m >= 2 * _CHUNKS:
+        bound = G[:, : m - m % _CHUNKS].reshape(len(G), -1, _CHUNKS).max(axis=1)
+    cut = bound.shape[1] - k
+    return np.partition(bound, cut, axis=1)[:, cut].astype(np.float64)
+
+
+def _check_k(k: int, *sides: np.ndarray) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > C.shape[0]:
-        raise KTooLargeError(f"k={k} but only {C.shape[0]} candidates")
+    for C in sides:
+        if k > C.shape[0]:
+            raise KTooLargeError(f"k={k} but only {C.shape[0]} candidates")
 
 
 def knn(queries, candidates, k: int):
@@ -176,11 +192,19 @@ def knn(queries, candidates, k: int):
     Returns (indices, cosines), both (n_queries, k), columns sorted by
     descending pair_cosines value with exact ties broken toward the lower
     candidate index.  Raises KTooLargeError if k exceeds the candidate count.
+
+    Each 512-row block of queries keeps its entries with G >= L - 2 eps, L
+    from _row_bound: k pair cosines are >= L - eps, so the row's top k are
+    among them, and pair cosines order them.
     """
     Q, C = _unit_rows(queries, candidates)
     _check_k(k, C)
+    eps, buffers = _screen_eps(Q.shape[1]), _screens(Q, C)
     idx, top = np.empty((Q.shape[0], k), dtype=np.int64), np.empty((Q.shape[0], k))
-    for lo, G, _, r, c, cos in _row_search(Q, C, k):
+    for lo in range(0, Q.shape[0], _BLOCK_ROWS):
+        G, keep = _screen(buffers, slice(lo, lo + _BLOCK_ROWS))
+        r, c = _kept(G, keep, (_row_bound(G, k) - 2 * eps)[:, None])
+        cos = pair_cosines(Q, C, lo + r, c)
         grid, starts = _grid(r, len(G), -cos, np.inf)  # stable: ties by column
         pick = starts[:, None] + np.argsort(grid, axis=1, kind="stable")[:, :k]
         idx[lo : lo + len(G)], top[lo : lo + len(G)] = c[pick], cos[pick]
@@ -192,27 +216,127 @@ def neighborhood_means(nn_cosines: np.ndarray, k: int) -> np.ndarray:
     return nn_cosines.sum(axis=1) / (2.0 * k)
 
 
-def _term_search(Q: np.ndarray, C: np.ndarray, k: int):
-    """_row_search's blocks, each followed by grid, starts (_grid of its
-    cosines, padded with -inf) and its rows' neighbourhood terms."""
-    _check_k(k, C)  # at the first next(), before any block
-    for lo, G, keep, r, c, cos in _row_search(Q, C, k):
-        grid, starts = _grid(r, len(G), cos, -np.inf)
-        terms = neighborhood_means(-np.sort(-grid, axis=1)[:, :k], k)
-        yield lo, G, keep, r, c, cos, grid, starts, terms
+def _column_seed(G: np.ndarray, k: int) -> np.ndarray:
+    """Per column of G, the k-th largest of its maxima over q groups of
+    rows (q >= k), so at least k of its entries reach it; -inf when G has
+    fewer than k rows.  Only the (q, m) maxima are partitioned, never G."""
+    rows, m = G.shape
+    q = min(max(_COLUMN_GROUPS, k), rows)
+    if k > q:
+        return np.full(m, -np.inf)
+    maxima = G[: rows - rows % q].reshape(q, -1, m).max(axis=1)
+    maxima.partition(q - k, axis=0)
+    return maxima[q - k].astype(np.float64)
 
 
-def _terms(Q: np.ndarray, C: np.ndarray, k: int) -> np.ndarray:
-    """Neighbourhood terms of the unit rows of Q against those of C."""
-    return np.concatenate([np.empty(0)] + [block[-1] for block in _term_search(Q, C, k)])
+def _fold(top: np.ndarray, kth: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+    """Fold the values of the targets cols into top, (m, k) each target's k
+    largest values so far (unordered, padded with -inf), and kth, the
+    smallest of them."""
+    if not len(cols):
+        return
+    k = top.shape[1]
+    counts = np.bincount(cols, minlength=len(top))
+    touched = np.flatnonzero(counts)
+    order = np.argsort(cols)  # any order within a target will do
+    slot = (np.cumsum(counts > 0) - 1)[cols[order]]
+    grid, _ = _grid(slot, len(touched), values[order], -np.inf)
+    merged = np.concatenate([top[touched], grid], axis=1)
+    cut = merged.shape[1] - k
+    merged.partition(cut, axis=1)
+    top[touched], kth[touched] = merged[:, cut:], merged[:, cut]
+
+
+def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
+    """One screened pass over the blocks of the unit source rows S against
+    the unit target rows T: (dx, dy, blocks).
+
+    Rows: each keeps the entries at or above its float32 floor, L - 2 eps
+    rounded down, L from _row_bound at K (K >= k), so its top K are among
+    them.  Those that can be in its top k (G >= its k-th largest G - 2 eps)
+    are rescored, and give dx.  blocks holds, per source block from lo,
+    (lo, rows, cols, g, cos, floors): the kept entries (row-major, rows
+    counted from lo), their screen values, their pair cosines or NaN where
+    none was taken, and the rows' floors.
+
+    Columns: each target keeps the k largest screen values of the blocks so
+    far.  Its top k cosines have G >= (its k-th largest G) - 2 eps, so each
+    block also keeps the entries at or above the running value less 2 eps
+    (the first block's from _column_seed) and folds them in.  Once the pass
+    ends, the kept entries at or above the final value less 2 eps are
+    rescored, and their k largest cosines give dy.
+
+    One compare per block finds the entries of both kinds.
+    """
+    n, m, eps = S.shape[0], T.shape[0], _screen_eps(S.shape[1])
+    dx = np.empty(n)
+    top, kth = np.full((m, k), -np.inf), np.full(m, -np.inf)
+    blocks, found = [], []
+    either = np.empty_like(buffers[3])
+    for lo in range(0, n, _BLOCK_ROWS):
+        G, keep = _screen(buffers, slice(lo, lo + _BLOCK_ROWS))
+        L = _row_bound(G, K)
+        row_floors = _down32(L - 2 * eps)
+        col_floors = _down32((_column_seed(G, k) if lo == 0 else kth) - 2 * eps)
+        np.greater_equal(G, row_floors[:, None], out=keep)
+        np.greater_equal(G, col_floors, out=either[: len(G)])
+        np.logical_or(keep, either[: len(G)], out=keep)
+        at = np.flatnonzero(keep)
+        r, c = np.divmod(at, m)
+        g = G.reshape(-1)[at]
+
+        hi, in_row = lo + len(G), g >= row_floors[r]
+        rr, cc, gg = r[in_row].astype(np.int32), c[in_row].astype(np.int32), g[in_row]
+        cos = np.full(len(rr), np.nan)
+        grid, _ = _grid(rr, hi - lo, gg, -np.inf)
+        sure = gg >= np.partition(grid, grid.shape[1] - k, axis=1)[rr, grid.shape[1] - k] - 2 * eps
+        cos[sure] = pair_cosines(S, T, lo + rr[sure], cc[sure])
+        grid, _ = _grid(rr[sure], hi - lo, cos[sure], -np.inf)
+        dx[lo:hi] = neighborhood_means(-np.sort(-grid, axis=1)[:, :k], k)
+        blocks.append((lo, rr, cc, gg, cos, row_floors))
+
+        in_col = g >= col_floors[c]
+        _fold(top, kth, c[in_col], g[in_col])
+        found.append((lo * m + at[in_col], g[in_col]))
+    at, g = (np.concatenate(parts) for parts in zip(*found))
+    r, c = np.divmod(at[g >= kth[at % m] - 2 * eps], m)
+    top[:] = -np.inf
+    _fold(top, kth, c, pair_cosines(S, T, r, c))
+    dy = neighborhood_means(-np.sort(-top, axis=1), k)
+    return dx, dy, blocks
 
 
 def neighborhoods(S, T, k: int):
     """Neighbourhood terms (dx, dy) of the rows of S (n, d) and T (m, d):
-    neighborhood_means of the cosines knn(S, T, k) and knn(T, S, k) find.
-    Raises KTooLargeError when k exceeds either side."""
+    neighborhood_means of the cosines knn(S, T, k) and knn(T, S, k) find,
+    from one screened pass over S.  Raises KTooLargeError when k exceeds
+    either side."""
     S, T = _unit_rows(S, T)
-    return _terms(S, T, k), _terms(T, S, k)
+    _check_k(k, S, T)
+    return _search(S, T, k, k, _screens(S, T))[:2]
+
+
+def _zero_sum(dx: np.ndarray, dy: np.ndarray) -> bool:
+    """Whether some dx_i + dy_j == 0: exactly when -dx_i == dy_j, for
+    finite floats.  (np.isin would do, but its first call imports numpy.ma,
+    whose memory then pins the heap above the search's buffers.)"""
+    ranked = np.sort(dy)
+    at = np.minimum(np.searchsorted(ranked, -dx), len(ranked) - 1)
+    return bool((ranked[at] == -dx).any())
+
+
+def _floors(kind: str, s, d, lowest: float, highest: float):
+    """The cosine a target needs for a score of s, with denominators in
+    d + [lowest, highest]: s (absolute), s + d + lowest (distance), or
+    s (d + lowest), or s (d + highest) for s < 0 (ratio, every denominator
+    > 0; else -inf)."""
+    if kind == MARGIN_DISTANCE:
+        return s + (d + lowest)
+    if kind == MARGIN_RATIO:
+        floors = s * (d + np.where(s < 0, highest, lowest))
+        floors[d + lowest <= 0] = -np.inf
+        return floors
+    return s
 
 
 def align(src_emb, tgt_emb, cfg: SearchConfig):
@@ -221,38 +345,64 @@ def align(src_emb, tgt_emb, cfg: SearchConfig):
     Returns (indices, scores): for each source, the argmax target by margin
     score (exact ties toward the lower target index) and that score.
 
-    dy comes from the targets' neighbourhoods; one screened pass over the sources
-    gives dx and each row's best-cosine target, whose score s the pick must
-    reach.  With denominators in dx + [min dy, max dy], only a cosine of at
-    least s (absolute), s + dx + min dy (distance), s (dx + min dy) or, for
-    s < 0, s (dx + max dy) (ratio, every denominator > 0; else -inf) can, so
-    the screen keeps G >= that floor - eps, and margin scores decide.
+    One screened pass (_search) gives dx, dy and each source's entries that
+    can be in its top _TOP by cosine.  Scoring them with their pair cosines,
+    or with g + eps where none was taken, bounds each from above; the
+    entries whose bound reaches the best exact score are rescored, and the
+    first maximum is the row's pick.  A target that reaches that score has
+    G >= the cosine floor of the score (_floors) less eps, so when that
+    floor is at or above the row's own floor, no target the row did not
+    keep can: the pick is certified.  Other rows are screened again
+    (_rescan).
     """
     S, T = _unit_rows(src_emb, tgt_emb)
     k, kind = cfg.k, cfg.margin_kind
-    dy = _terms(T, S, k)
+    _check_k(k, S, T)
+    n, m, eps = S.shape[0], T.shape[0], _screen_eps(S.shape[1])
+    buffers = _screens(S, T)
+    dx, dy, blocks = _search(S, T, k, min(max(k, _TOP), m), buffers)
+    best_idx, best_score = np.empty(n, dtype=np.int64), np.empty(n)
+    if kind == MARGIN_RATIO and _zero_sum(dx, dy):
+        raise ZeroDivisionError("ratio margin with zero denominator")
     lowest, highest = dy.min(), dy.max()
-    eps = _screen_eps(S.shape[1])
-    best_idx, best_score = np.empty(S.shape[0], dtype=np.int64), np.empty(S.shape[0])
-    for lo, G, keep, r, c, cos, grid, starts, dx in _term_search(S, T, k):
-        hi = lo + len(G)
-        # dx_i + dy_j == 0 exactly when -dx_i == dy_j, for finite floats
-        if kind == MARGIN_RATIO and np.isin(-dx, dy).any():
-            raise ZeroDivisionError("ratio margin with zero denominator")
-        b = starts + np.argmax(grid, axis=1)  # first max: lowest index
-        floors = s = margin_scores(cos[b], dx + dy[c[b]], kind)
-        if kind == MARGIN_DISTANCE:
-            floors = s + (dx + lowest)
-        elif kind == MARGIN_RATIO:
-            floors = s * (dx + np.where(s < 0, highest, lowest))
-            floors[dx + lowest <= 0] = -np.inf
-        r, c = _kept(G, keep, floors - eps)
-        scores = margin_scores(pair_cosines(S, T, lo + r, c), dx[r] + dy[c], kind)
+    certified = np.empty(n, dtype=bool)
+    for lo, r, c, g, cos, row_floors in blocks:
+        hi = lo + len(row_floors)
+        d = dx[lo:hi]
+        den = d[r] + dy[c]
+        todo = np.isnan(cos)
+        scores = margin_scores(np.where(todo, np.add(g, eps, dtype=np.float64), cos), den, kind)
+        exact = np.where(todo, -np.inf, scores)
+        more = todo & (scores >= _grid(r, hi - lo, exact, -np.inf)[0].max(axis=1)[r])
+        if kind == MARGIN_RATIO:
+            more |= todo & (d + lowest <= 0)[r]  # g + eps bounds no score there
+        scores[more] = margin_scores(pair_cosines(S, T, lo + r[more], c[more]), den[more], kind)
         grid, starts = _grid(r, hi - lo, scores, -np.inf)
-        pick = starts + np.argmax(grid, axis=1)
-        best_idx[lo:hi] = c[pick]
-        best_score[lo:hi] = scores[pick]
+        pick = starts + np.argmax(grid, axis=1)  # first max: lowest index
+        best_idx[lo:hi], best_score[lo:hi] = c[pick], scores[pick]
+        # certified: a rescan of the row would keep nothing it has not kept
+        floors = _floors(kind, best_score[lo:hi], d, lowest, highest) - eps
+        certified[lo:hi] = (row_floors <= _down32(floors)) | (np.bincount(r, minlength=hi - lo) == m)
+    rescan = np.flatnonzero(~certified)
+    for lo in range(0, len(rescan), _BLOCK_ROWS):
+        rows = rescan[lo : lo + _BLOCK_ROWS]
+        best_idx[rows], best_score[rows] = _rescan(S, T, buffers, rows, dx, dy, best_score[rows], kind)
     return best_idx, best_score
+
+
+def _rescan(S, T, buffers, rows, dx, dy, s, kind: str):
+    """(indices, scores) of the best-scoring targets of the source rows
+    `rows` (at most _BLOCK_ROWS), given scores s they reach: the screen of
+    those rows keeps every G >= the cosine floor (_floors) of s, less eps,
+    and margin scores decide."""
+    G, keep = _screen(buffers, rows)
+    d = dx[rows]
+    floors = _floors(kind, s, d, dy.min(), dy.max()) - _screen_eps(S.shape[1])
+    r, c = _kept(G, keep, floors[:, None])
+    scores = margin_scores(pair_cosines(S, T, rows[r], c), d[r] + dy[c], kind)
+    grid, starts = _grid(r, len(rows), scores, -np.inf)
+    pick = starts + np.argmax(grid, axis=1)
+    return c[pick], scores[pick]
 
 
 def _count_errors(src_emb, tgt_emb, cfg: SearchConfig) -> tuple[int, int]:

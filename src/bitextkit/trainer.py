@@ -27,6 +27,7 @@ import numpy as np
 from .encoder import (  # noqa: F401
     EncoderParams,
     FeaturizerConfig,
+    _distinct,
     encode_batch,
     featurize,
     featurize_batch,
@@ -394,20 +395,6 @@ class EpochStats:
         return self.mask_kept / self.mask_total if self.mask_total else 1.0
 
 
-def _unique_buckets(ids: np.ndarray, slot: np.ndarray):
-    """(u, inv) as np.unique(ids, return_inverse=True) gives them: u the
-    sorted distinct bucket ids of the 1-D ids and u[inv] == ids.
-
-    One sort of ids finds u; ``slot``, an int64 table with one entry per
-    bucket, then maps each id of u to its position, so the cost follows
-    the id count, not the bucket count.  Entries outside u are left stale.
-    """
-    flat = np.sort(ids)
-    u = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
-    slot[u] = np.arange(u.size)
-    return u, slot[ids]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # divergence is checked explicitly
 def _step_core(
     W: np.ndarray,
@@ -417,21 +404,19 @@ def _step_core(
     cfg: TrainConfig,
     eq_rng: np.random.Generator,
     stats: EpochStats,
-    slot: np.ndarray,
 ) -> float | None:
     """One in-place step on W, against the queue before this batch is
     enqueued; returns the loss, or None for a skipped step.
 
     ``feats``, the sources' featurize_batch rows, fill a dense (batch, |u|)
     matrix F over their unique buckets u: z = F W[u], W[u] -= step * F^T dz.
-    ``slot`` is _unique_buckets' scratch table of W.shape[0] int64 entries.
     Candidates are the queue rows or the batch targets, and one softmax
     masks out the own positive (in-batch); with the prefilter on,
     equalize_negatives' keep-mask is that mask as it is.
     """
     batch = tgt_emb.shape[0]
     nnz, ids, counts = feats
-    u, inv = _unique_buckets(ids, slot)
+    u, inv = _distinct(ids, W.shape[0])
     F = np.zeros((batch, u.size))  # a row's buckets are distinct: no cell is written twice
     F.reshape(-1)[np.repeat(np.arange(batch) * u.size, nnz) + inv] = counts
     W_u = W[u]
@@ -525,8 +510,7 @@ def train_step(
     tgt_emb = encode_batch(teacher, [t for _, t in batch])
     rng = _rng_streams(cfg.rng_seed)[2] if rng is None else rng
     W = student.weights.copy()
-    slot = np.empty(W.shape[0], dtype=np.int64)
-    loss = _step_core(W, feats, tgt_emb, queue.entries, cfg, rng, EpochStats(), slot)
+    loss = _step_core(W, feats, tgt_emb, queue.entries, cfg, rng, EpochStats())
     student = EncoderParams(student.featurizer, W, frozen=False)
     return loss, student, queue_update(queue, tgt_emb)
 
@@ -609,7 +593,6 @@ def train_distill(
     eq_rng = _rng_streams(cfg.rng_seed)[2]
 
     W = student_init.weights.copy()
-    slot = np.empty(W.shape[0], dtype=np.int64)
     all_stats: list[EpochStats] = []
     log_lines: list[str] = []
 
@@ -621,7 +604,7 @@ def train_distill(
             feats, tgt = (nnz, ids_all[at], counts_all[at]), tgt_all[batch]
             queue_mat = None if in_batch else tgt_all[queue]
             try:
-                _step_core(W, feats, tgt, queue_mat, cfg, eq_rng, stats, slot)
+                _step_core(W, feats, tgt, queue_mat, cfg, eq_rng, stats)
             except DivergenceError as exc:
                 raise DivergenceError(f"epoch {epoch} step {step}: {exc}") from None
         all_stats.append(stats)

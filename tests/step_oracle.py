@@ -14,8 +14,9 @@ import numpy as np
 from bitextkit.errors import AllFilteredError, DimMismatchError
 
 
-def unique_buckets(idx, slot=None):
-    """(u, inv) of ``trainer._unique_buckets``; ``slot`` is not used."""
+def unique_buckets(idx, size=None):
+    """(u, inv) of the step's bucket dedupe, ``encoder._distinct``; ``size``
+    (the bucket count) is not used."""
     u, inv = np.unique(idx, return_inverse=True)
     return u, inv.reshape(idx.shape)
 

@@ -284,7 +284,7 @@ def test_align_is_scale_invariant():
 
 @pytest.mark.parametrize("m", [700, 2100])
 def test_align_block_edges_match_knn_margins(m):
-    # at n = 1025 the last 1024-row block holds one row, fewer than k
+    # at n = 1025 the last 512-row block holds one row, fewer than k
     rng = np.random.default_rng(6)
     S = random_units(rng, 1025, 8)
     T = random_units(rng, m, 8)
@@ -305,12 +305,26 @@ def test_align_k_exceeds_either_side():
             align(S, T, SearchConfig(k=4))
 
 
+@pytest.mark.parametrize("empty", ["sources", "targets"])
+def test_an_empty_side_raises_k_too_large(empty):
+    # k is checked against both sides before any screen: with no target
+    # rows, taking dy's minimum would raise a bare NumPy ValueError
+    rows = random_units(np.random.default_rng(9), 6, 4)
+    none = np.empty((0, 4))
+    S, T = (none, rows) if empty == "sources" else (rows, none)
+    with pytest.raises(KTooLargeError):
+        align(S, T, SearchConfig(k=1))
+    with pytest.raises(KTooLargeError):
+        neighborhoods(S, T, 1)
+
+
 def test_align_traced_peak_stays_within_three_blocks():
-    # each pass holds one float32 screen of at most 1,024 rows and its
-    # boolean mask, reused for every block, and gathers only its block's
-    # kept pairs, in bounded chunks; a whole n x m screen, a float64 screen
-    # per pass held at once, or one gather of the whole search's kept pairs
-    # (18 per row when all cosines are positive) breaks two float64 blocks
+    # the search holds one float32 screen of at most 512 rows and its
+    # boolean mask, reused for every block and every rescan, and gathers
+    # only a block's kept pairs, in bounded chunks; a whole n x m screen, a
+    # float64 screen held at once, or one gather of the whole search's kept
+    # pairs (18 per row when all cosines are positive) breaks two float64
+    # 1,024-row blocks
     n = 5000
     rng = np.random.default_rng(4)
     for shape in (lambda rows: rows, np.abs):
@@ -344,6 +358,21 @@ def test_align_ratio_zero_denominator_with_nonzero_terms_raises():
         align(src, tgt, SearchConfig(k=1, margin_kind="ratio"))
 
 
+def test_align_ratio_zero_denominator_in_the_last_block_raises():
+    # the first 599 sources (e2) give dx = 0 and no zero sum; source 599
+    # (e1), in the second 512-row block, has dx = cos(e1, t1) / 2 while
+    # every source gives dy_0 = cos(e1, t0) / 2, its exact negative
+    src = np.tile(np.eye(3)[1], (600, 1))
+    src[599] = np.eye(3)[0]
+    tgt = np.array([[-1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
+    dx, dy = neighborhoods(src, tgt, 1)
+    zero = dx[:, None] + dy[None, :] == 0.0
+    assert zero.any(axis=1).nonzero()[0].tolist() == [599]
+    with pytest.raises(ZeroDivisionError):
+        align(src, tgt, SearchConfig(k=1, margin_kind="ratio"))
+    assert align(src, tgt, SearchConfig(k=1, margin_kind="distance"))[0][599] == 1
+
+
 def test_align_ratio_zero_term_without_zero_denominator_scores():
     # dx_1 == 0 (e2 is orthogonal to the only target), but no sum is 0; and
     # in the worked 2x2 case dx and dy hold equal values, not negated ones
@@ -361,14 +390,18 @@ def test_align_ratio_zero_term_without_zero_denominator_scores():
 @st.composite
 def search_case(draw):
     """Row counts at and around 128 (the chunk count), 256 (two columns per
-    chunk) and 1,024 (two blocks), targets both fewer and more than sources,
-    few distinct target rows (exact ties), S == T (cosines at +-1, where the
-    clip matters), k up to min(n, m) and every margin kind."""
-    n = draw(st.sampled_from([1, 4, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 2049]))
+    chunk), 512 (one block: the block that seeds each target's bound) and
+    1,024 (two blocks), targets both fewer and more than sources, few
+    distinct target rows (exact ties), S == T (cosines at +-1, where the
+    clip matters), k up to min(n, m), above 512 where both sides allow, and
+    every margin kind."""
+    n = draw(
+        st.sampled_from([1, 4, 127, 128, 129, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025, 2049])
+    )
     same = draw(st.booleans())
     m = n if same else draw(st.one_of(st.integers(max(1, n - 300), n), st.integers(n + 1, n + 300)))
     distinct = draw(st.integers(1, m))
-    k = draw(st.one_of(st.integers(1, min(n, m, 8)), st.just(min(n, m))))
+    k = draw(st.one_of(st.integers(1, min(n, m, 8)), st.integers(min(n, m, 513), min(n, m))))
     kind = draw(st.sampled_from(MARGIN_KINDS))
     return n, m, distinct, same, k, kind, draw(st.integers(0, 99))
 
@@ -444,6 +477,88 @@ def test_search_picks_for_rows_with_only_negative_cosines(seed, kind, k, pull):
     S = axis + 0.075 * rng.normal(size=(200, 16))
     S[:60] = pull * axis + 0.075 * rng.normal(size=(60, 16))
     _assert_search_equals_oracle(S, T, k, kind)
+
+
+def certificate_case(seed, n, spread, lift):
+    """Sources and targets whose picks split between the certificate and
+    the rescan.  Targets: hubs reaching 0.3 to 2 along one axis (spread
+    dy), 20 along a second axis that the sources reach only as far as lift
+    (dy near lift / 2, which loosens every row's certificate), and 30
+    near-duplicates, more than a row keeps.  Sources: a cone, 60
+    near-duplicates of those targets, and 60 rows facing away from every
+    target (only negative cosines; with lift 0, often dx_i + min dy <= 0)."""
+    rng = np.random.default_rng(seed)
+    dim = 4 + seed % 13
+    hub, side = np.eye(dim)[:2]
+
+    def noise(rows, scale):
+        return scale * rng.normal(size=(rows, dim))
+
+    T = rng.uniform(0.3, 2.0, size=(400, 1)) * hub + noise(400, 0.15)
+    T[:20] = side + noise(20, 0.05)
+    dup = normalize_rows(hub + noise(1, 0.3))
+    T[20:50] = dup + noise(30, spread)
+    S = hub + noise(n, 0.4)
+    S[:, 1] = lift
+    S[:60] = dup + noise(60, spread)
+    S[60:120] = -(hub + side) + noise(60, 0.05)
+    return S, T
+
+
+def _rescanned(monkeypatch):
+    """A list that gathers the source rows align rescans."""
+    rows, rescan = [], margin._rescan
+
+    def spy(S, T, buffers, rescanned, *rest):
+        rows.extend(rescanned.tolist())
+        return rescan(S, T, buffers, rescanned, *rest)
+
+    monkeypatch.setattr(margin, "_rescan", spy)
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(513, 700),
+    spread=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    lift=st.sampled_from([0.0, 0.25]),
+    kind=st.sampled_from(MARGIN_KINDS),
+    k=st.integers(1, 6),
+)
+def test_certified_and_rescanned_picks_equal_the_oracle_bitwise(seed, n, spread, lift, kind, k):
+    S, T = certificate_case(seed, n, spread, lift)
+    cos, dx, dy = oracle_search(S, T, k)
+    got = neighborhoods(S, T, k)
+    assert np.array_equal(got[0], dx) and np.array_equal(got[1], dy)
+    _assert_search_equals_oracle(S, T, k, kind)
+
+
+@pytest.mark.parametrize("kind", ["ratio", "distance"])
+def test_align_certifies_some_rows_and_rescans_the_rest(kind, monkeypatch):
+    rescanned = _rescanned(monkeypatch)
+    S, T = certificate_case(0, 600, 1e-6, 0.0)
+    cos, dx, dy = oracle_search(S, T, 4)
+    unbounded = np.flatnonzero(dx + dy.min() <= 0)
+    assert len(unbounded) == 60
+    want = oracle_picks(cos, dx, dy, kind)
+    got = align(S, T, SearchConfig(k=4, margin_kind=kind))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert 0 < len(rescanned) < len(S) and len(set(rescanned)) == len(rescanned)
+    if kind == "ratio":  # no certificate bounds a ratio row with dx_i + min dy <= 0
+        assert set(unbounded) <= set(rescanned)
+
+
+def test_absolute_picks_need_no_rescan(monkeypatch):
+    # every screen value is below its pair cosine + eps, so a row's
+    # certificate bound (its K-th screen value - eps) is below its best
+    rescanned = _rescanned(monkeypatch)
+    S, T = certificate_case(0, 600, 1e-6, 0.0)
+    cos, dx, dy = oracle_search(S, T, 4)
+    want = oracle_picks(cos, dx, dy, "absolute")
+    got = align(S, T, SearchConfig(k=4, margin_kind="absolute"))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert rescanned == []
 
 
 def test_non_finite_embeddings_are_rejected():

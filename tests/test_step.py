@@ -1,5 +1,5 @@
 """The training step's bookkeeping against tests/step_oracle.py, bit for
-bit: the sort-and-slot bucket dedupe, the masked softmax that takes exp
+bit: the bucket dedupe, the masked softmax that takes exp
 of finite logits only, the partition-threshold equalizer, and whole
 training runs with the oracle routines patched in."""
 
@@ -39,16 +39,18 @@ def assert_same_arrays(got, want):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_unique_buckets_equals_np_unique(buckets, entries, seed):
+    # the step dedupes with encoder._distinct: a table lookup while the
+    # bucket count is at most 32 per id, np.unique past that; its inverse
+    # is int32 from the table, and only its values index F
     rng = np.random.default_rng(seed)
-    slot = np.empty(buckets, dtype=np.int64)  # stale entries, as in a run
-    for _ in range(2):  # the second batch reuses the first one's table
-        # a batch's feature ids, concatenated row after row as the step
-        # gathers them from featurize_batch: unpadded, with repeats
-        pool = rng.integers(0, buckets, size=int(rng.integers(1, entries + 1)))
-        ids = rng.choice(pool, size=int(rng.integers(1, entries + 1)))
-        assert_same_arrays(
-            trainer._unique_buckets(ids, slot), step_oracle.unique_buckets(ids)
-        )
+    # a batch's feature ids, concatenated row after row as the step
+    # gathers them from featurize_batch: unpadded, with repeats
+    pool = rng.integers(0, buckets, size=int(rng.integers(1, entries + 1)))
+    ids = rng.choice(pool, size=int(rng.integers(1, entries + 1)))
+    u, inv = trainer._distinct(ids, buckets)
+    want_u, want_inv = step_oracle.unique_buckets(ids)
+    assert_same_arrays([u], [want_u])
+    assert inv.shape == want_inv.shape and np.array_equal(inv, want_inv)
 
 
 # --- masked softmax -----------------------------------------------------------
@@ -170,7 +172,7 @@ def test_training_with_the_oracle_routines_gives_the_same_weights(monkeypatch, o
         **overrides,
     )
     got = train_distill(pairs, teacher, cfg)
-    monkeypatch.setattr(trainer, "_unique_buckets", step_oracle.unique_buckets)
+    monkeypatch.setattr(trainer, "_distinct", step_oracle.unique_buckets)
     monkeypatch.setattr(trainer, "_masked_infonce", step_oracle.masked_infonce)
     monkeypatch.setattr(trainer, "equalize_negatives", step_oracle.equalize_negatives)
     want = train_distill(pairs, teacher, cfg)
