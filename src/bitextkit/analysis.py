@@ -1,9 +1,9 @@
 """Training diagnostics: queue-similarity distributions and threshold sweeps.
 
 ``similarity_distribution`` walks the first epoch of train_distill's own
-schedule (same batches, same queue rows, no weight updates) and records,
+schedule (same batches, same teacher rows, no weight updates) and records,
 for every target, the average cosine between its teacher embedding and
-the queue its batch is contrasted with.  Batching by similar length
+the queue window before its batch.  Batching by similar length
 concentrates near-duplicates, which shows up as probability mass at high
 similarity — the regime where hard-negative pre-filtering matters.
 
@@ -55,18 +55,13 @@ def cosine_histogram(values, bins: int = DEFAULT_BINS) -> Histogram:
 def similarity_values(
     targets: list[str], teacher: EncoderParams, cfg: TrainConfig
 ) -> np.ndarray:
-    """Each target's average similarity against the queue its batch meets
-    in the first epoch of the schedule train_distill runs with ``cfg``.
-
-    Targets of the warm-up batch (empty queue) are excluded.  Weights
-    never enter: only the frozen teacher's embeddings matter.
+    """Each target's average similarity against the queue window before its
+    batch in the first epoch of train_distill's schedule for ``cfg``, in
+    every negatives mode; warm-up batch targets (empty queue) are excluded.
+    Weights never enter: only the frozen teacher's embeddings matter.
     """
-    tgt = encode_batch(teacher, targets)
-    values = [
-        np.clip(tgt[batch] @ tgt[queue].T, -1.0, 1.0).mean(axis=1)
-        for batch, queue in next(_schedule(targets, cfg))
-        if queue.size
-    ]
+    steps = next(_schedule(targets, teacher, cfg))
+    values = [np.clip(k @ queue.T, -1.0, 1.0).mean(axis=1) for _, k, queue in steps if queue.size]
     return np.concatenate(values) if values else np.empty(0, dtype=np.float64)
 
 

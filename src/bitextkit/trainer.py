@@ -6,8 +6,8 @@ with temperature-scaled softmax cross-entropy (label = positive), and takes
 one plain gradient step on the student weights.  Negatives come either
 from a FIFO memory queue of past teacher target embeddings or from the
 other targets in the batch.  One schedule, shared with the similarity
-histogram, gives every step its batch and queue: targets are enqueued
-only *after* the loss and gradient are computed.
+histogram, hands every step its teacher rows and queue as views of one
+per-epoch matrix: targets are enqueued only *after* their own step.
 
 Optional hard-negative pre-filtering drops queue entries too similar to
 the positive (cos >= threshold) and equalizes the surviving set sizes
@@ -250,8 +250,9 @@ def prefilter_mask(positive, queue_entries, threshold: float) -> np.ndarray:
 
     ``positive`` is one vector (mask shape (pool,)) or a batch of rows
     (mask shape (batch, pool)).  The comparison is strict, so entries
-    exactly at the threshold are dropped; at threshold 1.0 only exact
-    duplicates (cos == 1) go.
+    exactly at the threshold are dropped.  A threshold closer to 1 than a
+    unit row's self-dot may round drops at that bound: at 1.0 only exact
+    duplicates and rows as close to them go, and exact ones always do.
     """
     if not 0 < threshold <= 1.5:
         raise ValueError(f"threshold must be in (0, 1.5], got {threshold}")
@@ -264,6 +265,10 @@ def prefilter_mask(positive, queue_entries, threshold: float) -> np.ndarray:
     # clipped to [-1, 1] is, so only a higher threshold needs the clip
     if threshold > 1.0:
         np.minimum(cos, 1.0, out=cos)
+    else:
+        # |y|^2 is within (d + 4) 2^-52 of 1 for a row of the encoder or normalize_rows,
+        # and a d-term dot (any order, FMA or not) within d 2^-52 |y|^2 of |y|^2
+        threshold = min(threshold, 1.0 - (2 * k.shape[-1] + 5) * 2.0**-52)
     return cos < threshold
 
 
@@ -345,24 +350,30 @@ def batch_indices(
     return [order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
 
 
-def _schedule(targets: list[str], cfg: TrainConfig):
-    """The run's batches and the FIFO queue each one is contrasted against.
-
-    Yields, per epoch and without end, a list of (batch, queue) corpus-row
-    views into one index array: batch_indices' batches from the run's
-    batch-order stream and, for each, the last cfg.queue_size targets
-    before it in the run's target stream (earlier epochs included), oldest
-    first.  A target thus joins the queue only after its own step.
+def _schedule(targets: list[str], teacher: EncoderParams, cfg: TrainConfig):
+    """The run's teacher side.  Encodes the targets at once, then yields,
+    per epoch and without end, a list of (batch, k, queue): batch_indices'
+    batches from the run's batch-order stream and, as views of one matrix
+    of the epoch's teacher-row stream, the batch's rows k and the last
+    cfg.queue_size rows before them (earlier epochs included), oldest first.
+    Drop an epoch's views before asking for the next one.
     """
+    tgt = encode_batch(teacher, targets)
     lengths = [count_tokens(t) for t in targets]
     batch_rng = _rng_streams(cfg.rng_seed)[1]
     b, q = cfg.batch_size, cfg.queue_size
-    stream = np.empty(0, dtype=np.intp)
-    while True:
-        carry = stream[-q:]  # the queue at the epoch's start
-        stream = np.concatenate([carry, *batch_indices(lengths, cfg, batch_rng)])
-        starts = range(carry.size, stream.size, b)
-        yield [(stream[i : i + b], stream[max(0, i - q) : i]) for i in starts]
+
+    def epochs():
+        stream = np.empty(0, dtype=np.intp)
+        while True:
+            carry = stream[-q:]  # the queue at the epoch's start
+            stream = np.concatenate([carry, *batch_indices(lengths, cfg, batch_rng)])
+            E = tgt[stream]
+            starts = range(carry.size, stream.size, b)
+            yield [(stream[i : i + b], E[i : i + b], E[max(0, i - q) : i]) for i in starts]
+            del E  # now only the caller's views keep it alive
+
+    return epochs()
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +410,22 @@ class EpochStats:
 def _step_core(
     W: np.ndarray,
     feats: tuple[np.ndarray, np.ndarray, np.ndarray],
-    tgt_emb: np.ndarray,
-    queue_mat: np.ndarray | None,
+    k: np.ndarray,
+    queue: np.ndarray,
     cfg: TrainConfig,
     eq_rng: np.random.Generator,
     stats: EpochStats,
 ) -> float | None:
-    """One in-place step on W, against the queue before this batch is
-    enqueued; returns the loss, or None for a skipped step.
+    """One in-place step on W; returns the loss, or None for a skipped step.
 
     ``feats``, the sources' featurize_batch rows, fill a dense (batch, |u|)
     matrix F over their unique buckets u: z = F W[u], W[u] -= step * F^T dz.
-    Candidates are the queue rows or the batch targets, and one softmax
+    ``k`` holds the batch's teacher rows and ``queue`` the queue before
+    they are enqueued.  Candidates are the queue rows or k, and one softmax
     masks out the own positive (in-batch); with the prefilter on,
     equalize_negatives' keep-mask is that mask as it is.
     """
-    batch = tgt_emb.shape[0]
+    batch = k.shape[0]
     nnz, ids, counts = feats
     u, inv = _distinct(ids, W.shape[0])
     F = np.zeros((batch, u.size))  # a row's buckets are distinct: no cell is written twice
@@ -430,13 +441,13 @@ def _step_core(
     q = z / norms[:, None]
 
     in_batch = cfg.negatives_source == NEGATIVES_IN_BATCH
-    candidates = tgt_emb if in_batch else queue_mat
+    candidates = k if in_batch else queue
     if candidates.shape[0] == (1 if in_batch else 0):  # nothing to contrast against
         stats.skipped_steps += 1
         return None
     allowed = ~np.eye(batch, dtype=bool) if in_batch else None
     if cfg.prefilter_enabled:
-        mask = prefilter_mask(tgt_emb, candidates, cfg.filter_threshold)
+        mask = prefilter_mask(k, candidates, cfg.filter_threshold)
         if in_batch:
             mask &= allowed  # the own positive is never a negative
         stats.mask_kept += int(np.count_nonzero(mask))
@@ -446,7 +457,7 @@ def _step_core(
         except AllFilteredError:
             stats.m_zero_fallbacks += 1  # revert to every candidate
 
-    losses, dq = _masked_infonce(q, tgt_emb, candidates, allowed, cfg.temperature)
+    losses, dq = _masked_infonce(q, k, candidates, allowed, cfg.temperature)
     loss = float(losses.mean())
     if not np.isfinite(loss):
         raise DivergenceError(f"non-finite loss {loss}")
@@ -572,8 +583,7 @@ def train_distill(
     epoch and step, at the first step whose loss or updated weights are
     not finite.
     """
-    in_batch = cfg.negatives_source == NEGATIVES_IN_BATCH
-    minimum = 2 if in_batch else cfg.batch_size + 1
+    minimum = 2 if cfg.negatives_source == NEGATIVES_IN_BATCH else cfg.batch_size + 1
     if cfg.epochs >= 1 and len(pairs) < minimum:
         raise TooFewPairsError(
             f"{len(pairs)} pairs leave an epoch without a loss step: "
@@ -585,34 +595,30 @@ def train_distill(
     _check_roles(student_init, teacher)
 
     sources = [s for s, _ in pairs]
-    targets = [t for _, t in pairs]
     nnz_all, ids_all, counts_all = _featurize_sources(sources, student_init.featurizer)
     first_all = np.cumsum(nnz_all) - nnz_all  # where each row's entries start
-    tgt_all = encode_batch(teacher, targets)
+    schedule = _schedule([t for _, t in pairs], teacher, cfg)
 
     eq_rng = _rng_streams(cfg.rng_seed)[2]
-
     W = student_init.weights.copy()
     all_stats: list[EpochStats] = []
     log_lines: list[str] = []
 
-    for epoch, steps in zip(range(1, cfg.epochs + 1), _schedule(targets, cfg)):
+    for epoch in range(1, cfg.epochs + 1):
         stats = EpochStats()
-        for step, (batch, queue) in enumerate(steps, 1):
+        # this loop alone holds the epoch's list (zip's result tuple would pin it)
+        for step, (batch, k, queue) in enumerate(next(schedule), 1):
             nnz = nnz_all[batch]  # row i's entries: first_all[batch[i]] + arange(nnz[i])
             at = np.repeat(first_all[batch] - (np.cumsum(nnz) - nnz), nnz) + np.arange(nnz.sum())
-            feats, tgt = (nnz, ids_all[at], counts_all[at]), tgt_all[batch]
-            queue_mat = None if in_batch else tgt_all[queue]
             try:
-                _step_core(W, feats, tgt, queue_mat, cfg, eq_rng, stats)
+                _step_core(W, (nnz, ids_all[at], counts_all[at]), k, queue, cfg, eq_rng, stats)
             except DivergenceError as exc:
                 raise DivergenceError(f"epoch {epoch} step {step}: {exc}") from None
+        del k, queue  # the last views, so the next stream matrix replaces this one
         all_stats.append(stats)
         line = (
-            f"epoch={epoch} loss={stats.mean_loss:.6f} "
-            f"filtered_out={stats.filtered_out} "
-            f"m_zero_fallbacks={stats.m_zero_fallbacks} "
-            f"skipped_steps={stats.skipped_steps} "
+            f"epoch={epoch} loss={stats.mean_loss:.6f} filtered_out={stats.filtered_out} "
+            f"m_zero_fallbacks={stats.m_zero_fallbacks} skipped_steps={stats.skipped_steps} "
             f"kept_fraction={stats.kept_fraction:.6f}"
         )
         log_lines.append(line)
@@ -620,5 +626,4 @@ def train_distill(
             log_fn(line)
 
     student = EncoderParams(student_init.featurizer, W, frozen=False)
-    epoch_losses = [s.mean_loss for s in all_stats]
-    return TrainResult(student, epoch_losses, all_stats, log_lines)
+    return TrainResult(student, [s.mean_loss for s in all_stats], all_stats, log_lines)

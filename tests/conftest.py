@@ -2,8 +2,8 @@
 
 The heavyweight pieces (a 5,000-pair cipher corpus, a 64-dim teacher, and
 the three full distillation runs) are built once and shared by every test
-that needs them; unit-test modules never request them, so plain module
-runs stay fast.
+that needs them; among unit tests only the trainer's memory guard requests
+the corpus, teacher and initial student, so plain module runs stay fast.
 """
 
 import time

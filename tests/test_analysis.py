@@ -2,6 +2,7 @@
 semantics, threshold sweeps with failure isolation, and CSV formats."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,9 +145,9 @@ def test_shuffled_similarity_values_score_the_queues_training_steps_see(monkeypa
     seen = []
     step_core = trainer._step_core
 
-    def recording(W, feats, tgt_emb, queue_mat, *rest):
-        seen.append((tgt_emb.copy(), queue_mat.copy()))
-        return step_core(W, feats, tgt_emb, queue_mat, *rest)
+    def recording(W, feats, k, queue, *rest):
+        seen.append((k.copy(), queue.copy()))
+        return step_core(W, feats, k, queue, *rest)
 
     monkeypatch.setattr(trainer, "_step_core", recording)
     trainer.train_distill(pairs, teacher, cfg)
@@ -156,6 +157,9 @@ def test_shuffled_similarity_values_score_the_queues_training_steps_see(monkeypa
     got = similarity_values([t for _, t in pairs], teacher, cfg)
     assert got.shape == (75 - 8,)
     assert np.array_equal(got, np.concatenate(epoch1))
+    # the queue window is read whatever the negatives mode
+    in_batch = replace(cfg, negatives_source="in_batch")
+    assert np.array_equal(similarity_values([t for _, t in pairs], teacher, in_batch), got)
 
 
 def test_similarity_distribution_wraps_values_into_histogram():

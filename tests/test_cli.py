@@ -605,6 +605,21 @@ def test_train_on_a_corpus_without_a_loss_step_is_numerical_error(
     assert not list(tmp_path.glob("student.emb*"))
 
 
+def test_train_refuses_an_unencodable_target_with_zero_epochs(
+    tmp_path, corpus_file, teacher_file, capsys
+):
+    _, pairs = corpus_file
+    teacher_path, _ = teacher_file
+    pairs[7] = (pairs[7][0], "")
+    corpus = tmp_path / "empty_target.tsv"
+    write_pairs_tsv(corpus, pairs)
+    out = tmp_path / "student.emb"
+    assert main(train_args(str(corpus), teacher_path, str(out), epochs="0")) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical error: sentence 7: sentence has no features\n"
+    assert not list(tmp_path.glob("student.emb*"))
+
+
 # --- xsim-eval -------------------------------------------------------------------
 
 

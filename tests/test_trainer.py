@@ -5,6 +5,7 @@ determinism, warm-up and fallback counters)."""
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from bitextkit.encoder import (
     encode,
     encode_batch,
     featurize,
+    featurize_batch,
     make_teacher,
 )
 from bitextkit.errors import (
@@ -45,6 +47,7 @@ from bitextkit.trainer import (
     train_distill,
     train_step,
 )
+from conftest import distill_config
 
 LN_1P_2E_M1 = 0.551444713932051  # ln(1 + 2/e)
 
@@ -214,6 +217,26 @@ def test_prefilter_duplicate_and_keep_all_thresholds():
     assert prefilter_mask(k, pool, 1.0).tolist() == [False, True, True]
     # threshold 1.5: everything survives, duplicates included
     assert prefilter_mask(k, pool, 1.5).tolist() == [True, True, True]
+
+
+def test_prefilter_at_one_drops_exact_duplicates_of_encoder_rows():
+    # an encoder row's float64 self-dot often rounds below 1, so a plain
+    # cos < 1.0 kept some rows as negatives of themselves
+    featurizer = FeaturizerConfig(ngram_orders=(2, 3), bucket_count=2048, hash_seed=101)
+    teacher = make_teacher(featurizer, 64, weight_seed=101)
+    spec = CipherSpec(vocab_size=100, min_len=1, max_len=12, map_seed=7)
+    E = encode_batch(teacher, [t for _, t in gen_cipher_corpus(spec, 64, 11)])
+    cos = E @ E.T
+    assert (np.diagonal(cos) < 1.0).any()
+    duplicate = (E[:, None, :] == E[None, :, :]).all(axis=2)
+    assert not (prefilter_mask(E, E, 1.0) & duplicate).any()
+    assert not prefilter_mask(E[3], E, 1.0)[3]
+    # the fix only moves thresholds within (2d + 5) 2^-52 of 1
+    delta = (2 * 64 + 5) * 2.0**-52
+    for sigma in (0.5, 0.9, 1.0 - delta, 1.0 + 2.0**-52, 1.5):
+        expected = (np.minimum(cos, 1.0) if sigma > 1.0 else cos) < sigma
+        assert np.array_equal(prefilter_mask(E, E, sigma), expected)
+    assert np.array_equal(prefilter_mask(E, E, 1.0), cos < 1.0 - delta)
 
 
 def test_prefilter_mask_monotone_in_threshold():
@@ -391,20 +414,27 @@ def test_empty_corpus_gives_no_batches():
 @pytest.mark.parametrize("shuffle", [True, False])
 def test_schedule_queues_are_a_fifo_over_the_run_target_stream(queue_size, shuffle):
     # one FIFO of corpus rows pushed after every batch, across epochs,
-    # against the schedule's windows (a queue longer than the corpus spans
-    # several epochs)
+    # against the schedule's teacher rows (a queue longer than the corpus
+    # spans several epochs); the corpus's teacher rows are distinct, so
+    # equal rows mean equal corpus rows
     targets = [t for _, t in tiny_corpus(37)]
+    teacher = tiny_teacher()
+    tgt = encode_batch(teacher, targets)
+    assert len(np.unique(tgt, axis=0)) == len(targets)
     lengths = [count_tokens(t) for t in targets]
     cfg = run_cfg(batch_size=8, queue_size=queue_size, shuffle=shuffle)
     batch_rng = trainer._rng_streams(cfg.rng_seed)[1]
-    fifo, epochs = [], trainer._schedule(targets, cfg)
+    fifo, epochs = [], trainer._schedule(targets, teacher, cfg)
     for _ in range(4):
         steps = next(epochs)
-        assert [b.tolist() for b, _ in steps] == [
+        assert [b.tolist() for b, _, _ in steps] == [
             b.tolist() for b in batch_indices(lengths, cfg, batch_rng)
         ]
-        for batch, queue in steps:
-            assert queue.tolist() == fifo
+        # every window is a view of the epoch's one stream matrix
+        assert len({id(m.base) for _, k, queue in steps for m in (k, queue)}) == 1
+        for batch, k, queue in steps:
+            assert np.array_equal(k, tgt[batch])
+            assert np.array_equal(queue, tgt[fifo])
             fifo = (fifo + batch.tolist())[-queue_size:]
 
 
@@ -708,9 +738,9 @@ def run_cfg(**overrides):
 
 
 def test_in_batch_distill_never_gathers_queue_rows(monkeypatch):
-    # in-batch steps contrast against the batch's own targets, so the FIFO
-    # is never read there: its size cannot move the weights, and no step
-    # is handed a queue row
+    # in-batch steps contrast against the batch's own teacher rows, so the
+    # FIFO is never read there: its size cannot move the weights, and a
+    # queue of NaN rows handed to every step leaves them as they are
     teacher = tiny_teacher()
     runs = [
         train_distill(tiny_corpus(), teacher, run_cfg(negatives_source="in_batch", queue_size=q))
@@ -720,14 +750,14 @@ def test_in_batch_distill_never_gathers_queue_rows(monkeypatch):
 
     step_core, queues = trainer._step_core, []
 
-    def recording(W, feats, tgt_emb, queue_mat, *rest):
-        queues.append(queue_mat)
-        return step_core(W, feats, tgt_emb, queue_mat, *rest)
+    def poisoned(W, feats, k, queue, *rest):
+        queues.append(queue.shape[0])
+        return step_core(W, feats, k, np.full_like(queue, np.nan), *rest)
 
-    monkeypatch.setattr(trainer, "_step_core", recording)
+    monkeypatch.setattr(trainer, "_step_core", poisoned)
     again = train_distill(tiny_corpus(), teacher, run_cfg(negatives_source="in_batch"))
     assert np.array_equal(again.student.weights, runs[0].student.weights)
-    assert queues and all(q is None or q.shape[0] == 0 for q in queues)
+    assert max(queues) == run_cfg().queue_size
 
 
 def test_train_step_without_rng_is_the_first_step_of_train_distill(monkeypatch):
@@ -741,20 +771,87 @@ def test_train_step_without_rng_is_the_first_step_of_train_distill(monkeypatch):
     init = default_student(teacher, cfg.rng_seed)
     step_core, first = trainer._step_core, []
 
-    def recording(W, *rest):
-        loss = step_core(W, *rest)
-        first.append(W.copy())
+    def recording(W, feats, k, *rest):
+        loss = step_core(W, feats, k, *rest)
+        first.append((W.copy(), k.copy()))
         return loss
 
     monkeypatch.setattr(trainer, "_step_core", recording)
     train_distill(pairs, teacher, cfg, student_init=init)
-    batch, _ = next(trainer._schedule([t for _, t in pairs], cfg))[0]
+    batch, _, _ = next(trainer._schedule([t for _, t in pairs], teacher, cfg))[0]
+    # the step's teacher rows are the ones train_step encodes for its batch
+    assert np.array_equal(first[0][1], encode_batch(teacher, [pairs[i][1] for i in batch]))
     empty = NegativeQueue.empty(cfg.queue_size, teacher.dim)
     step_args = (init, teacher, [pairs[i] for i in batch], empty, cfg)
-    assert np.array_equal(train_step(*step_args)[1].weights, first[0])
+    assert np.array_equal(train_step(*step_args)[1].weights, first[0][0])
     # the draws decide this step: the old stream gives other weights
     old = train_step(*step_args, np.random.default_rng(cfg.rng_seed))[1]
-    assert not np.array_equal(old.weights, first[0])
+    assert not np.array_equal(old.weights, first[0][0])
+
+
+@pytest.mark.parametrize("shuffle", [True, False])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"prefilter_enabled": True, "filter_threshold": 0.5},
+        {"negatives_source": "in_batch"},
+        {"negatives_source": "in_batch", "prefilter_enabled": True, "filter_threshold": 0.5},
+    ],
+    ids=["queue", "prefilter", "in-batch", "in-batch-prefilter"],
+)
+def test_train_distill_is_train_step_replayed_over_its_batches(overrides, shuffle):
+    # an oracle outside the schedule: train_step over batch_indices' batch
+    # order stream, threading one NegativeQueue across epochs and the run's
+    # equalization generator
+    teacher, pairs = tiny_teacher(), tiny_corpus()
+    cfg = run_cfg(shuffle=shuffle, epochs=2, **overrides)
+    student = default_student(teacher, cfg.rng_seed)
+    result = train_distill(pairs, teacher, cfg, student_init=student)
+    if cfg.prefilter_enabled:
+        assert result.kept_fraction < 1.0
+    _, batch_rng, eq_rng = trainer._rng_streams(cfg.rng_seed)
+    lengths = [count_tokens(t) for _, t in pairs]
+    queue = NegativeQueue.empty(cfg.queue_size, teacher.dim)
+    for _ in range(cfg.epochs):
+        for batch in batch_indices(lengths, cfg, batch_rng):
+            _, student, queue = train_step(
+                student, teacher, [pairs[i] for i in batch], queue, cfg, eq_rng
+            )
+    assert np.array_equal(student.weights, result.student.weights)
+
+
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_distill_refuses_an_unencodable_target_before_any_step(monkeypatch, epochs):
+    # the teacher side is encoded up front, even when no epoch runs
+    def stepped(*args):
+        raise AssertionError("a step ran before the targets were encoded")
+
+    monkeypatch.setattr(trainer, "_step_core", stepped)
+    pairs = tiny_corpus()
+    pairs[7] = (pairs[7][0], "")
+    with pytest.raises(ZeroVectorError, match="^sentence 7: sentence has no features$"):
+        train_distill(pairs, tiny_teacher(), run_cfg(epochs=epochs))
+
+
+def test_one_teacher_stream_matrix_is_alive_at_a_time(train_corpus, teacher, student_init):
+    # a run holds its weights, the sources' compressed rows, the teacher
+    # rows and one epoch's stream matrix of teacher rows (the queue's carry,
+    # then the corpus); what a step adds is smaller than the first epoch's
+    # stream matrix, which an old matrix pinned while the next one is built
+    # would add in full
+    cfg = distill_config(epochs=2)
+    n, row = len(train_corpus), teacher.dim * 8
+    feats = featurize_batch([s for s, _ in train_corpus], student_init.featurizer)
+    held = student_init.weights.nbytes + sum(a.nbytes for a in feats) + n * row
+    stream = (min(cfg.queue_size, n) + n) * row
+    tracemalloc.start()
+    try:
+        train_distill(train_corpus, teacher, cfg, student_init=student_init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held + stream < peak < held + stream + n * row
 
 
 def test_distill_zero_epochs_returns_init_unchanged():
