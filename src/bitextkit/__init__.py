@@ -19,11 +19,9 @@ from .embfile import read_embeddings, write_embeddings
 from .encoder import (
     EncoderParams,
     FeaturizerConfig,
-    SparseCounts,
     encode,
     encode_batch,
     encode_masked,
-    featurize,
     featurize_batch,
     load_encoder,
     make_teacher,

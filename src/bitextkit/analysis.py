@@ -100,8 +100,8 @@ def threshold_sweep(
     search_cfg: SearchConfig | None = None,
     log_fn=None,
 ) -> list[SweepRow]:
-    """Train one student per threshold (same seed => same init and batch
-    order) and evaluate each on held-out pairs.
+    """Train one student per threshold, with the pre-filter on (same seed
+    => same init and batch order), and evaluate each on held-out pairs.
 
     A package or arithmetic error for one threshold is isolated: its row
     records NaN and the failure, and the sweep continues; any other

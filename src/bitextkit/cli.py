@@ -230,11 +230,11 @@ _TRAIN_FIELDS = {
 }
 
 
-def _train_config(vals: dict, **fixed) -> TrainConfig:
+def _train_config(vals: dict) -> TrainConfig:
     """TrainConfig from the resolved options (library defaults for the
-    fields the subcommand does not resolve), with ``fixed`` fields set."""
+    fields the subcommand does not resolve)."""
     fields = {f: vals[key] for key, f in _TRAIN_FIELDS.items() if key in vals}
-    return TrainConfig(**fields, **fixed)
+    return TrainConfig(**fields)
 
 
 def _search_config(vals: dict) -> SearchConfig:
@@ -342,7 +342,7 @@ def _cmd_analyze_hist(args, vals: dict, echo: str) -> None:
 
 
 def _cmd_analyze_sweep(args, vals: dict, echo: str) -> None:
-    base = _train_config(vals, prefilter_enabled=True)
+    base = _train_config(vals)
     pairs = read_pairs_tsv(args.corpus)
     eval_pairs = read_pairs_tsv(args.eval_corpus)
     teacher = load_encoder(args.teacher)

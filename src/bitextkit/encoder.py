@@ -65,19 +65,6 @@ class FeaturizerConfig:
         object.__setattr__(self, "hash_seed", int(self.hash_seed))
 
 
-@dataclass(frozen=True)
-class SparseCounts:
-    """Sparse count vector: strictly increasing indices, positive counts."""
-
-    indices: np.ndarray  # int64
-    counts: np.ndarray  # float64
-    length: int
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.shape[0])
-
-
 # Hash chunks and projection groups, sized on 2 cores (medians of 13-15
 # interleaved calls, two sweeps).  featurize_batch of the 3,000 long
 # `filter` targets took 63-79 ms in 8k-character chunks, 52-72 in 16k and
@@ -118,9 +105,11 @@ def featurize_batch(sentences: list[str], cfg: FeaturizerConfig) -> tuple[np.nda
     """Hashed n-gram counts of many sentences in compressed-row form.
 
     Returns (nnz, indices, counts): sentence i owns the next nnz[i]
-    entries of indices (strictly increasing) and counts, which are
-    featurize(sentences[i]).  Hashes each sentence once, one call per
-    chunk of about _CHUNK_CHARS characters.
+    entries of indices (its strictly increasing buckets) and counts (how
+    often its n-grams hash there).  The empty sentence has no entries (no
+    sentinel n-grams are counted for it).  Hashes each sentence once, one
+    call per chunk of about _CHUNK_CHARS characters, so a row never
+    depends on the batch it is featurized in.
     """
     ends = np.cumsum(np.fromiter(map(len, sentences), np.int64, len(sentences)))
     cuts = (np.flatnonzero(np.diff(ends // _CHUNK_CHARS)) + 1).tolist()
@@ -129,14 +118,10 @@ def featurize_batch(sentences: list[str], cfg: FeaturizerConfig) -> tuple[np.nda
     return tuple(np.concatenate(part) for part in zip(*chunks))
 
 
-def featurize(sentence: str, cfg: FeaturizerConfig) -> SparseCounts:
-    """Hashed n-gram counts of a sentence.
-
-    The empty sentence maps to the all-zero vector (no sentinel n-grams
-    are counted for it).  Deterministic for a fixed config.
-    """
-    _, indices, counts = _block_counts([sentence], cfg)
-    return SparseCounts(indices, counts, cfg.bucket_count)
+# not called in the package; perfbench/tracing.py patches it by name
+def featurize(sentence: str, cfg: FeaturizerConfig) -> tuple[np.ndarray, ...]:
+    """featurize_batch([sentence], cfg)."""
+    return featurize_batch([sentence], cfg)
 
 
 @dataclass
@@ -263,7 +248,7 @@ def encode_masked(
 
 
 def _zero_reason(params: EncoderParams, sentence: str) -> str:
-    if featurize(sentence, params.featurizer).nnz == 0:
+    if featurize_batch([sentence], params.featurizer)[0][0] == 0:
         return "sentence has no features"
     return "projection collapsed to zero norm"
 

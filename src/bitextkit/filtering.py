@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embfile import atomic_write_text, open_text
-# encode and knn are not called here; they stay importable because perfbench
-# traces them under this module's name
+# encode and knn are not called here; perfbench/tracing.py patches them by
+# name under this module
 from .encoder import EncoderParams, encode, encode_masked  # noqa: F401
 from .errors import CorpusFormatError
 from .margin import SearchConfig, knn, margin_scores, neighborhoods, pair_cosines  # noqa: F401

@@ -93,8 +93,9 @@ def bucket_ids(
     return ids.view(np.int64), text
 
 
+# not called in the package; perfbench/tracing.py patches it by name
 def ngram_bucket_ids(
     text: str, orders: tuple[int, ...], n_buckets: int, seed: int
 ) -> np.ndarray:
-    """Bucket ids of all character n-grams of one text (see bucket_ids)."""
+    """bucket_ids([text], orders, n_buckets, seed)[0]."""
     return bucket_ids([text], orders, n_buckets, seed)[0]

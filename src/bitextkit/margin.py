@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatchError, KTooLargeError, SizeMismatchError
-from .vectors import normalize_rows
+from .vectors import normalize_rows, unit_slack
 
 MARGIN_ABSOLUTE = "absolute"
 MARGIN_DISTANCE = "distance"
@@ -114,7 +114,7 @@ def _screen_eps(d: int) -> float:
     # rounding of align's float64 floors (ulps of values below 4).
     u = 2.0**-24
     gamma = (d + 2) * u / (1 - (d + 2) * u) if (d + 2) * u < 1 else math.inf
-    slack = (d + 4) * 2.0**-52
+    slack = unit_slack(d)
     return (gamma + d * 2.0**-52) * (1 + slack) + slack + 2.0**-48
 
 

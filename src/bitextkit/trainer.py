@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# featurize is not called here; it stays importable because perfbench traces
-# it under this module's name
+# featurize is not called here; perfbench/tracing.py patches it by name
+# under this module
 from .encoder import (  # noqa: F401
     EncoderParams,
     FeaturizerConfig,
@@ -42,7 +42,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .filtering import count_tokens
-from .vectors import ZERO_NORM_EPS
+from .vectors import ZERO_NORM_EPS, unit_slack
 
 NEGATIVES_QUEUE = "queue"
 NEGATIVES_IN_BATCH = "in_batch"
@@ -120,7 +120,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class NegativeQueue:
-    """Bounded FIFO of unit-norm embedding rows; row 0 is the oldest."""
+    """Bounded FIFO of unit-norm embedding rows; row 0 is the oldest.
+
+    A row is accepted when its computed squared norm is within
+    unit_slack(d) plus one d-term dot's rounding, (2d + 4) 2^-52, of 1:
+    rows of the encoder or of normalize_rows, so that prefilter_mask at
+    1.0 drops every accepted row against itself.  Rows rounded to float32
+    (EMB1 files) are refused; pass them through normalize_rows first.
+    """
 
     capacity: int
     entries: np.ndarray
@@ -135,10 +142,10 @@ class NegativeQueue:
             raise ValueError(
                 f"{ent.shape[0]} entries exceed capacity {self.capacity}"
             )
-        if ent.shape[0]:
-            norms = np.linalg.norm(ent, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-6):
-                raise ValueError("queue entries must be unit-norm")
+        d = ent.shape[1]
+        squares = np.einsum("ij,ij->i", ent, ent)
+        if not (abs(squares - 1.0) <= unit_slack(d) + d * 2.0**-52).all():
+            raise ValueError("queue entries must be unit-norm (see normalize_rows)")
         object.__setattr__(self, "entries", ent)
 
     @classmethod
@@ -266,9 +273,11 @@ def prefilter_mask(positive, queue_entries, threshold: float) -> np.ndarray:
     if threshold > 1.0:
         np.minimum(cos, 1.0, out=cos)
     else:
-        # |y|^2 is within (d + 4) 2^-52 of 1 for a row of the encoder or normalize_rows,
-        # and a d-term dot (any order, FMA or not) within d 2^-52 |y|^2 of |y|^2
-        threshold = min(threshold, 1.0 - (2 * k.shape[-1] + 5) * 2.0**-52)
+        # NegativeQueue accepts a row whose computed |y|^2 is within
+        # unit_slack(d) + d 2^-52 = (2d + 4) 2^-52 of 1, so its true |y|^2
+        # is within (3d + 4) 2^-52 of 1, and a d-term dot (any order, FMA or
+        # not) is within d 2^-52 |y|^2 of |y|^2
+        threshold = min(threshold, 1.0 - (4 * k.shape[-1] + 5) * 2.0**-52)
     return cos < threshold
 
 
@@ -537,11 +546,10 @@ class TrainResult:
 
     @property
     def kept_fraction(self) -> float:
-        """Fraction of negative candidates kept by the pre-filter mask
-        across the whole run (1.0 when the filter never evaluated)."""
+        """EpochStats.kept_fraction of the whole run's summed counters."""
         kept = sum(s.mask_kept for s in self.epoch_stats)
         total = sum(s.mask_total for s in self.epoch_stats)
-        return kept / total if total else 1.0
+        return EpochStats(mask_kept=kept, mask_total=total).kept_fraction
 
 
 def default_student(

@@ -14,6 +14,12 @@ from .errors import DimMismatchError, ZeroVectorError
 ZERO_NORM_EPS = 1e-12
 
 
+def unit_slack(d: int) -> float:
+    """Bound on |y.y - 1| for a d-dimensional row y of normalize_rows or of
+    the encoder, y.y being the true squared norm, not a computed one."""
+    return (d + 4) * 2.0**-52
+
+
 def normalize_rows(mat) -> np.ndarray:
     """L2-normalize each row of a 2-D array; raises ValueError with the
     index of the first row whose norm is not finite and ZeroVectorError with

@@ -15,12 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitextkit.cli import OPTIONS, build_parser, load_config, main
+from bitextkit.analysis import DEFAULT_BINS
+from bitextkit.cli import (
+    OPTIONS,
+    _search_config,
+    _train_config,
+    build_parser,
+    load_config,
+    main,
+)
 from bitextkit.embfile import read_embeddings, write_embeddings
 from bitextkit.encoder import FeaturizerConfig, encode_batch, load_encoder, make_teacher, save_encoder
 from bitextkit.errors import ConfigError
 from bitextkit.filtering import read_pairs_tsv, write_pairs_tsv
+from bitextkit.margin import SearchConfig
 from bitextkit.synth import CipherSpec, gen_cipher_corpus, inject_noise
+from bitextkit.trainer import TrainConfig
 
 
 @pytest.fixture
@@ -229,6 +239,16 @@ def test_load_config_parses_and_validates(tmp_path):
     cfg.write_text("just words\n")
     with pytest.raises(ConfigError, match="expected key=value"):
         load_config(cfg)
+
+
+def test_option_defaults_are_the_library_defaults():
+    # OPTIONS repeats these defaults as text; a change on either side shows here
+    default = {key: convert(text, key) for key, (convert, text, _) in OPTIONS.items()}
+    assert _train_config(default) == TrainConfig()
+    assert _search_config(default) == SearchConfig()
+    cipher = ("vocab_size", "min_len", "max_len", "map_seed")
+    assert CipherSpec(**{key: default[key] for key in cipher}) == CipherSpec()
+    assert default["bins"] == DEFAULT_BINS
 
 
 def test_flags_override_config_file(tmp_path, corpus_file, teacher_file, capsys):

@@ -10,14 +10,13 @@ from encoder_oracle import embed as oracle_embed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitextkit import encoder, hashing
+from bitextkit import encoder, filtering, hashing, margin, trainer
 from bitextkit.encoder import (
     EncoderParams,
     FeaturizerConfig,
     encode,
     encode_batch,
     encode_masked,
-    featurize,
     featurize_batch,
     load_encoder,
     make_teacher,
@@ -68,39 +67,38 @@ def test_featurize_batch_at_the_bucket_cap():
     nnz, indices, counts = featurize_batch(sentences, cfg)
     rows = np.split(np.arange(nnz.sum()), np.cumsum(nnz)[:-1])
     for s, row in zip(sentences, rows):
-        ids = hashing.ngram_bucket_ids(f"^{s}$", (2,), 2**31 - 1, 0)
+        ids, _ = hashing.bucket_ids([f"^{s}$"], (2,), 2**31 - 1, 0)
         want, times = np.unique(ids, return_counts=True)
         assert indices[row].tolist() == want.tolist()
         assert counts[row].tolist() == times.tolist()
-        assert featurize(s, cfg).indices.tolist() == want.tolist()
+        assert featurize_batch([s], cfg)[1].tolist() == want.tolist()
 
 
-# --- featurize ---------------------------------------------------------------
+# --- featurizing one sentence ------------------------------------------------
 
 
 def test_featurize_golden_bigrams():
     cfg = FeaturizerConfig(ngram_orders=(2,), bucket_count=16, hash_seed=7)
-    feats = featurize("ab", cfg)
-    assert feats.indices.tolist() == [1, 2, 13]
-    assert feats.counts.tolist() == [1.0, 1.0, 1.0]
-    assert feats.length == 16
-    assert feats.nnz == 3
+    nnz, indices, counts = featurize_batch(["ab"], cfg)
+    assert indices.tolist() == [1, 2, 13]
+    assert counts.tolist() == [1.0, 1.0, 1.0]
+    assert nnz.tolist() == [3]
 
 
 def test_featurize_accumulates_repeated_grams():
     # unigrams of "^aa$" with seed 0, 64 buckets: '^'->21, '$'->6, 'a'->27
     cfg = FeaturizerConfig(ngram_orders=(1,), bucket_count=64, hash_seed=0)
-    feats = featurize("aa", cfg)
-    assert feats.indices.tolist() == [6, 21, 27]
-    assert feats.counts.tolist() == [1.0, 1.0, 2.0]
+    nnz, indices, counts = featurize_batch(["aa"], cfg)
+    assert indices.tolist() == [6, 21, 27]
+    assert counts.tolist() == [1.0, 1.0, 2.0]
+    assert nnz.tolist() == [3]
 
 
 def test_featurize_empty_sentence_is_zero_vector():
     cfg = FeaturizerConfig(ngram_orders=(1, 2), bucket_count=8, hash_seed=0)
-    feats = featurize("", cfg)
-    assert feats.nnz == 0
-    assert feats.length == 8
-    assert feats.indices.tolist() == [] and feats.counts.tolist() == []
+    nnz, indices, counts = featurize_batch([""], cfg)
+    assert nnz.tolist() == [0]
+    assert indices.tolist() == [] and counts.tolist() == []
 
 
 def test_featurize_deterministic_and_indices_strictly_increasing():
@@ -109,16 +107,33 @@ def test_featurize_deterministic_and_indices_strictly_increasing():
     letters = list("abcdef ")
     for _ in range(100):
         text = "".join(rng.choice(letters) for _ in range(int(rng.integers(1, 15))))
-        a = featurize(text, cfg)
-        b = featurize(text, cfg)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.counts, b.counts)
-        assert (np.diff(a.indices) > 0).all()
-        assert (a.counts > 0).all()
+        nnz, indices, counts = featurize_batch([text], cfg)
+        again = featurize_batch([text], cfg)
+        assert all(np.array_equal(x, y) for x, y in zip((nnz, indices, counts), again))
+        assert nnz.tolist() == [indices.size]
+        assert (np.diff(indices) > 0).all()
+        assert (counts > 0).all()
         # total mass equals the number of n-gram occurrences
         wrapped_len = len(text) + 2
         expected = sum(max(wrapped_len - o + 1, 0) for o in (2, 3))
-        assert a.counts.sum() == expected
+        assert counts.sum() == expected
+
+
+def test_traced_names_are_the_first_row_of_their_batch_functions():
+    # perfbench/tracing.py patches these names; the package calls only the
+    # batch functions
+    cfg = FeaturizerConfig(ngram_orders=(1, 2), bucket_count=97, hash_seed=5)
+    for text in ["", "a", "ab", "éa世 ሀለ", "hello world"]:
+        one, batch = encoder.featurize(text, cfg), featurize_batch([text], cfg)
+        assert len(one) == len(batch) == 3
+        for got, want in zip(one, batch):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        got = hashing.ngram_bucket_ids(text, (1, 2), 97, 5)
+        want, _ = hashing.bucket_ids([text], (1, 2), 97, 5)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert trainer.featurize is encoder.featurize
+    assert filtering.encode is encoder.encode
+    assert filtering.knn is margin.knn
 
 
 # --- encoder params / teacher ------------------------------------------------
@@ -211,14 +226,14 @@ def test_featurize_batch_rows_match_featurize(corpus, orders, buckets, hash_seed
         ngram_orders=tuple(orders), bucket_count=buckets, hash_seed=hash_seed
     )
     nnz, indices, counts = featurize_batch([pool[r] for r in rows], cfg)
-    feats = [featurize(s, cfg) for s in pool]
-    assert nnz.tolist() == [feats[r].nnz for r in rows]
+    feats = [featurize_batch([s], cfg) for s in pool]
+    assert nnz.tolist() == [feats[r][0][0] for r in rows]
     assert indices.shape == counts.shape == (nnz.sum(),)
     ends = np.cumsum(nnz)
-    for i, r in enumerate(rows):  # row i's segment is featurize of its sentence
+    for i, r in enumerate(rows):  # row i's segment is its sentence's own row
         segment = slice(ends[i] - nnz[i], ends[i])
-        assert indices[segment].tolist() == feats[r].indices.tolist()
-        assert counts[segment].tolist() == feats[r].counts.tolist()
+        assert indices[segment].tolist() == feats[r][1].tolist()
+        assert counts[segment].tolist() == feats[r][2].tolist()
 
 
 def test_batch_calls_hash_each_sentence_once(monkeypatch):

@@ -20,7 +20,7 @@ from bitextkit.filtering import (
     write_pairs_tsv,
     write_scored_tsv,
 )
-from bitextkit.hashing import ngram_bucket_ids
+from bitextkit.hashing import bucket_ids
 from bitextkit.margin import MARGIN_KINDS, SearchConfig, align, knn, neighborhood_means
 from bitextkit.synth import CipherSpec, gen_cipher_corpus
 
@@ -160,7 +160,7 @@ def axis_encoders():
     cfg = FeaturizerConfig(ngram_orders=(1,), bucket_count=64, hash_seed=0)
 
     def bucket(ch):
-        return int(ngram_bucket_ids(ch, (1,), 64, 0)[0])
+        return int(bucket_ids([ch], (1,), 64, 0)[0][0])
 
     ids = {ch: bucket(ch) for ch in "^$abno"}
     assert len(set(ids.values())) == 6  # no collisions among the six glyphs

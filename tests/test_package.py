@@ -12,9 +12,9 @@ EXPORTED = {
     "EmptyNegativesError", "FormatError", "FrozenEncoderError", "KTooLargeError",
     "SizeMismatchError", "TooFewPairsError", "TruncatedFileError", "ZeroVectorError",
     # encoder and EMB1 files
-    "EncoderParams", "FeaturizerConfig", "SparseCounts", "encode", "encode_batch",
-    "encode_masked", "featurize", "featurize_batch", "load_encoder", "make_teacher",
-    "save_encoder", "read_embeddings", "write_embeddings", "normalize_rows",
+    "EncoderParams", "FeaturizerConfig", "encode", "encode_batch", "encode_masked",
+    "featurize_batch", "load_encoder", "make_teacher", "save_encoder",
+    "read_embeddings", "write_embeddings", "normalize_rows",
     # trainer
     "EpochStats", "NegativeQueue", "TrainConfig", "TrainResult",
     "batch_indices", "default_student", "equalize_negatives", "filtered_infonce_loss",

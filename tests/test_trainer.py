@@ -19,7 +19,6 @@ from bitextkit.encoder import (
     FeaturizerConfig,
     encode,
     encode_batch,
-    featurize,
     featurize_batch,
     make_teacher,
 )
@@ -47,6 +46,7 @@ from bitextkit.trainer import (
     train_distill,
     train_step,
 )
+from bitextkit.vectors import normalize_rows
 from conftest import distill_config
 
 LN_1P_2E_M1 = 0.551444713932051  # ln(1 + 2/e)
@@ -135,6 +135,46 @@ def test_queue_validation():
         NegativeQueue(3, 2.0 * np.eye(2))  # not unit-norm
     with pytest.raises(DimMismatchError):
         queue_update(NegativeQueue.empty(3, 4), np.eye(3))
+
+
+def test_queue_refuses_rows_the_prefilter_bound_does_not_cover():
+    y = normalize_rows(np.random.default_rng(7).normal(size=(1, 64)))
+    NegativeQueue(1, y)
+    # this row passed a 1e-6 norm tolerance and prefilter_mask at 1.0 kept it
+    # as a negative of itself
+    near = y * (1 - 4e-7)
+    assert prefilter_mask(y, near, 1.0).tolist() == [[True]]
+    with pytest.raises(ValueError, match="unit-norm"):
+        NegativeQueue(1, near)
+    # an EMB1 row is float32: about 4e-8 off, refused until renormalized
+    emb1 = y.astype(np.float32).astype(np.float64)
+    with pytest.raises(ValueError, match="unit-norm"):
+        NegativeQueue(1, emb1)
+    NegativeQueue(1, normalize_rows(emb1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(2, 512),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 8.0),
+)
+def test_every_row_the_queue_accepts_drops_itself_at_sigma_one(d, seed, spread):
+    rng = np.random.default_rng(seed)
+    y = normalize_rows(rng.normal(size=(1, d)) * np.exp(spread * rng.normal(size=(1, d))))
+    rows = [NegativeQueue(1, y).entries]  # a row of normalize_rows is accepted
+    # along y, the accepted rows shortest and longest by about 2^-52 steps
+    for step in (1, -1):
+        j = step * (d + 8)  # (1 - j 2^-52)^2 is about 1 - 2j 2^-52: refused
+        while True:
+            try:
+                rows.append(NegativeQueue(1, y * (1.0 - j * 2.0**-52)).entries)
+                break
+            except ValueError:
+                j -= step
+    for entries in rows:
+        assert prefilter_mask(entries[0], entries, 1.0).tolist() == [False]
+        assert prefilter_mask(entries, entries, 1.0).tolist() == [[False]]
 
 
 # --- infonce loss -------------------------------------------------------------
@@ -231,8 +271,8 @@ def test_prefilter_at_one_drops_exact_duplicates_of_encoder_rows():
     duplicate = (E[:, None, :] == E[None, :, :]).all(axis=2)
     assert not (prefilter_mask(E, E, 1.0) & duplicate).any()
     assert not prefilter_mask(E[3], E, 1.0)[3]
-    # the fix only moves thresholds within (2d + 5) 2^-52 of 1
-    delta = (2 * 64 + 5) * 2.0**-52
+    # the fix only moves thresholds within (4d + 5) 2^-52 of 1
+    delta = (4 * 64 + 5) * 2.0**-52
     for sigma in (0.5, 0.9, 1.0 - delta, 1.0 + 2.0**-52, 1.5):
         expected = (np.minimum(cos, 1.0) if sigma > 1.0 else cos) < sigma
         assert np.array_equal(prefilter_mask(E, E, sigma), expected)
@@ -530,9 +570,7 @@ def test_train_step_leaves_rows_outside_the_batch_buckets_unchanged():
     )[2]
     batch = pairs[4:8]
     _, new_student, _ = train_step(student, teacher, batch, warm_queue, cfg)
-    active = np.unique(
-        np.concatenate([featurize(s, student.featurizer).indices for s, _ in batch])
-    )
+    active = np.unique(featurize_batch([s for s, _ in batch], student.featurizer)[1])
     inactive = np.setdiff1d(np.arange(student.featurizer.bucket_count), active)
     assert inactive.size and active.size
     assert np.array_equal(new_student.weights[inactive], student.weights[inactive])
