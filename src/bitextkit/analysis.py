@@ -22,7 +22,7 @@ import numpy as np
 
 from .embfile import atomic_write_text
 from .encoder import EncoderParams, encode_batch
-from .errors import BitextkitError
+from .errors import BitextkitError, check_number
 from .margin import SearchConfig, xsim_error_rate
 from .trainer import TrainConfig, _schedule, train_distill
 
@@ -46,8 +46,7 @@ class Histogram:
 def cosine_histogram(values, bins: int = DEFAULT_BINS) -> Histogram:
     """Uniform-bin histogram over [-1, 1]; every cosine lands in a bin
     (the last bin is closed on the right), so counts sum to len(values)."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    check_number("bins", bins, int, 1)
     counts, edges = np.histogram(np.asarray(values, dtype=np.float64), bins=bins, range=(-1.0, 1.0))
     return Histogram(edges, counts.astype(np.int64))
 

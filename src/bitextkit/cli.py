@@ -7,14 +7,15 @@ lines with '#' comments.  A config file may set seed, tau, sigma,
 queue_size, batch_size, epochs, step_size, negatives, shuffle, prefilter,
 k, margin, bins and sigmas; each value it sets is checked even where the
 subcommand does not read it.  Only train, analyze and gen-synth take
---seed; sigma and each sigmas item lie in (0, 1.5].  A flag the run will
-not read (sigma without --prefilter on, for one) is a usage error; such a
-config-file value is echoed as unused.
+--seed; sigma and each sigmas item lie in (0, 1.5], and --rate in [0, 1].
+A flag the run will not read (sigma without --prefilter on, for one) is a
+usage error; such a config-file value is echoed as unused.  Numbers are
+bounded by the library's errors.check_number, with the library's bounds.
 Sizes allocated from a flag are capped: bins at 100,000, gen-synth
 cipher --pairs at 10,000,000, --min-len and --max-len at 1,000 words.
-The resolved config is echoed to stdout and embedded as '#' comments in
-every text artifact (the binary EMB1 format is fixed, so embed/train
-print it instead).
+The resolved config is echoed to stdout once the options resolve, so
+also before a later error, and embedded as '#' comments in every text
+artifact (the binary EMB1 format is fixed, so embed/train print it).
 
 Exit codes: 0 success; 1 usage or invalid configuration; 2 I/O or file
 format errors, including input files that are not valid UTF-8 (messages
@@ -42,7 +43,7 @@ from .analysis import (
 )
 from .embfile import atomic_write_text, open_text, read_embeddings, write_embeddings
 from .encoder import encode_batch, load_encoder, save_encoder
-from .errors import BitextkitError, ConfigError, FormatError, TooFewPairsError
+from .errors import BitextkitError, ConfigError, FormatError, TooFewPairsError, check_number
 from .filtering import (
     read_pairs_tsv,
     score_corpus,
@@ -75,8 +76,8 @@ class _Parser(argparse.ArgumentParser):
 def _number(
     kind: type, low: float | None = None, strict: bool = False, high: float = math.inf
 ):
-    """Converter to ``kind`` (int or finite float), optionally bounded
-    below by ``low`` (exclusive when ``strict``) and above by ``high``."""
+    """Converter of option text to ``kind`` (int or finite float), then
+    bounded by check_number."""
 
     def convert(text: str, key: str):
         try:
@@ -86,17 +87,11 @@ def _number(
             raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
         if kind is float and not math.isfinite(value):
             raise ConfigError(f"{key}: expected a finite number, got {text!r}")
-        if low is not None and not (value > low if strict else value >= low):
-            bound = f"{'>' if strict else '>='} {low}"
-            raise ConfigError(f"{key}: must be {bound}, got {value}")
-        if value > high:
-            raise ConfigError(f"{key}: must be <= {high}, got {value}")
-        return value
+        return check_number(key, value, kind, low, strict, high)
 
     return convert
 
 
-_float = _number(float)
 _count = _number(int, 0)
 _sigma = _number(float, 0, strict=True, high=1.5)  # TrainConfig's filter_threshold
 
@@ -156,7 +151,7 @@ OPTIONS: dict = {
     "sigmas": (_sigmas, "0.5,0.7,0.9,1.5", True),
     "format": (_choice("tsv", "lines"), "tsv", False),
     "side": (_choice("source", "target"), "source", False),
-    "vocab_size": (_number(int, 1), "100", False),
+    "vocab_size": (_number(int, 2), "100", False),
     "min_len": (_number(int, 1, high=MAX_SENTENCE_WORDS), "1", False),
     "max_len": (_number(int, 1, high=MAX_SENTENCE_WORDS), "12", False),
     "map_seed": (_number(int, 0), "0", False),
@@ -186,7 +181,7 @@ def load_config(path: str | os.PathLike) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 OPTIONS[key][0](value, key)
-            except ConfigError as exc:
+            except (ConfigError, ValueError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
             values[key] = value
     return values
@@ -258,7 +253,6 @@ def _cmd_embed(args, vals: dict, echo: str) -> None:
     params = load_encoder(args.encoder)
     matrix = encode_batch(params, sentences)
     write_embeddings(args.out, matrix)
-    print(echo)
     print(f"wrote {args.out}: n={matrix.shape[0]} dim={matrix.shape[1]}")
 
 
@@ -266,7 +260,6 @@ def _cmd_train(args, vals: dict, echo: str) -> None:
     cfg = _train_config(vals)
     pairs = read_pairs_tsv(args.corpus)
     teacher = load_encoder(args.teacher)
-    print(echo)
     result = train_distill(pairs, teacher, cfg, log_fn=print)
     weights = np.ascontiguousarray(result.student.weights, dtype="<f8")
     digest = f"weights_sha256={hashlib.sha256(weights.tobytes()).hexdigest()}"
@@ -291,7 +284,6 @@ def _cmd_xsim_eval(args, vals: dict, echo: str) -> None:
     src = _read_evaluation_set(args.src)
     tgt = _read_evaluation_set(args.tgt)
     report = xsim_report(src, tgt, _search_config(vals))
-    print(echo)
     print(report)
     if args.out:
         atomic_write_text(args.out, f"# {echo}\n{report}\n")
@@ -313,7 +305,6 @@ def _cmd_filter(args, vals: dict, echo: str) -> None:
     student = load_encoder(args.student)
     teacher = load_encoder(args.teacher)
     scored = score_corpus(pairs, student, teacher, _search_config(vals))
-    print(echo)
     if args.scored_out:
         write_scored_tsv(args.scored_out, scored, comments=[echo])
         print(f"wrote {args.scored_out}: n={len(scored)}")
@@ -337,7 +328,6 @@ def _cmd_analyze_hist(args, vals: dict, echo: str) -> None:
         [t for _, t in pairs], teacher, cfg, bins=vals["bins"]
     )
     write_histogram_csv(args.out, hist, cfg.shuffle, comments=[echo])
-    print(echo)
     print(f"wrote {args.out}: total={hist.total} bins={vals['bins']}")
 
 
@@ -347,7 +337,6 @@ def _cmd_analyze_sweep(args, vals: dict, echo: str) -> None:
     eval_pairs = read_pairs_tsv(args.eval_corpus)
     teacher = load_encoder(args.teacher)
     search_cfg = _search_config(vals)
-    print(echo)
     rows = threshold_sweep(
         pairs, teacher, base, vals["sigmas"], eval_pairs, search_cfg, log_fn=print
     )
@@ -365,16 +354,14 @@ def _cmd_gen_cipher(args, vals: dict, echo: str) -> None:
     )
     pairs = gen_cipher_corpus(spec, n_pairs, vals["seed"])
     write_pairs_tsv(args.out, pairs, comments=[echo, f"pairs={n_pairs}"])
-    print(echo)
     print(f"wrote {args.out}: pairs={n_pairs}")
 
 
 def _cmd_gen_noise(args, vals: dict, echo: str) -> None:
-    rate = _float(args.rate, "rate")
+    rate = _number(float, 0, high=1)(args.rate, "rate")
     pairs = read_pairs_tsv(args.corpus)
     noisy = inject_noise(pairs, rate, vals["seed"])
     write_pairs_tsv(args.out, noisy.pairs, comments=[echo, f"rate={rate}"])
-    print(echo)
     if args.labels_out:
         lines = [f"# {echo} rate={rate}"]
         lines += ["1" if flag else "0" for flag in noisy.labels]
@@ -493,7 +480,9 @@ def main(argv=None) -> int:
         if args.func is None:
             parser.print_usage(sys.stderr)
             return 1
-        args.func(args, *_resolve(args))
+        values, echo = _resolve(args)
+        print(echo)
+        args.func(args, values, echo)
         return 0
     except SystemExit as exc:  # --help
         code = exc.code if exc.code is not None else 0

@@ -104,14 +104,15 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 
 @contextlib.contextmanager
 def open_text(path: str | os.PathLike, error: type[Exception] = FormatError):
-    """Open a UTF-8 text file for reading, with universal newlines.
+    """Open a UTF-8 text file for reading, with universal newlines and a
+    leading byte-order mark skipped.
 
     Undecodable bytes raise ``error`` naming the file, the 1-based line
     (counting lines as the reader does) and the first bad byte, instead of
     a bare UnicodeDecodeError.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
         with open(path, "rb") as fh:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import hashing
 from .embfile import atomic_write_text, open_text, read_embeddings, write_embeddings
-from .errors import DimMismatchError, FormatError, ZeroVectorError
+from .errors import DimMismatchError, FormatError, ZeroVectorError, check_number
 from .vectors import ZERO_NORM_EPS
 
 SENTINEL_BEGIN = "^"
@@ -51,18 +51,15 @@ class FeaturizerConfig:
     hash_seed: int = 0
 
     def __post_init__(self):
-        orders = tuple(sorted({int(o) for o in self.ngram_orders}))
-        if not orders or orders[0] < 1:
-            raise ValueError("ngram_orders must be non-empty with all orders >= 1")
-        if orders[-1] > _MAX_ORDER:
-            raise ValueError(f"ngram_orders must be <= {_MAX_ORDER}, got {orders[-1]}")
-        object.__setattr__(self, "ngram_orders", orders)
-        if not 2 <= int(self.bucket_count) <= _MAX_BUCKETS:
-            raise ValueError(
-                f"bucket_count must be in [2, {_MAX_BUCKETS}], got {self.bucket_count}"
-            )
-        object.__setattr__(self, "bucket_count", int(self.bucket_count))
-        object.__setattr__(self, "hash_seed", int(self.hash_seed))
+        orders = {
+            check_number("ngram_orders", o, int, 1, high=_MAX_ORDER) for o in self.ngram_orders
+        }
+        if not orders:
+            raise ValueError("ngram_orders must be non-empty")
+        object.__setattr__(self, "ngram_orders", tuple(sorted(orders)))
+        buckets = check_number("bucket_count", self.bucket_count, int, 2, high=_MAX_BUCKETS)
+        object.__setattr__(self, "bucket_count", buckets)
+        object.__setattr__(self, "hash_seed", check_number("hash_seed", self.hash_seed))
 
 
 # Hash chunks and projection groups, sized on 2 cores (medians of 13-15

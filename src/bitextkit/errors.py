@@ -1,9 +1,34 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one numeric check.
 
 Grouping: numerical conditions (zero vectors, empty negative pools, ...)
 are distinct from structural/file-format conditions so the CLI can map
-them onto distinct exit codes.
+them onto distinct exit codes.  ``check_number`` checks every numeric
+setting, in the library and on the command line, with the same rules and
+wording: an integer setting must be an integer (a float such as 2.0 is
+refused, NumPy integers pass), a float setting finite, and both within
+their bounds, or ValueError names the setting.
 """
+
+import math
+import operator
+
+
+def check_number(name: str, value, kind: type = int, low=None, strict=False, high=math.inf):
+    """``value`` as checked: an int (via operator.index) or a finite
+    number, >= ``low`` (> when ``strict``) and <= ``high``.  Raises
+    ValueError worded ``<name>: must be >= 1, got 0``."""
+    if kind is int:
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name}: expected an integer, got {value!r}") from None
+    elif not math.isfinite(value):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    if low is not None and not (value > low if strict else value >= low):
+        raise ValueError(f"{name}: must be {'>' if strict else '>='} {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{name}: must be <= {high}, got {value}")
+    return value
 
 
 class BitextkitError(Exception):

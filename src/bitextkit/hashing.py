@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_number
+
 _MASK = 0xFFFFFFFFFFFFFFFF
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = np.uint64(1099511628211)
@@ -51,8 +53,7 @@ def bucket_ids(
     contribute nothing.  ids are int64 in [0, n_buckets), deterministic for
     fixed arguments; text is int32 (int64 past 2^31 texts).
     """
-    if n_buckets < 1:
-        raise ValueError("n_buckets must be >= 1")
+    check_number("n_buckets", n_buckets, int, 1)
     n_chars = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     longest = int(n_chars.max(initial=0))  # a longer order has no n-grams
     orders = sorted({int(o) for o in orders if 1 <= int(o) <= longest})

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, KTooLargeError, SizeMismatchError
+from .errors import DimMismatchError, KTooLargeError, SizeMismatchError, check_number
 from .vectors import normalize_rows, unit_slack
 
 MARGIN_ABSOLUTE = "absolute"
@@ -61,9 +61,7 @@ class SearchConfig:
     margin_kind: str = MARGIN_RATIO
 
     def __post_init__(self):
-        if int(self.k) < 1:
-            raise ValueError("k must be >= 1")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", check_number("k", self.k, int, 1))
         if self.margin_kind not in MARGIN_KINDS:
             raise ValueError(
                 f"margin_kind must be one of {MARGIN_KINDS}, got {self.margin_kind!r}"
@@ -179,8 +177,7 @@ def _row_bound(G: np.ndarray, k: int) -> np.ndarray:
 
 
 def _check_k(k: int, *sides: np.ndarray) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_number("k", k, int, 1)
     for C in sides:
         if k > C.shape[0]:
             raise KTooLargeError(f"k={k} but only {C.shape[0]} candidates")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewPairsError
+from .errors import TooFewPairsError, check_number
 
 Pair = tuple[str, str]
 
@@ -74,8 +74,10 @@ class CipherSpec:
     target_alphabet: str = TARGET_ALPHABET
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
+        check_number("vocab_size", self.vocab_size, int, 2)
+        check_number("min_len", self.min_len, int, 1)
+        check_number("max_len", self.max_len, int, self.min_len)
+        check_number("map_seed", self.map_seed, int, 0)
         letters = min(
             _check_alphabet("source", self.source_alphabet),
             _check_alphabet("target", self.target_alphabet),
@@ -87,8 +89,6 @@ class CipherSpec:
             raise ValueError(
                 f"vocab_size must be <= {limit // 2} to draw distinct words"
             )
-        if not 1 <= self.min_len <= self.max_len:
-            raise ValueError("need 1 <= min_len <= max_len")
 
     def vocabulary(self) -> tuple[list[str], list[str], np.ndarray]:
         """(source words, target words, permutation) — all derived from
@@ -107,8 +107,7 @@ def gen_cipher_corpus(spec: CipherSpec, n_pairs: int, seed: int) -> list[Pair]:
     the bijection.  The same (spec, n_pairs, seed) always yields the same
     corpus; the vocabulary and word map depend only on spec.map_seed.
     """
-    if n_pairs < 0:
-        raise ValueError("n_pairs must be >= 0")
+    check_number("n_pairs", n_pairs, int, 0)
     src_words, tgt_words, word_map = spec.vocabulary()
     rng = np.random.default_rng(seed)
     lengths = rng.integers(spec.min_len, spec.max_len + 1, size=n_pairs)
@@ -143,8 +142,7 @@ def inject_noise(pairs: list[Pair], rate: float, seed: int) -> NoisyCorpus:
     one-element derangement does not exist) or when rate > 0 with fewer
     than two pairs.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0, 1]")
+    check_number("rate", rate, float, 0, high=1)
     n = len(pairs)
     labels = np.zeros(n, dtype=bool)
     if rate > 0 and n < 2:

@@ -17,7 +17,6 @@ number of negatives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +39,7 @@ from .errors import (
     FrozenEncoderError,
     TooFewPairsError,
     ZeroVectorError,
+    check_number,
 )
 from .filtering import count_tokens
 from .vectors import ZERO_NORM_EPS, unit_slack
@@ -62,8 +62,8 @@ class TrainConfig:
     temperature        softmax temperature tau (finite, > 0)
     filter_threshold   cosine threshold sigma for the negative pre-filter,
                        in (0, 1.5]; 1.5 keeps everything
-    queue_size         FIFO queue capacity N
-    batch_size         pairs per step
+    queue_size         FIFO queue capacity N (>= 1)
+    batch_size         pairs per step (>= 1)
     negatives_source   "queue" or "in_batch"
     shuffle            True: seeded random batch order per epoch;
                        False: batch by ascending target token count so
@@ -71,9 +71,9 @@ class TrainConfig:
     prefilter_enabled  apply the threshold + equalization to negatives
     step_size          gradient step scale (finite, >= 0; 0 evaluates
                        losses without updating weights)
-    epochs             passes over the corpus
-    rng_seed           master seed; independent streams are derived for
-                       init, shuffling, and equalization
+    epochs             passes over the corpus (>= 0)
+    rng_seed           master seed (>= 0); independent streams are derived
+                       for init, shuffling, and equalization
     """
 
     temperature: float = 0.05
@@ -88,18 +88,13 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.temperature < math.inf:
-            raise ValueError(
-                f"temperature must be finite and > 0, got {self.temperature}"
-            )
-        if not 0 < self.filter_threshold <= 1.5:
-            raise ValueError(
-                f"filter_threshold must be in (0, 1.5], got {self.filter_threshold}"
-            )
-        if self.queue_size < 1:
-            raise ValueError("queue_size must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_number("temperature", self.temperature, float, 0, strict=True)
+        check_number("filter_threshold", self.filter_threshold, float, 0, strict=True, high=1.5)
+        check_number("queue_size", self.queue_size, int, 1)
+        check_number("batch_size", self.batch_size, int, 1)
+        check_number("step_size", self.step_size, float, 0)
+        check_number("epochs", self.epochs, int, 0)
+        check_number("rng_seed", self.rng_seed, int, 0)
         if self.negatives_source not in (NEGATIVES_QUEUE, NEGATIVES_IN_BATCH):
             raise ValueError(
                 f"negatives_source must be '{NEGATIVES_QUEUE}' or "
@@ -107,10 +102,6 @@ class TrainConfig:
             )
         if self.negatives_source == NEGATIVES_IN_BATCH and self.batch_size < 2:
             raise ValueError("in-batch negatives require batch_size >= 2")
-        if not 0 <= self.step_size < math.inf:
-            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +124,7 @@ class NegativeQueue:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
+        check_number("capacity", self.capacity, int, 1)
         ent = np.asarray(self.entries, dtype=np.float64)
         if ent.ndim != 2:
             raise DimMismatchError("queue entries must be a 2-D matrix")
@@ -224,8 +214,7 @@ def _masked_infonce(q, k, candidates, allowed, tau: float):
 
 def _loss_inputs(queries, positives, negatives, temperature: float):
     """Validated float64 (batch, dim) queries/positives, (n, dim) negatives."""
-    if not temperature > 0:
-        raise ValueError("temperature must be > 0")
+    check_number("temperature", temperature, float, 0, strict=True)
     arrays = (queries, positives, negatives)
     q, k, negs = (np.asarray(a, dtype=np.float64) for a in arrays)
     if negs.ndim != 2:
@@ -261,8 +250,7 @@ def prefilter_mask(positive, queue_entries, threshold: float) -> np.ndarray:
     unit row's self-dot may round drops at that bound: at 1.0 only exact
     duplicates and rows as close to them go, and exact ones always do.
     """
-    if not 0 < threshold <= 1.5:
-        raise ValueError(f"threshold must be in (0, 1.5], got {threshold}")
+    check_number("threshold", threshold, float, 0, strict=True, high=1.5)
     k = np.asarray(positive, dtype=np.float64)
     pool = np.asarray(queue_entries, dtype=np.float64)
     if pool.ndim != 2 or k.ndim not in (1, 2) or pool.shape[1] != k.shape[-1]:

@@ -5,6 +5,7 @@ headers, config files, EMB1 files and TSV corpora that must never raise."""
 import argparse
 import contextlib
 import io
+import math
 import re
 import struct
 import tempfile
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitextkit.analysis import DEFAULT_BINS
+from bitextkit.analysis import DEFAULT_BINS, cosine_histogram
 from bitextkit.cli import (
     OPTIONS,
     _search_config,
@@ -27,7 +28,7 @@ from bitextkit.cli import (
 from bitextkit.embfile import read_embeddings, write_embeddings
 from bitextkit.encoder import FeaturizerConfig, encode_batch, load_encoder, make_teacher, save_encoder
 from bitextkit.errors import ConfigError
-from bitextkit.filtering import read_pairs_tsv, write_pairs_tsv
+from bitextkit.filtering import read_pairs_tsv, select_by_token_budget, write_pairs_tsv
 from bitextkit.margin import SearchConfig
 from bitextkit.synth import CipherSpec, gen_cipher_corpus, inject_noise
 from bitextkit.trainer import TrainConfig
@@ -241,6 +242,15 @@ def test_load_config_parses_and_validates(tmp_path):
         load_config(cfg)
 
 
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\ufefftau=0.1\nepochs=3\n", encoding="utf-8")
+    assert load_config(cfg) == {"tau": "0.1", "epochs": "3"}
+    cfg.write_text("\ufeff# a comment\nepochs=x\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(cfg))}:2: epochs: "):
+        load_config(cfg)
+
+
 def test_option_defaults_are_the_library_defaults():
     # OPTIONS repeats these defaults as text; a change on either side shows here
     default = {key: convert(text, key) for key, (convert, text, _) in OPTIONS.items()}
@@ -249,6 +259,61 @@ def test_option_defaults_are_the_library_defaults():
     cipher = ("vocab_size", "min_len", "max_len", "map_seed")
     assert CipherSpec(**{key: default[key] for key in cipher}) == CipherSpec()
     assert default["bins"] == DEFAULT_BINS
+
+
+_TINY = math.ulp(0.0)  # the least positive float
+
+# key, the subcommand that reads it, the library call that checks the same
+# value, then pairs of (the library's boundary value, the next value out)
+BOUNDS = [
+    ("tau", ["train"], lambda v: TrainConfig(temperature=v), [(_TINY, 0.0)]),
+    (
+        "sigma",
+        ["train"],
+        lambda v: TrainConfig(filter_threshold=v),
+        [(_TINY, 0.0), (1.5, math.nextafter(1.5, 2))],
+    ),
+    (
+        "sigmas",
+        ["analyze", "sweep"],
+        lambda v: TrainConfig(filter_threshold=v),
+        [(_TINY, 0.0), (1.5, math.nextafter(1.5, 2))],
+    ),
+    ("queue_size", ["train"], lambda v: TrainConfig(queue_size=v), [(1, 0)]),
+    ("batch_size", ["train"], lambda v: TrainConfig(batch_size=v), [(1, 0)]),
+    ("epochs", ["train"], lambda v: TrainConfig(epochs=v), [(0, -1)]),
+    ("step_size", ["train"], lambda v: TrainConfig(step_size=v), [(0.0, -_TINY)]),
+    ("seed", ["train"], lambda v: TrainConfig(rng_seed=v), [(0, -1)]),
+    ("k", ["xsim-eval"], lambda v: SearchConfig(k=v), [(1, 0)]),
+    ("bins", ["analyze", "hist"], lambda v: cosine_histogram([0.0], bins=v), [(1, 0)]),
+    ("vocab_size", ["gen-synth", "cipher"], lambda v: CipherSpec(vocab_size=v), [(2, 1)]),
+    ("min_len", ["gen-synth", "cipher"], lambda v: CipherSpec(min_len=v), [(1, 0)]),
+    ("max_len", ["gen-synth", "cipher"], lambda v: CipherSpec(max_len=v), [(1, 0)]),
+    ("map_seed", ["gen-synth", "cipher"], lambda v: CipherSpec(map_seed=v), [(0, -1)]),
+    ("pairs", ["gen-synth", "cipher"], lambda v: gen_cipher_corpus(CipherSpec(), v, 0), [(0, -1)]),
+    (
+        "rate",
+        ["gen-synth", "noise"],
+        lambda v: inject_noise([("a", "b"), ("c", "d")], v, 0),
+        [(0.0, -_TINY), (1.0, math.nextafter(1.0, 2))],
+    ),
+    ("budget", ["filter"], lambda v: select_by_token_budget([], v), [(0, -1)]),
+]
+
+
+@pytest.mark.parametrize("key, command, library, cases", BOUNDS, ids=[b[0] for b in BOUNDS])
+def test_option_bounds_are_the_library_bounds(tmp_path, capsys, key, command, library, cases):
+    # the CLI takes the value the library takes at its bound and refuses,
+    # before any input is read, the next value out, which the library refuses
+    argv = _required_args(command, tmp_path) + ["--prefilter", "on"] * (key == "sigma")
+    for inside, outside in cases:
+        library(inside)
+        with pytest.raises(ValueError):
+            library(outside)
+        for value, refused in ((inside, False), (outside, True)):
+            code = main(argv + [f"{_flag(key)}={value!r}"])
+            err = capsys.readouterr().err
+            assert (code == 1) == refused == err.startswith(f"usage error: {key}: "), err
 
 
 def test_flags_override_config_file(tmp_path, corpus_file, teacher_file, capsys):
@@ -397,6 +462,19 @@ def test_embed_lines_format(tmp_path, teacher_file):
     )
     assert code == 0
     assert read_embeddings(out).shape == (3, 16)  # the blank line is skipped
+
+
+def test_embed_lines_skips_a_byte_order_mark(tmp_path, teacher_file):
+    teacher_path, _ = teacher_file
+    lines = tmp_path / "sents.txt"
+    lines.write_text("\ufeffaabb\nccdd\n", encoding="utf-8")
+    out = str(tmp_path / "x.emb")
+    code = main(
+        ["embed", "--input", str(lines), "--encoder", teacher_path, "--out", out, "--format", "lines"]
+    )
+    assert code == 0
+    want = encode_batch(load_encoder(teacher_path), ["aabb", "ccdd"]).astype(np.float32)
+    assert np.array_equal(read_embeddings(out), want)
 
 
 def test_embed_lines_break_only_where_the_tsv_reader_breaks(tmp_path, teacher_file):
@@ -730,6 +808,18 @@ def test_filter_budget_subsets_nest_and_respect_budget(tmp_path, corpus_file, te
     assert small == large[: len(small)]
     note = (tmp_path / "subset_10.tsv").read_text().splitlines()[1]
     assert note.startswith("# budget=10 selected=")
+
+
+def test_failed_run_echoes_its_config_before_the_error(tmp_path, teacher_file, capsys):
+    # the options resolve, then the corpus is missing
+    teacher_path, _ = teacher_file
+    absent = str(tmp_path / "absent.tsv")
+    argv = ["filter", "--corpus", absent, "--student", teacher_path, "--teacher", teacher_path]
+    code = main(argv + ["--scored-out", str(tmp_path / "s.tsv"), "--k", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "config: k=2 margin=ratio\n"
+    assert captured.err.startswith("io error: ") and absent in captured.err
 
 
 def test_filter_usage_errors(tmp_path, corpus_file, teacher_file, capsys):
@@ -1067,7 +1157,7 @@ REJECTIONS = [
     (["analyze", "sweep"], "sigmas", "0.5,x", "sigmas: expected a number, got 'x'"),
     (["embed"], "format", "csv", "format: expected one of tsv, lines, got 'csv'"),
     (["embed"], "side", "both", "side: expected one of source, target, got 'both'"),
-    (["gen-synth", "cipher"], "vocab_size", "0", "vocab_size: must be >= 1, got 0"),
+    (["gen-synth", "cipher"], "vocab_size", "0", "vocab_size: must be >= 2, got 0"),
     (["gen-synth", "cipher"], "min_len", "0", "min_len: must be >= 1, got 0"),
     (["gen-synth", "cipher"], "max_len", "-3", "max_len: must be >= 1, got -3"),
     (["gen-synth", "cipher"], "map_seed", "z", "map_seed: expected an integer, got 'z'"),

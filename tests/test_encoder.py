@@ -416,6 +416,17 @@ def test_save_load_round_trip_quantizes_to_float32(tmp_path):
     assert loaded.weights.dtype == np.float64
 
 
+def test_load_skips_a_byte_order_mark_in_the_sidecar(tmp_path):
+    params = small_params(buckets=32, dim=6, seed=8, hash_seed=5)
+    path = tmp_path / "enc.emb"
+    save_encoder(params, path, comments=["made for a test"])
+    meta = tmp_path / "enc.emb.meta"
+    meta.write_text("\ufeff" + meta.read_text(encoding="utf-8"), encoding="utf-8")
+    loaded = load_encoder(path)
+    assert loaded.featurizer == params.featurizer
+    assert np.array_equal(loaded.weights, params.weights.astype(np.float32).astype(np.float64))
+
+
 def test_save_load_preserves_frozen_flag_and_header(tmp_path):
     cfg = FeaturizerConfig(ngram_orders=(2, 3), bucket_count=16, hash_seed=42)
     teacher = make_teacher(cfg, 4, weight_seed=1)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitextkit.encoder import EncoderParams, FeaturizerConfig, encode_batch, make_teacher
-from bitextkit.errors import CorpusFormatError
+from bitextkit.errors import CorpusFormatError, FormatError
 from bitextkit.filtering import (
     ScoredPair,
     count_tokens,
@@ -74,6 +74,20 @@ def test_read_pairs_reports_one_based_line_numbers(tmp_path):
         read_pairs_tsv(path)
     assert exc.value.lines == [2, 3]
     assert "lines 2, 3" in str(exc.value)
+
+
+def test_read_pairs_skips_a_byte_order_mark(tmp_path):
+    # the mark is not part of the first sentence, and no line number moves
+    path = tmp_path / "corpus.tsv"
+    path.write_text("\ufeffabc\tdef\n", encoding="utf-8")
+    assert read_pairs_tsv(path) == [("abc", "def")]
+    path.write_text("\ufeff# a comment\nabc\tdef\nno tab\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as exc:
+        read_pairs_tsv(path)
+    assert exc.value.lines == [3]
+    path.write_bytes("\ufeffabc\tdef\n".encode() + b"bad \xff\tbyte\n")
+    with pytest.raises(FormatError, match=":2: invalid UTF-8"):
+        read_pairs_tsv(path)
 
 
 def test_read_pairs_truncates_long_error_lists(tmp_path):
@@ -207,8 +221,8 @@ def test_score_corpus_empty_side_isolated_from_neighborhoods():
     assert with_empty[2].score == pytest.approx(clean[1].score, abs=1e-12)
 
 
-def test_score_corpus_across_blocks_matches_knn_margins_and_threads():
-    # 1,025 whole pairs: the last 1024-row block holds one row, fewer than k;
+def test_score_corpus_across_blocks_matches_knn_margins():
+    # 1,025 whole pairs: the last 512-row block holds one row, fewer than k;
     # the empty-sided pairs stay out of every neighbourhood
     featurizer = FeaturizerConfig(ngram_orders=(2, 3), bucket_count=256, hash_seed=3)
     student = make_teacher(featurizer, 16, weight_seed=1)

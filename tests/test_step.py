@@ -38,7 +38,7 @@ def assert_same_arrays(got, want):
     entries=st.integers(1, 33 * 24),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_unique_buckets_equals_np_unique(buckets, entries, seed):
+def test_distinct_equals_np_unique(buckets, entries, seed):
     # the step dedupes with encoder._distinct: a table lookup while the
     # bucket count is at most 32 per id, np.unique past that; its inverse
     # is int32 from the table, and only its values index F
