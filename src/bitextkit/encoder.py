@@ -62,13 +62,13 @@ class FeaturizerConfig:
         object.__setattr__(self, "hash_seed", check_number("hash_seed", self.hash_seed))
 
 
-# Hash chunks and projection groups, sized on 2 cores (medians of 13-15
-# interleaved calls, two sweeps).  featurize_batch of the 3,000 long
-# `filter` targets took 63-79 ms in 8k-character chunks, 52-72 in 16k and
-# 57-71 in 32k; of the 5,000 short `mine` targets 17-18, 17-18 and 15-17.
-# Encoding the `filter` targets took 104-139 ms in groups of 256 rows,
-# 98-117 in 1,024 and 105-138 in 2,048 or 4,096; the `mine` ones 47-53,
-# 41-43 and 45-52.
+# Hash chunks and projection groups, sized on 2 cores (medians of 15
+# interleaved calls, two processes).  featurize_batch of the 3,000 long
+# `filter` targets took 44-62 ms in 8k-character chunks, 41-55 in 16k and
+# 41-53 in 32k; of the 5,000 short `mine` targets 18-23, 17-22 and 19-22.
+# Encoding the `filter` targets took 82-118 ms in groups of 1,024 rows and
+# 89-130 in 2,048; the `mine` ones 44-62 and 46-65.  Earlier sweeps found
+# 256 and 4,096 rows slower than 1,024.
 _CHUNK_CHARS = 16_384
 _GROUP_ROWS = 1024
 
@@ -160,7 +160,8 @@ def make_teacher(
     featurizer: FeaturizerConfig, dim: int, weight_seed: int
 ) -> EncoderParams:
     """Frozen encoder with seeded uniform[-1, 1] weights."""
-    rng = np.random.default_rng(weight_seed)
+    dim = check_number("dim", dim, int, 2)
+    rng = np.random.default_rng(check_number("weight_seed", weight_seed, int, 0))
     weights = rng.uniform(-1.0, 1.0, size=(featurizer.bucket_count, dim))
     return EncoderParams(featurizer, weights, frozen=True)
 
@@ -212,7 +213,7 @@ def _project(nnz: np.ndarray, slot: np.ndarray, products: np.ndarray) -> np.ndar
     live = np.searchsorted(-nnz[order], -columns, side="left")  # rows with nnz > k
     z = np.zeros((nnz.size, products.shape[1]))
     for k, r in enumerate(live.tolist()):
-        z[:r] += products[slot[first[:r] + k]]
+        z[:r] += products.take(slot.take(first[:r] + k), axis=0)
     return z[np.argsort(order)]
 
 

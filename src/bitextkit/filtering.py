@@ -156,8 +156,8 @@ def select_by_token_budget(scored: list[ScoredPair], budget: int) -> list[Scored
     there, so selections for nested budgets are prefixes of each other.
     -inf-scored pairs are never selected.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    if not budget >= 0:  # NaN too, which would select everything
+        raise ValueError(f"budget: must be >= 0, got {budget}")
     if any(math.isnan(p.score) for p in scored):
         raise ValueError("scores must not be NaN")
     order = sorted(range(len(scored)), key=lambda i: -scored[i].score)

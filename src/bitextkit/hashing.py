@@ -15,9 +15,20 @@ the ids order by order, each with the index of its text, rather than
 scattering them into a per-text layout, and reduces h mod n_buckets as
 h - (h // n_buckets) * n_buckets, which NumPy computes without a hardware
 divide.
+
+Two shortcuts skip rounds, not change them.  Per (seed, n_buckets), a
+cached pair of read-only tables gives, for each of the 65,536 two-byte
+strings, the FNV state after hashing it and its bucket id.  An n-gram of
+order >= 2 has at least two bytes, so it starts from the state of its
+first two; when every n-gram of an order is exactly two bytes (bigrams of
+1-byte text), the id table gives the ids outright.  And when every
+character of a call's text is one byte, character k is byte k, so no
+UTF-8 offsets are scanned.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -40,6 +51,34 @@ def _fmix64(h: np.ndarray) -> np.ndarray:
     return h
 
 
+def _reduce(h: np.ndarray, n: np.uint64, out: np.ndarray) -> np.ndarray:
+    """fmix64(h) mod n into ``out``; overwrites h."""
+    # (h // n) * n <= h, so the subtraction never wraps
+    q = _fmix64(h) // n
+    q *= n
+    return np.subtract(h, q, out=out)
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_tables(seed: int, n_buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """(state, ids) over the 65,536 two-byte strings b0 b1, indexed by
+    b0 << 8 | b1: the FNV state after hashing them, and their bucket ids.
+    Read-only, since every caller with this key shares them."""
+    byte = np.arange(256, dtype=np.uint64)
+    first = (np.uint64(_FNV_OFFSET ^ seed) ^ byte) * _FNV_PRIME
+    state = np.empty((256, 256), dtype=np.uint64)
+    np.bitwise_xor(first[:, None], byte, out=state)
+    state *= _FNV_PRIME
+    ids = np.empty_like(state)
+    # 32 rows (64 KiB) at a time: freeing a temporary larger than glibc's
+    # mmap threshold raises the threshold, and the heap then keeps later ones
+    for rows in range(0, 256, 32):
+        _reduce(state[rows : rows + 32].copy(), np.uint64(n_buckets), ids[rows : rows + 32])
+    state.setflags(write=False)
+    ids.setflags(write=False)
+    return state.ravel(), ids.ravel()
+
+
 def bucket_ids(
     texts: list[str], orders: tuple[int, ...], n_buckets: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -53,15 +92,23 @@ def bucket_ids(
     contribute nothing.  ids are int64 in [0, n_buckets), deterministic for
     fixed arguments; text is int32 (int64 past 2^31 texts).
     """
-    check_number("n_buckets", n_buckets, int, 1)
+    n_buckets = check_number("n_buckets", n_buckets, int, 1, high=2**63)
     n_chars = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     longest = int(n_chars.max(initial=0))  # a longer order has no n-grams
     orders = sorted({int(o) for o in orders if 1 <= int(o) <= longest})
     data = "".join(texts).encode("utf-8")
     raw = np.frombuffer(data, dtype=np.uint8)
-    # byte offset of each character: characters start at every byte that is
-    # not a UTF-8 continuation byte (0b10xxxxxx)
-    offsets = np.append(np.flatnonzero((raw & 0xC0) != 0x80), len(data))
+    single_byte = len(data) == int(n_chars.sum())  # character k is byte k
+    if not single_byte:
+        # byte offset of each character: characters start at every byte that
+        # is not a UTF-8 continuation byte (0b10xxxxxx)
+        offsets = np.append(np.flatnonzero((raw & 0xC0) != 0x80), len(data))
+    seed = int(seed) & _MASK
+    if orders and orders[-1] >= 2:
+        state, pair_ids = _pair_tables(seed, n_buckets)
+        pair = raw[:-1].astype(np.uint16)  # pair[p]: bytes p, p + 1 as b0 << 8 | b1
+        pair <<= 8
+        pair |= raw[1:]
 
     # per_order[j, i]: n-grams of order orders[j] in texts[i]
     per_order = np.maximum(n_chars - np.array(orders, dtype=np.int64)[:, None] + 1, 0)
@@ -69,27 +116,36 @@ def bucket_ids(
     text = np.repeat(np.tile(index, len(orders)), per_order.ravel())
     ids = np.empty(text.size, dtype=np.uint64)
     first_char = np.cumsum(n_chars) - n_chars
-    basis = np.uint64(_FNV_OFFSET ^ (int(seed) & _MASK))
+    basis = np.uint64(_FNV_OFFSET ^ seed)
     n = np.uint64(n_buckets)
     lo = 0
     for order, counts in zip(orders, per_order):
         hi = lo + int(counts.sum())
         skip = np.cumsum(counts) - counts  # n-gram k is number k - skip[i] of text i
-        start_char = np.arange(hi - lo) + np.repeat(first_char - skip, counts)
-        start = offsets[start_char]
-        length = offsets[start_char + order] - start
-        h = np.full(hi - lo, basis, dtype=np.uint64)
-        for j in range(order):  # every n-gram has at least ``order`` bytes
+        start = np.arange(hi - lo) + np.repeat(first_char - skip, counts)
+        if single_byte:
+            widest = order  # bytes in the longest n-gram of this order
+        else:
+            end = offsets[start + order]
+            start = offsets[start]
+            length = end - start
+            widest = int(length.max(initial=0))
+        if order == 1:
+            h, done = np.full(hi - lo, basis, dtype=np.uint64), 0
+        elif widest == 2:  # every n-gram is 2 bytes: its id is in the table
+            ids[lo:hi] = pair_ids.take(pair.take(start))
+            lo = hi
+            continue
+        else:  # every n-gram has at least 2 bytes
+            h, done = state.take(pair.take(start)), 2
+        for j in range(done, order):  # every n-gram has at least ``order`` bytes
             h ^= raw[start + j]
             h *= _FNV_PRIME
-        for j in range(order, int(length.max(initial=0))):  # j-th byte, if any
+        for j in range(order, widest):  # j-th byte, if any
             live = length > j
             byte = raw[np.where(live, start + j, 0)]
             h = np.where(live, (h ^ byte) * _FNV_PRIME, h)
-        # h mod n: (h // n) * n <= h, so the subtraction never wraps
-        q = _fmix64(h) // n
-        q *= n
-        np.subtract(h, q, out=ids[lo:hi])
+        _reduce(h, n, ids[lo:hi])
         lo = hi
     return ids.view(np.int64), text
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitextkit.analysis import cosine_histogram
-from bitextkit.encoder import FeaturizerConfig
+from bitextkit.encoder import FeaturizerConfig, make_teacher
 from bitextkit.errors import check_number
 from bitextkit.hashing import bucket_ids
 from bitextkit.margin import SearchConfig, knn
@@ -17,6 +17,7 @@ from bitextkit.trainer import NegativeQueue, TrainConfig
 
 # rows that knn searches: 6 candidates
 _ROWS = np.eye(6)
+_TWO_BUCKETS = FeaturizerConfig(bucket_count=2)
 
 
 @pytest.mark.parametrize(
@@ -64,6 +65,8 @@ def test_check_number_returns_the_value():
         (lambda: bucket_ids(["abc"], (2,), 7.5, 0), "n_buckets"),
         (lambda: cosine_histogram([0.0], bins=2.5), "bins"),
         (lambda: gen_cipher_corpus(CipherSpec(), 2.5, 0), "n_pairs"),
+        (lambda: make_teacher(FeaturizerConfig(), 2.5, 0), "dim"),
+        (lambda: make_teacher(FeaturizerConfig(), 4, 0.0), "weight_seed"),
     ],
 )
 def test_a_fractional_integer_setting_is_refused_by_name(call, name):
@@ -90,6 +93,8 @@ INTEGER_SETTINGS = [
     ("n_buckets", lambda v: bucket_ids(["abcd", "xy"], (2, 3), v, 5)[0], 1, 2**63),
     ("bins", lambda v: cosine_histogram([0.0, 0.5], bins=v).counts, 1, 1000),
     ("n_pairs", lambda v: gen_cipher_corpus(CipherSpec(), v, 3), 0, 20),
+    ("dim", lambda v: make_teacher(_TWO_BUCKETS, v, 3).weights, 2, 64),
+    ("weight_seed", lambda v: make_teacher(_TWO_BUCKETS, 2, v).weights, 0, 2**70),
 ]
 
 

@@ -295,6 +295,7 @@ def test_budget_zero_and_generous_budget():
     scored = [sp(0.9, 3), sp(0.8, 4)]
     assert select_by_token_budget(scored, 0) == []
     assert [p.score for p in select_by_token_budget(scored, 100)] == [0.9, 0.8]
+    assert select_by_token_budget(scored, math.inf) == select_by_token_budget(scored, 100)
 
 
 def test_budget_selection_orders_by_score_not_input():
@@ -312,6 +313,9 @@ def test_budget_never_selects_minus_inf():
 def test_budget_validation():
     with pytest.raises(ValueError):
         select_by_token_budget([sp(0.5, 1)], -1)
+    # NaN fails every compare, so unchecked it would select everything
+    with pytest.raises(ValueError, match="^budget: must be >= 0, got nan$"):
+        select_by_token_budget([sp(0.5, 1), sp(0.4, 1)], math.nan)
     with pytest.raises(ValueError):
         select_by_token_budget([sp(math.nan, 1)], 5)
 

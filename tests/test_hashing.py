@@ -131,3 +131,85 @@ def test_multibyte_characters_count_as_single_positions():
 def test_bucket_count_validation():
     with pytest.raises(ValueError):
         hashing.bucket_ids(["ab"], (2,), 0, 0)
+    # ids are uint64 viewed as int64: past 2^63 buckets one could be negative
+    ids, _ = hashing.bucket_ids(["abc"], (2, 3), 2**63, 0)
+    assert ids.tolist() == reference_ids("abc", (2, 3), 2**63, 0)
+    misses = hashing._pair_tables.cache_info().misses
+    for n_buckets in (2**63 + 1, 2**64, 7.5):
+        with pytest.raises(ValueError, match="^n_buckets: "):
+            hashing.bucket_ids(["abc"], (2,), n_buckets, 0)
+    assert hashing._pair_tables.cache_info().misses == misses  # no table for them
+
+
+def reference_batch(texts, orders, n_buckets, seed):
+    """bucket_ids' (ids, text) as lists, by order, then text, then position."""
+    ids, text = [], []
+    for order in sorted(set(orders)):
+        for i, text_i in enumerate(texts):
+            grams = reference_ids(text_i, {order}, n_buckets, seed)
+            ids += grams
+            text += [i] * len(grams)
+    return ids, text
+
+
+@pytest.mark.parametrize(
+    "texts, orders, n_buckets, seed",
+    [
+        (["^привет$", "мир", "ёж"], (1,), 97, 3),  # every unigram is 2 bytes
+        (["^a世b界cd$", "世x", "ሀለa", "q"], (1, 2, 3, 4, 5), 4093, 11),
+        (["", "a", "é"], (2,), 16, 0),  # no text reaches order 2
+        (["", "a", "ab"], (2,), 16, 0),
+        (["ab", "é", "cd"], (1, 2), 16, 0),  # 2-byte bigrams in a multi-byte batch
+        (["^hello world$", "ab"], (2, 3), 1, 5),
+        (["^hello world$", "ab"], (2, 3), 2**63, 5),
+        (["^héllo wörld$", "ab"], (2, 3), 2**63, 5),
+    ],
+)
+def test_table_paths_match_the_reference_oracle(texts, orders, n_buckets, seed):
+    ids, text = hashing.bucket_ids(texts, orders, n_buckets, seed)
+    assert (ids.tolist(), text.tolist()) == reference_batch(texts, orders, n_buckets, seed)
+
+
+# one UTF-8 byte per character
+_single_byte_text = st.text(st.characters(max_codepoint=0x7F), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(_single_byte_text, max_size=8),
+    wide=st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=6),
+    at=st.integers(0, 8),
+    orders=st.sets(st.integers(1, 5), max_size=5),
+    n_buckets=st.integers(1, 2**63),
+    seed=st.integers(-(2**63), 2**64 - 1),
+)
+def test_single_byte_batches_hash_as_multibyte_ones(texts, wide, at, orders, n_buckets, seed):
+    # an all-1-byte batch indexes characters as bytes; one multi-byte text
+    # sends the whole batch through the UTF-8 offsets
+    at = min(at, len(texts))
+    mixed = texts[:at] + [wide] + texts[at:]
+    ids, text = hashing.bucket_ids(texts, tuple(orders), n_buckets, seed)
+    mixed_ids, mixed_text = hashing.bucket_ids(mixed, tuple(orders), n_buckets, seed)
+    for i, text_i in enumerate(texts):
+        expected = reference_ids(text_i, orders, n_buckets, seed)
+        assert ids[text == i].tolist() == expected
+        assert mixed_ids[mixed_text == i + (i >= at)].tolist() == expected
+
+
+def test_seeds_equal_mod_2_64_share_one_table():
+    texts = ["^hello$", "^мир$"]
+    want = reference_batch(texts, (2, 3), 97, -1)
+    ids, text = hashing.bucket_ids(texts, (2, 3), 97, -1)
+    assert (ids.tolist(), text.tolist()) == want
+    before = hashing._pair_tables.cache_info()
+    ids, text = hashing.bucket_ids(texts, (2, 3), 97, 2**64 - 1)
+    after = hashing._pair_tables.cache_info()
+    assert (ids.tolist(), text.tolist()) == want
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_cached_tables_are_read_only():
+    for table in hashing._pair_tables(0, 97):
+        assert table.shape == (65536,) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
