@@ -160,7 +160,7 @@ def make_teacher(
     featurizer: FeaturizerConfig, dim: int, weight_seed: int
 ) -> EncoderParams:
     """Frozen encoder with seeded uniform[-1, 1] weights."""
-    dim = check_number("dim", dim, int, 2)
+    dim = check_number("dim", dim, int, 2, high=2**32 - 1)  # EMB1's u32 dim field
     rng = np.random.default_rng(check_number("weight_seed", weight_seed, int, 0))
     weights = rng.uniform(-1.0, 1.0, size=(featurizer.bucket_count, dim))
     return EncoderParams(featurizer, weights, frozen=True)

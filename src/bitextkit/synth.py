@@ -4,6 +4,19 @@ A cipher corpus is exactly learnable bitext: a bijective word map sends
 source word i to target word pi(i), and each pair is a random source
 sentence with its word-by-word translation.  Useful for desk-scale
 end-to-end checks where ground truth is known.
+
+Every draw takes whole arrays from the generator, yet the bytes are
+those of one ``rng.integers`` call per word form, per sentence and per
+Sattolo step.  ``Generator.integers`` fills an array element by element
+from the bit generator's stream: a range below 2**32 takes each element
+from one 32-bit half of a 64-bit output (a wider one, a whole output),
+and the spare half waits in the bit generator itself, not in the call.
+So a (k, n) draw reads the stream exactly as k draws of n in a row, and
+an array ``high`` as one scalar draw per element, in order.  Hence a
+corpus's words come in chunks of sentences, the word forms in blocks of
+exactly the attempts still needed, and Sattolo's j's in one call, and
+every corpus, label and the generator's final state stay those of the
+per-item loops.
 """
 
 from __future__ import annotations
@@ -27,20 +40,24 @@ Pair = tuple[str, str]
 SOURCE_ALPHABET = "abcdef"
 TARGET_ALPHABET = "nopqrs"
 WORD_LENGTH = 4
+# about this many word ids are drawn at once (at least one sentence's)
+_CHUNK_WORDS = 2**16
 
 
 def _word_forms(
     rng: np.random.Generator, count: int, alphabet: str, length: int
 ) -> list[str]:
-    """``count`` distinct random words of ``length`` letters."""
+    """``count`` distinct random words of ``length`` letters, drawn as
+    (attempts still needed, length) blocks: a duplicate costs one more
+    attempt, so no block draws a letter the loop would not have."""
     forms: list[str] = []
     seen: set[str] = set()
     while len(forms) < count:
-        draw = rng.integers(0, len(alphabet), size=length)
-        word = "".join(alphabet[int(c)] for c in draw)
-        if word not in seen:
-            seen.add(word)
-            forms.append(word)
+        for row in rng.integers(0, len(alphabet), size=(count - len(forms), length)).tolist():
+            word = "".join([alphabet[c] for c in row])
+            if word not in seen:
+                seen.add(word)
+                forms.append(word)
     return forms
 
 
@@ -108,15 +125,22 @@ def gen_cipher_corpus(spec: CipherSpec, n_pairs: int, seed: int) -> list[Pair]:
     corpus; the vocabulary and word map depend only on spec.map_seed.
     """
     check_number("n_pairs", n_pairs, int, 0)
+    check_number("seed", seed, int, 0)
     src_words, tgt_words, word_map = spec.vocabulary()
     rng = np.random.default_rng(seed)
     lengths = rng.integers(spec.min_len, spec.max_len + 1, size=n_pairs)
     mapped = [tgt_words[j] for j in word_map.tolist()]  # lists index fastest
     pairs: list[Pair] = []
-    for length in lengths.tolist():
-        words = rng.integers(0, spec.vocab_size, size=length).tolist()
-        source = " ".join([src_words[w] for w in words])
-        pairs.append((source, " ".join([mapped[w] for w in words])))
+    step = max(1, _CHUNK_WORDS // spec.max_len)  # sentences per draw
+    for first in range(0, n_pairs, step):
+        block = lengths[first : first + step]
+        words = rng.integers(0, spec.vocab_size, size=int(block.sum())).tolist()
+        sources = [src_words[w] for w in words]
+        targets = [mapped[w] for w in words]
+        end = 0
+        for length in block.tolist():
+            start, end = end, end + length
+            pairs.append((" ".join(sources[start:end]), " ".join(targets[start:end])))
     return pairs
 
 
@@ -143,6 +167,7 @@ def inject_noise(pairs: list[Pair], rate: float, seed: int) -> NoisyCorpus:
     than two pairs.
     """
     check_number("rate", rate, float, 0, high=1)
+    check_number("seed", seed, int, 0)
     n = len(pairs)
     labels = np.zeros(n, dtype=bool)
     if rate > 0 and n < 2:
@@ -156,12 +181,12 @@ def inject_noise(pairs: list[Pair], rate: float, seed: int) -> NoisyCorpus:
     chosen = np.sort(rng.choice(n, size=m, replace=False))
     # Sattolo's algorithm: a uniform random cycle over the chosen slots,
     # hence a derangement of them.
-    perm = chosen.copy()
-    for i in range(m - 1, 0, -1):
-        j = int(rng.integers(0, i))
+    perm = chosen.tolist()
+    highs = np.arange(m - 1, 0, -1)  # step i swaps slot i with a j < i
+    for i, j in zip(highs.tolist(), rng.integers(0, highs).tolist()):
         perm[i], perm[j] = perm[j], perm[i]
     out = list(pairs)
-    for slot, src_of in zip(chosen, perm):
+    for slot, src_of in zip(chosen.tolist(), perm):
         out[slot] = (pairs[slot][0], pairs[src_of][1])
     labels[chosen] = True
     return NoisyCorpus(out, labels)

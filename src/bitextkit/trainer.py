@@ -549,7 +549,7 @@ def default_student(
     hash seed (guaranteed different), and weights start at
     U[-1, 1]/sqrt(bucket_count) so pre-normalization activations are O(1).
     """
-    init_rng = _rng_streams(rng_seed)[0]
+    init_rng = _rng_streams(check_number("rng_seed", rng_seed, int, 0))[0]
     hash_seed = int(init_rng.integers(0, 2**63))
     while hash_seed == teacher.featurizer.hash_seed:
         hash_seed = int(init_rng.integers(0, 2**63))

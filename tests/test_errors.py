@@ -12,12 +12,13 @@ from bitextkit.encoder import FeaturizerConfig, make_teacher
 from bitextkit.errors import check_number
 from bitextkit.hashing import bucket_ids
 from bitextkit.margin import SearchConfig, knn
-from bitextkit.synth import CipherSpec, gen_cipher_corpus
-from bitextkit.trainer import NegativeQueue, TrainConfig
+from bitextkit.synth import CipherSpec, gen_cipher_corpus, inject_noise
+from bitextkit.trainer import NegativeQueue, TrainConfig, default_student
 
 # rows that knn searches: 6 candidates
 _ROWS = np.eye(6)
 _TWO_BUCKETS = FeaturizerConfig(bucket_count=2)
+_FOUR_PAIRS = [("a", "w"), ("b", "x"), ("c", "y"), ("d", "z")]
 
 
 @pytest.mark.parametrize(
@@ -67,6 +68,9 @@ def test_check_number_returns_the_value():
         (lambda: gen_cipher_corpus(CipherSpec(), 2.5, 0), "n_pairs"),
         (lambda: make_teacher(FeaturizerConfig(), 2.5, 0), "dim"),
         (lambda: make_teacher(FeaturizerConfig(), 4, 0.0), "weight_seed"),
+        (lambda: gen_cipher_corpus(CipherSpec(), 3, 2.5), "seed"),
+        (lambda: inject_noise(_FOUR_PAIRS, 0.5, 2.5), "seed"),
+        (lambda: default_student(make_teacher(_TWO_BUCKETS, 2, 0), 2.5), "rng_seed"),
     ],
 )
 def test_a_fractional_integer_setting_is_refused_by_name(call, name):
@@ -95,6 +99,10 @@ INTEGER_SETTINGS = [
     ("n_pairs", lambda v: gen_cipher_corpus(CipherSpec(), v, 3), 0, 20),
     ("dim", lambda v: make_teacher(_TWO_BUCKETS, v, 3).weights, 2, 64),
     ("weight_seed", lambda v: make_teacher(_TWO_BUCKETS, 2, v).weights, 0, 2**70),
+    ("seed", lambda v: gen_cipher_corpus(CipherSpec(), 3, v), 0, 2**70),
+    ("seed", lambda v: inject_noise(_FOUR_PAIRS, 0.5, v).pairs, 0, 2**70),
+    ("seed", lambda v: inject_noise(_FOUR_PAIRS, 0.0, v).pairs, 0, 2**70),
+    ("rng_seed", lambda v: default_student(make_teacher(_TWO_BUCKETS, 2, 0), v).weights, 0, 2**70),
 ]
 
 
@@ -141,3 +149,12 @@ def test_normalized_settings_are_python_ints():
     cfg = FeaturizerConfig(ngram_orders=(np.int32(3), 2, np.uint8(3)), bucket_count=np.int64(64))
     assert cfg.ngram_orders == (2, 3) and all(type(o) is int for o in cfg.ngram_orders)
     assert type(cfg.bucket_count) is int and type(cfg.hash_seed) is int
+
+
+def test_teacher_dim_is_bounded_by_the_emb1_header():
+    # EMB1 stores dim as a u32, so a wider teacher could not be saved; the
+    # bound is checked before the weights are drawn, so nothing is allocated
+    with pytest.raises(ValueError, match=r"^dim: must be <= 4294967295, got 1099511627776$"):
+        make_teacher(FeaturizerConfig(), 2**40, 0)
+    with pytest.raises(ValueError, match=r"^dim: must be <= 4294967295, got 4294967296$"):
+        make_teacher(_TWO_BUCKETS, 2**32, 0)

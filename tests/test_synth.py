@@ -5,16 +5,24 @@ import hashlib
 
 import numpy as np
 import pytest
+import synth_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bitextkit import synth
 from bitextkit.errors import TooFewPairsError
 from bitextkit.synth import (
     SOURCE_ALPHABET,
     TARGET_ALPHABET,
     WORD_LENGTH,
     CipherSpec,
+    _word_forms,
     gen_cipher_corpus,
     inject_noise,
 )
+
+CYRILLIC = "абвгдежз"
+GEEZ = "ሀለሐመሠረ"
 
 
 def spec(**kwargs):
@@ -69,14 +77,13 @@ def test_spec_defaults_to_the_module_alphabets():
 
 
 def test_spec_alphabets_spell_each_side():
-    geez = "\u1200\u1208\u1210\u1218\u1220\u1228"
-    s = spec(source_alphabet="wxyz", target_alphabet=geez)
+    s = spec(source_alphabet="wxyz", target_alphabet=GEEZ)
     src_words, tgt_words, _ = s.vocabulary()
     assert all(set(w) <= set("wxyz") for w in src_words)
-    assert all(set(w) <= set(geez) for w in tgt_words)
+    assert all(set(w) <= set(GEEZ) for w in tgt_words)
     pairs = gen_cipher_corpus(s, 40, seed=5)
     assert pairs == gen_cipher_corpus(s, 40, seed=5)
-    assert all(set(t) <= set(geez + " ") for _, t in pairs)
+    assert all(set(t) <= set(GEEZ + " ") for _, t in pairs)
 
 
 @pytest.mark.parametrize(
@@ -138,8 +145,21 @@ def test_corpus_is_deterministic():
             8,
             "04b7814cd0e0129d0ec936907f7e064d0808bbf1757f116530e721a924efd5a0",
         ),
+        (
+            CipherSpec(
+                vocab_size=200,
+                min_len=2,
+                max_len=15,
+                map_seed=9,
+                source_alphabet=CYRILLIC,
+                target_alphabet=GEEZ,
+            ),
+            300,
+            4,
+            "3388063825a777d9cdfa3d1d77cf105fffa5284f58ce12632430b52f70c1d0a7",
+        ),
     ],
-    ids=["short", "long"],
+    ids=["short", "long", "cyrillic-geez"],
 )
 def test_corpus_bytes_are_pinned(cipher, n_pairs, seed, digest):
     # every benchmark and acceptance corpus is drawn this way, so a change to
@@ -241,6 +261,23 @@ def test_noise_derangement_property_over_seeds():
         assert all(noisy.pairs[i][1] != originals[i] for i in chosen)
 
 
+def test_noise_bytes_are_pinned():
+    # the filter benchmark's corpus shape: its labels are the ground truth
+    # that noise recall is scored against
+    clean = gen_cipher_corpus(
+        CipherSpec(vocab_size=100, min_len=20, max_len=60, map_seed=7), 3000, 11
+    )
+    noisy = inject_noise(clean, 0.3, 12)
+    text = "".join(f"{source}\t{target}\n" for source, target in noisy.pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9d32f9a9866b5d9feef834ff4da00e31669246ba17d674d71d9f11ba6503ec6f"
+    )
+    assert noisy.labels.dtype == bool and noisy.noise_count == 900
+    assert hashlib.sha256(noisy.labels.tobytes()).hexdigest() == (
+        "f6b0d6eb413ec028f4f6e0a407a020c3972de4831e97b2f2cdf367315a6839de"
+    )
+
+
 def test_noise_too_few_pairs():
     pairs = gen_cipher_corpus(spec(), 3, seed=1)
     with pytest.raises(TooFewPairsError):
@@ -262,3 +299,82 @@ def test_noise_does_not_mutate_input():
     snapshot = list(pairs)
     inject_noise(pairs, 0.5, seed=3)
     assert pairs == snapshot
+
+
+# --- whole-array draws against the per-item loops -----------------------------
+
+
+@st.composite
+def cipher_case(draw):
+    scripts = [SOURCE_ALPHABET, TARGET_ALPHABET, CYRILLIC, GEEZ, "wxyz", "\u05d0\u05d1"]
+    source, target = draw(st.permutations(scripts))[:2]
+    letters = min(len(source), len(target))
+    min_len = draw(st.integers(1, 8))
+    cipher = CipherSpec(
+        vocab_size=draw(st.integers(2, min(60, letters**WORD_LENGTH // 2))),
+        min_len=min_len,
+        max_len=draw(st.one_of(st.just(min_len), st.integers(min_len, 20))),
+        map_seed=draw(st.integers(0, 2**64)),
+        source_alphabet=source,
+        target_alphabet=target,
+    )
+    n_pairs = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 60)))
+    return cipher, n_pairs, draw(st.integers(0, 2**64)), draw(st.sampled_from([1, 3, 7, 2**16]))
+
+
+def _generators(patch):
+    """Every generator np.random.default_rng makes from here on."""
+    made, make = [], np.random.default_rng
+    patch.setattr(np.random, "default_rng", lambda *a: made.append(make(*a)) or made[-1])
+    return made
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cipher_case(), rate=st.floats(0, 1))
+@example(case=(CipherSpec(max_len=1), 1, 2**64, 1), rate=1.0)
+@example(case=(CipherSpec(min_len=5, max_len=5, target_alphabet=GEEZ), 9, 0, 3), rate=0.5)
+def test_whole_array_draws_equal_the_per_item_loops(case, rate):
+    # vocabulary, corpus, noise and labels byte for byte, and each generator
+    # left in the same state, with chunks down to one sentence
+    cipher, n_pairs, seed, chunk = case
+    ours, theirs = cipher.vocabulary(), synth_oracle.vocabulary(cipher)
+    assert ours[:2] == theirs[:2] and np.array_equal(ours[2], theirs[2])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synth, "_CHUNK_WORDS", chunk)
+        made = _generators(patch)
+        pairs = gen_cipher_corpus(cipher, n_pairs, seed)
+        want = synth_oracle.gen_cipher_corpus(cipher, n_pairs, seed)
+        assert pairs == want
+        assert len(made) == 4  # vocabulary and corpus, each side
+        assert made[0].bit_generator.state == made[2].bit_generator.state
+        assert made[1].bit_generator.state == made[3].bit_generator.state
+    if rate > 0 and n_pairs < 2 or int(rate * n_pairs) == 1:
+        with pytest.raises(TooFewPairsError):
+            inject_noise(pairs, rate, seed)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        made = _generators(patch)
+        noisy = inject_noise(pairs, rate, seed)
+        oracle = synth_oracle.inject_noise(pairs, rate, seed)
+        assert noisy.pairs == oracle.pairs
+        assert noisy.labels.dtype == bool and np.array_equal(noisy.labels, oracle.labels)
+        assert len(made) in (0, 2)
+        assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(made, made[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alphabet=st.sampled_from([SOURCE_ALPHABET, CYRILLIC, GEEZ, "no"]),
+    count=st.integers(0, 8),
+    seed=st.integers(0, 2**64),
+)
+def test_word_forms_equal_the_per_attempt_loop(alphabet, count, seed):
+    # a two-letter alphabet spells 16 words, so 8 of them need retries
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _word_forms(ours, count, alphabet, WORD_LENGTH) == synth_oracle.word_forms(
+        theirs, count, alphabet, WORD_LENGTH
+    )
+    # the next draw from the same generator matches too
+    assert np.array_equal(ours.integers(0, 7, size=5), theirs.integers(0, 7, size=5))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
