@@ -106,12 +106,18 @@ def featurize_batch(sentences: list[str], cfg: FeaturizerConfig) -> tuple[np.nda
     often its n-grams hash there).  The empty sentence has no entries (no
     sentinel n-grams are counted for it).  Hashes each sentence once, one
     call per chunk of about _CHUNK_CHARS characters, so a row never
-    depends on the batch it is featurized in.
+    depends on the batch it is featurized in.  A sentence UTF-8 cannot
+    encode (a lone surrogate) raises ValueError naming its index in
+    ``sentences``.
     """
     ends = np.cumsum(np.fromiter(map(len, sentences), np.int64, len(sentences)))
     cuts = (np.flatnonzero(np.diff(ends // _CHUNK_CHARS)) + 1).tolist()
     spans = zip([0] + cuts, cuts + [len(sentences)])
-    chunks = [_block_counts(sentences[lo:hi], cfg) for lo, hi in spans]
+    try:
+        chunks = [_block_counts(sentences[lo:hi], cfg) for lo, hi in spans]
+    except ValueError:
+        hashing.check_utf8(sentences)  # names the index in sentences, not in a chunk
+        raise
     return tuple(np.concatenate(part) for part in zip(*chunks))
 
 
@@ -223,10 +229,11 @@ def encode_masked(
     """Unit-norm embeddings of many sentences plus a per-row ok mask.
 
     A row is not ok when its sentence has no features or its projection
-    collapses to (near-)zero norm; such rows are all zero.  Never raises
-    for a bad sentence.  Projects groups of at most _GROUP_ROWS sentences,
-    each hashed in chunks of about _CHUNK_CHARS characters; row i equals
-    the row the sentence gets in any other batch.
+    collapses to (near-)zero norm; such rows are all zero.  Only a sentence
+    UTF-8 cannot encode (a lone surrogate) raises: ValueError names its
+    index in ``sentences``.  Projects groups of at most _GROUP_ROWS
+    sentences, each hashed in chunks of about _CHUNK_CHARS characters; row
+    i equals the row the sentence gets in any other batch.
     """
     n = len(sentences)
     out = np.zeros((n, params.dim), dtype=np.float64)
@@ -235,9 +242,13 @@ def encode_masked(
         group = sentences[lo : lo + _GROUP_ROWS]
         # one expression, so that neither the group's features nor its
         # products outlive the step that reads them
-        z = _project(
-            *_pair_products(params.weights, *featurize_batch(group, params.featurizer))
-        )
+        try:
+            z = _project(
+                *_pair_products(params.weights, *featurize_batch(group, params.featurizer))
+            )
+        except ValueError:
+            hashing.check_utf8(sentences)  # names the index in sentences, not in a group
+            raise
         norms = np.linalg.norm(z, axis=1)
         good = norms > ZERO_NORM_EPS
         out[lo : lo + len(z)][good] = z[good] / norms[good, None]

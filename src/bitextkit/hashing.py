@@ -79,6 +79,20 @@ def _pair_tables(seed: int, n_buckets: int) -> tuple[np.ndarray, np.ndarray]:
     return state.ravel(), ids.ravel()
 
 
+def check_utf8(texts: list[str]) -> None:
+    """Raise ValueError naming the first text UTF-8 cannot encode (one that
+    holds a lone surrogate) by its index in ``texts``.  Callers run it only
+    once encoding has failed, so valid text pays nothing."""
+    for i, text in enumerate(texts):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(
+                f"sentence {i}: character {exc.start} ({text[exc.start]!r}) "
+                f"cannot be encoded as UTF-8"
+            ) from None
+
+
 def bucket_ids(
     texts: list[str], orders: tuple[int, ...], n_buckets: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,13 +104,18 @@ def bucket_ids(
     ``texts[i]`` by order, then position.  Texts are hashed as-is (callers
     add sentinels); orders below 1 or above a text's character length
     contribute nothing.  ids are int64 in [0, n_buckets), deterministic for
-    fixed arguments; text is int32 (int64 past 2^31 texts).
+    fixed arguments; text is int32 (int64 past 2^31 texts).  Text that
+    UTF-8 cannot encode raises ValueError naming its index (check_utf8).
     """
     n_buckets = check_number("n_buckets", n_buckets, int, 1, high=2**63)
     n_chars = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     longest = int(n_chars.max(initial=0))  # a longer order has no n-grams
     orders = sorted({int(o) for o in orders if 1 <= int(o) <= longest})
-    data = "".join(texts).encode("utf-8")
+    try:
+        data = "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        check_utf8(texts)
+        raise
     raw = np.frombuffer(data, dtype=np.uint8)
     single_byte = len(data) == int(n_chars.sum())  # character k is byte k
     if not single_byte:

@@ -176,6 +176,26 @@ def _row_bound(G: np.ndarray, k: int) -> np.ndarray:
     return np.partition(bound, cut, axis=1)[:, cut].astype(np.float64)
 
 
+def _rank_rows(S, T, r, c, g, k: int, eps: float):
+    """(cos, pick): the k nearest targets of each source row of a block S,
+    among its kept entries (rows r, targets c, screen values g; row-major,
+    at least k per row).
+
+    Only the entries that can be in a row's top k are rescored: the k
+    entries at or above its k-th largest G have pair cosines >= that G -
+    eps, so any entry whose cosine reaches theirs has G >= the k-th largest
+    G - 2 eps.  cos holds those entries' pair_cosines values and NaN
+    elsewhere; pick (len(S), k) holds each row's top-k positions in r, by
+    descending cosine, exact ties toward the lower target.
+    """
+    kth = np.partition(_grid(r, len(S), g, -np.inf)[0], -k, axis=1)[:, -k]
+    sure = np.flatnonzero(g >= kth[r] - 2 * eps)
+    cos = np.full(len(r), np.nan)
+    cos[sure] = pair_cosines(S, T, r[sure], c[sure])
+    grid, starts = _grid(r[sure], len(S), -cos[sure], np.inf)  # stable: ties by target
+    return cos, sure[starts[:, None] + np.argsort(grid, axis=1, kind="stable")[:, :k]]
+
+
 def _check_k(k: int, *sides: np.ndarray) -> None:
     check_number("k", k, int, 1)
     for C in sides:
@@ -191,8 +211,8 @@ def knn(queries, candidates, k: int):
     candidate index.  Raises KTooLargeError if k exceeds the candidate count.
 
     Each 512-row block of queries keeps its entries with G >= L - 2 eps, L
-    from _row_bound: k pair cosines are >= L - eps, so the row's top k are
-    among them, and pair cosines order them.
+    from _row_bound: k entries have G >= L, so a row's top k by cosine have
+    G >= L - 2 eps, and _rank_rows ranks what it keeps.
     """
     Q, C = _unit_rows(queries, candidates)
     _check_k(k, C)
@@ -201,9 +221,7 @@ def knn(queries, candidates, k: int):
     for lo in range(0, Q.shape[0], _BLOCK_ROWS):
         G, keep = _screen(buffers, slice(lo, lo + _BLOCK_ROWS))
         r, c = _kept(G, keep, (_row_bound(G, k) - 2 * eps)[:, None])
-        cos = pair_cosines(Q, C, lo + r, c)
-        grid, starts = _grid(r, len(G), -cos, np.inf)  # stable: ties by column
-        pick = starts[:, None] + np.argsort(grid, axis=1, kind="stable")[:, :k]
+        cos, pick = _rank_rows(Q[lo : lo + len(G)], C, r, c, G[r, c], k, eps)
         idx[lo : lo + len(G)], top[lo : lo + len(G)] = c[pick], cos[pick]
     return idx, top
 
@@ -250,11 +268,10 @@ def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
 
     Rows: each keeps the entries at or above its float32 floor, L - 2 eps
     rounded down, L from _row_bound at K (K >= k), so its top K are among
-    them.  Those that can be in its top k (G >= its k-th largest G - 2 eps)
-    are rescored, and give dx.  blocks holds, per source block from lo,
-    (lo, rows, cols, g, cos, floors): the kept entries (row-major, rows
-    counted from lo), their screen values, their pair cosines or NaN where
-    none was taken, and the rows' floors.
+    them, and _rank_rows finds its top k, which give dx.  blocks holds, per
+    source block from lo, (lo, rows, cols, g, cos, floors): the kept
+    entries (row-major, rows counted from lo), their screen values, their
+    pair cosines or NaN where none was taken, and the rows' floors.
 
     Columns: each target keeps the k largest screen values of the blocks so
     far.  Its top k cosines have G >= (its k-th largest G) - 2 eps, so each
@@ -284,12 +301,8 @@ def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
 
         hi, in_row = lo + len(G), g >= row_floors[r]
         rr, cc, gg = r[in_row].astype(np.int32), c[in_row].astype(np.int32), g[in_row]
-        cos = np.full(len(rr), np.nan)
-        grid, _ = _grid(rr, hi - lo, gg, -np.inf)
-        sure = gg >= np.partition(grid, grid.shape[1] - k, axis=1)[rr, grid.shape[1] - k] - 2 * eps
-        cos[sure] = pair_cosines(S, T, lo + rr[sure], cc[sure])
-        grid, _ = _grid(rr[sure], hi - lo, cos[sure], -np.inf)
-        dx[lo:hi] = neighborhood_means(-np.sort(-grid, axis=1)[:, :k], k)
+        cos, pick = _rank_rows(S[lo:hi], T, rr, cc, gg, k, eps)
+        dx[lo:hi] = neighborhood_means(cos[pick], k)
         blocks.append((lo, rr, cc, gg, cos, row_floors))
 
         in_col = g >= col_floors[c]
@@ -405,8 +418,7 @@ def _rescan(S, T, buffers, rows, dx, dy, s, kind: str):
 def _count_errors(src_emb, tgt_emb, cfg: SearchConfig) -> tuple[int, int]:
     """(n, errors): how many of n aligned sources pick a target other than
     their own (row i of the sources is aligned with row i of the targets)."""
-    S = np.asarray(src_emb)
-    T = np.asarray(tgt_emb)
+    S, T = np.asarray(src_emb), np.asarray(tgt_emb)
     if S.shape[0] != T.shape[0]:
         raise SizeMismatchError(
             f"aligned sets must match in size: {S.shape[0]} vs {T.shape[0]}"

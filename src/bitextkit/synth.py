@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import SENTINEL_BEGIN, SENTINEL_END
 from .errors import TooFewPairsError, check_number
 
 Pair = tuple[str, str]
@@ -65,11 +66,11 @@ def _check_alphabet(side: str, alphabet: str) -> int:
     """Number of distinct letters of a valid word alphabet."""
     if not isinstance(alphabet, str) or len(set(alphabet)) < 2:
         raise ValueError(f"{side}_alphabet must hold at least 2 distinct characters")
-    bad = sorted({c for c in alphabet if c.isspace() or c in "^$"})
+    bad = sorted({c for c in alphabet if c.isspace() or c in (SENTINEL_BEGIN, SENTINEL_END)})
     if bad:
         raise ValueError(
-            f"{side}_alphabet must not hold whitespace or the sentinels ^ and $, "
-            f"got {bad!r}"
+            f"{side}_alphabet must not hold whitespace or the sentinels "
+            f"{SENTINEL_BEGIN} and {SENTINEL_END}, got {bad!r}"
         )
     try:
         alphabet.encode("utf-8")

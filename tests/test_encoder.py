@@ -2,6 +2,7 @@
 basis-vector encodings, batch rows bitwise equal to single encodings, and
 the EMB1 + sidecar round trip."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -254,6 +255,52 @@ def test_batch_calls_hash_each_sentence_once(monkeypatch):
     hashed.clear()
     encode_masked(params, sentences)
     assert sum(hashed) == wrapped
+
+
+def _unencodable_at(index: int):
+    """The ValueError match for a lone surrogate at character 1 of sentence
+    index of the caller's list."""
+    message = f"sentence {index}: character 1 ('\\ud800') cannot be encoded as UTF-8"
+    return f"^{re.escape(message)}$"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, s: featurize_batch(s, p.featurizer),
+        lambda p, s: encode_masked(p, s),
+        lambda p, s: encode_batch(p, s),
+        lambda p, s: encode(p, s[0]),
+        lambda p, s: filtering.score_corpus(
+            list(zip(s, s)), p, small_params(hash_seed=1), margin.SearchConfig(k=1)
+        ),
+        lambda p, s: trainer.train_distill(
+            list(zip(s, ["b c"] * len(s))),
+            small_params(frozen=True, hash_seed=1),
+            trainer.TrainConfig(batch_size=2, queue_size=2, epochs=1),
+            student_init=p,
+        ),
+    ],
+    ids=["featurize_batch", "encode_masked", "encode_batch", "encode", "score_corpus", "train_distill"],
+)
+def test_a_sentence_utf8_cannot_encode_is_named(call):
+    with pytest.raises(ValueError, match=_unencodable_at(0)):
+        call(small_params(), ["a\ud800b", "c d", "e f"])
+
+
+def test_a_sentence_utf8_cannot_encode_is_named_from_the_callers_list():
+    # the bad sentence is the second of a later hash chunk, or of a later
+    # projection group: its index still counts from the caller's list
+    long = "ab " * 4000  # 12,000 characters: chunks of 16,384 hold one or two
+    sentences = [long] * 5
+    sentences[3] = "a\ud800" + long
+    assert encoder._CHUNK_CHARS < 2 * len(long)
+    with pytest.raises(ValueError, match=_unencodable_at(3)):
+        featurize_batch(sentences, small_params().featurizer)
+    many = ["c d"] * (encoder._GROUP_ROWS + 5)
+    many[encoder._GROUP_ROWS + 3] = "a\ud800"
+    with pytest.raises(ValueError, match=_unencodable_at(encoder._GROUP_ROWS + 3)):
+        encode_masked(small_params(), many)
 
 
 # --- encode ------------------------------------------------------------------

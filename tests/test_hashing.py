@@ -1,6 +1,8 @@
 """Hashing tests: golden vectors and an independent reference oracle,
 checked per text and on whole batches of arbitrary Unicode."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -141,6 +143,19 @@ def test_bucket_count_validation():
     assert hashing._pair_tables.cache_info().misses == misses  # no table for them
 
 
+@pytest.mark.parametrize(
+    "texts, index, at",
+    [(["\ud800"], 0, 0), (["ab", "", "c\udfffd", "e\ud800"], 2, 1)],
+    ids=["first", "later"],
+)
+def test_text_utf8_cannot_encode_raises_value_error_naming_it(texts, index, at):
+    # a lone surrogate: the error names the first such text and its position
+    # there, not the position in the texts joined
+    message = f"sentence {index}: character {at} ({texts[index][at]!r}) cannot be encoded as UTF-8"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hashing.bucket_ids(texts, (2,), 8, 0)
+
+
 def reference_batch(texts, orders, n_buckets, seed):
     """bucket_ids' (ids, text) as lists, by order, then text, then position."""
     ids, text = [], []
@@ -177,7 +192,10 @@ _single_byte_text = st.text(st.characters(max_codepoint=0x7F), max_size=30)
 @settings(max_examples=200, deadline=None)
 @given(
     texts=st.lists(_single_byte_text, max_size=8),
-    wide=st.text(st.characters(min_codepoint=0x80), min_size=1, max_size=6),
+    # no surrogates, which UTF-8 cannot encode
+    wide=st.text(
+        st.characters(min_codepoint=0x80, exclude_categories=("Cs",)), min_size=1, max_size=6
+    ),
     at=st.integers(0, 8),
     orders=st.sets(st.integers(1, 5), max_size=5),
     n_buckets=st.integers(1, 2**63),

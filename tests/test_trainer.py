@@ -364,6 +364,11 @@ def test_equalize_raises_when_a_row_keeps_nothing():
         equalize_negatives(mask, np.random.default_rng(0))
 
 
+def test_equalize_refuses_a_mask_that_is_not_2d():
+    with pytest.raises(DimMismatchError, match=r"^mask must be 2-D \(batch x pool\)$"):
+        equalize_negatives(np.ones(5, dtype=bool), np.random.default_rng(0))
+
+
 # --- filtered loss ------------------------------------------------------------
 
 
@@ -890,6 +895,23 @@ def test_one_teacher_stream_matrix_is_alive_at_a_time(train_corpus, teacher, stu
     finally:
         tracemalloc.stop()
     assert held + stream < peak < held + stream + n * row
+
+
+def test_distill_refuses_a_student_of_another_dim():
+    teacher = tiny_teacher()
+    student = EncoderParams(
+        replace(teacher.featurizer, hash_seed=5), np.full((teacher.featurizer.bucket_count, 8), 0.1)
+    )
+    with pytest.raises(DimMismatchError, match="^student dim 8 != teacher dim 16$"):
+        train_distill(tiny_corpus(), teacher, run_cfg(), student_init=student)
+
+
+def test_distill_raises_on_a_non_finite_loss():
+    # at the smallest subnormal temperature the logits overflow, and the
+    # first loss step (step 2: step 1 only fills the queue) gives NaN
+    cfg = TrainConfig(temperature=5e-324, queue_size=64, batch_size=16)
+    with pytest.raises(DivergenceError, match="^epoch 1 step 2: non-finite loss nan$"):
+        train_distill(tiny_corpus(), tiny_teacher(), cfg)
 
 
 def test_distill_zero_epochs_returns_init_unchanged():
