@@ -97,13 +97,21 @@ class ScoredPair:
     target_tokens: int
 
 
+def _check_scores(scored: list[ScoredPair]) -> None:
+    if any(math.isnan(p.score) for p in scored):
+        raise ValueError("scores must not be NaN")
+
+
 def write_scored_tsv(
     path: str | os.PathLike,
     scored: list[ScoredPair],
     comments: list[str] | None = None,
 ) -> None:
     """Write ``score<TAB>source<TAB>target`` lines, descending by score
-    (ties keep the given order); -inf prints as '-inf'."""
+    (ties keep the given order); -inf prints as '-inf'.  A NaN score, which
+    has no place in that order, raises ValueError before anything is
+    written."""
+    _check_scores(scored)
     order = sorted(range(len(scored)), key=lambda i: -scored[i].score)
     lines = [f"# {c}" for c in (comments or [])]
     for i in order:
@@ -133,10 +141,10 @@ def score_corpus(
     src, src_ok = encode_masked(student, [s for s, _ in pairs])
     tgt, tgt_ok = encode_masked(teacher, [t for _, t in pairs])
     valid = np.flatnonzero(src_ok & tgt_ok)  # a pair participates only when whole
+    S, T = src[valid], tgt[valid]
+    del src, tgt  # the search holds only the valid rows
     scores = np.full(len(pairs), -math.inf)
     if valid.size:
-        S = src[valid]
-        T = tgt[valid]
         dx, dy = neighborhoods(S, T, cfg.k)
         # the pair's cosine as align computes it, bit for bit
         rows = np.arange(valid.size)
@@ -158,8 +166,7 @@ def select_by_token_budget(scored: list[ScoredPair], budget: int) -> list[Scored
     """
     if not budget >= 0:  # NaN too, which would select everything
         raise ValueError(f"budget: must be >= 0, got {budget}")
-    if any(math.isnan(p.score) for p in scored):
-        raise ValueError("scores must not be NaN")
+    _check_scores(scored)
     order = sorted(range(len(scored)), key=lambda i: -scored[i].score)
     out: list[ScoredPair] = []
     total = 0

@@ -93,6 +93,12 @@ def check_utf8(texts: list[str]) -> None:
             ) from None
 
 
+def seed_key(seed: int) -> int:
+    """The seed bucket_ids hashes with: seed mod 2^64, so seeds equal mod
+    2^64 give the same ids."""
+    return int(seed) & _MASK
+
+
 def bucket_ids(
     texts: list[str], orders: tuple[int, ...], n_buckets: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +128,7 @@ def bucket_ids(
         # byte offset of each character: characters start at every byte that
         # is not a UTF-8 continuation byte (0b10xxxxxx)
         offsets = np.append(np.flatnonzero((raw & 0xC0) != 0x80), len(data))
-    seed = int(seed) & _MASK
+    seed = seed_key(seed)
     if orders and orders[-1] >= 2:
         state, pair_ids = _pair_tables(seed, n_buckets)
         pair = raw[:-1].astype(np.uint16)  # pair[p]: bytes p, p + 1 as b0 << 8 | b1

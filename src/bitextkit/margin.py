@@ -49,8 +49,10 @@ _COLUMN_GROUPS = 64
 # second screen (_rescan), but every row scores more; align times on the
 # mine benchmark's embeddings are flat from 8 to 32 and slower at 4 and 64
 _TOP = 16
-# float64 values gathered from each side per pair_cosines chunk (1 MiB)
-_GATHER = 1 << 17
+# float64 values gathered from each side per pair_cosines chunk (256 KiB):
+# 100,000 pairs at d = 64 took 17.6 ms in 2^15-value chunks and 20.4 ms in
+# 2^13 or 2^17, and 2^17 (1 MiB a side) lifted every search's traced peak
+_GATHER = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -149,18 +151,20 @@ def _grid(rows: np.ndarray, n: int, values: np.ndarray, fill: float):
 
 
 def _screens(Q: np.ndarray, C: np.ndarray):
-    """(Q32, C32, screen, keep): the unit rows of Q and C rounded to float32,
-    and a float32 screen of up to _BLOCK_ROWS rows against C and a boolean
-    mask of its shape, both reused for every block of a search."""
+    """(Q, C32, screen, keep): the unit rows of Q, those of C rounded to
+    float32, and a float32 screen of up to _BLOCK_ROWS rows against C and a
+    boolean mask of its shape, both reused for every block of a search.
+    _screen rounds the query rows of each block as it screens them, so no
+    float32 copy of all of Q is held."""
     shape = (min(_BLOCK_ROWS, Q.shape[0]), C.shape[0])
-    return Q.astype(np.float32), C.astype(np.float32), np.empty(shape, np.float32), np.empty(shape, bool)
+    return Q, C.astype(np.float32), np.empty(shape, np.float32), np.empty(shape, bool)
 
 
 def _screen(buffers, rows):
     """(G, keep): the screen of the rows of Q that rows (a slice or at most
     _BLOCK_ROWS indices) selects, and the mask rows of the same count."""
-    Q32, C32, screen, keep = buffers
-    block = Q32[rows]
+    Q, C32, screen, keep = buffers
+    block = Q[rows].astype(np.float32)
     return np.matmul(block, C32.T, out=screen[: len(block)]), keep[: len(block)]
 
 
@@ -308,8 +312,9 @@ def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
         in_col = g >= col_floors[c]
         _fold(top, kth, c[in_col], g[in_col])
         found.append((lo * m + at[in_col], g[in_col]))
-    at, g = (np.concatenate(parts) for parts in zip(*found))
-    r, c = np.divmod(at[g >= kth[at % m] - 2 * eps], m)
+    # each block's candidates are cut to the final floors before they are
+    # joined, so the join copies only what is rescored
+    r, c = np.divmod(np.concatenate([at[g >= kth[at % m] - 2 * eps] for at, g in found]), m)
     top[:] = -np.inf
     _fold(top, kth, c, pair_cosines(S, T, r, c))
     dy = neighborhood_means(-np.sort(-top, axis=1), k)

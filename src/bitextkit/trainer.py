@@ -42,6 +42,7 @@ from .errors import (
     check_number,
 )
 from .filtering import count_tokens
+from .hashing import seed_key
 from .vectors import ZERO_NORM_EPS, unit_slack
 
 NEGATIVES_QUEUE = "queue"
@@ -483,7 +484,7 @@ def _check_roles(student: EncoderParams, teacher: EncoderParams) -> None:
         raise DimMismatchError(
             f"student dim {student.dim} != teacher dim {teacher.dim}"
         )
-    if student.featurizer.hash_seed == teacher.featurizer.hash_seed:
+    if seed_key(student.featurizer.hash_seed) == seed_key(teacher.featurizer.hash_seed):
         raise ValueError("student and teacher featurizer hash seeds must differ")
 
 
@@ -551,7 +552,7 @@ def default_student(
     """
     init_rng = _rng_streams(check_number("rng_seed", rng_seed, int, 0))[0]
     hash_seed = int(init_rng.integers(0, 2**63))
-    while hash_seed == teacher.featurizer.hash_seed:
+    while hash_seed == seed_key(teacher.featurizer.hash_seed):
         hash_seed = int(init_rng.integers(0, 2**63))
     featurizer = replace(teacher.featurizer, hash_seed=hash_seed)
     scale = 1.0 / np.sqrt(featurizer.bucket_count)

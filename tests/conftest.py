@@ -7,6 +7,7 @@ the corpus, teacher and initial student, so plain module runs stay fast.
 """
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,29 @@ from bitextkit.synth import CipherSpec, gen_cipher_corpus
 from bitextkit.trainer import TrainConfig, default_student, train_distill
 
 CIPHER_SPEC = CipherSpec(vocab_size=100, min_len=1, max_len=12, map_seed=7)
+
+
+def traced_peak(fn):
+    """(fn(), the peak in bytes of the memory tracemalloc traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def search_peak_bound(n: int, m: int, d: int) -> int:
+    """Bytes a margin search of n query rows against m targets of dim d may
+    trace at its peak: both sides' unit rows in float64 and the targets in
+    float32, one 512-row float32 screen with its two boolean masks, one
+    block's query rows in float32, the two 2^15-value float64 gathers of
+    pair_cosines, and 1 KiB per query row for its kept entries and column
+    candidates.  At n = m = 5,000 and d = 64, a search that also held a
+    float32 copy of every query row, or gathered 2^17 values a side, would
+    exceed it."""
+    rows = (n + m) * d * 8 + m * d * 4 + 512 * d * 4
+    return rows + 512 * m * (4 + 1 + 1) + 2 * 2**15 * 8 + n * 1024
 
 
 def distill_config(**overrides) -> TrainConfig:

@@ -3,10 +3,10 @@ basis-vector encodings, batch rows bitwise equal to single encodings, and
 the EMB1 + sidecar round trip."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from encoder_oracle import embed as oracle_embed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -418,12 +418,7 @@ def test_encode_masked_memory_is_not_sized_by_the_largest_count():
     cfg = FeaturizerConfig((2, 3), 2**16, 0)
     params = EncoderParams(cfg, np.random.default_rng(0).uniform(-1, 1, (2**16, 2)))
     sentences = ["a" * 100_000, "ab", "xyz" * 50]
-    tracemalloc.start()
-    try:
-        out, ok = encode_masked(params, sentences)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (out, ok), peak = traced_peak(lambda: encode_masked(params, sentences))
     assert ok.all()
     assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 

@@ -23,6 +23,8 @@ from bitextkit.filtering import (
 from bitextkit.hashing import bucket_ids
 from bitextkit.margin import MARGIN_KINDS, SearchConfig, align, knn, neighborhood_means
 from bitextkit.synth import CipherSpec, gen_cipher_corpus
+from bitextkit.trainer import default_student
+from conftest import search_peak_bound, traced_peak
 
 
 # --- tokens -------------------------------------------------------------------
@@ -161,6 +163,16 @@ def test_write_scored_sorts_descending_with_stable_ties(tmp_path):
     assert lines[4] == "-inf\ts4\tt4"
 
 
+
+def test_write_scored_refuses_nan_before_writing(tmp_path):
+    # NaN fails every compare, so it would land out of the descending order
+    scored = [ScoredPair("s1", "t1", 1.0, 1), ScoredPair("s2", "t2", math.nan, 1),
+              ScoredPair("s3", "t3", 2.0, 1)]
+    path = tmp_path / "scored.tsv"
+    with pytest.raises(ValueError, match="^scores must not be NaN$"):
+        write_scored_tsv(path, scored)
+    assert not path.exists()
+
 # --- scoring with hand-built encoders -----------------------------------------
 
 
@@ -241,6 +253,20 @@ def test_score_corpus_across_blocks_matches_knn_margins():
     got = np.array(scores[:500] + scores[502:])
     assert np.allclose(got, want, atol=1e-12, rtol=0.0)
 
+
+
+def test_score_corpus_traced_peak_holds_no_spare_embeddings():
+    # 3,000 long pairs at d = 64: beyond the search, scoring holds only the
+    # valid rows of both sides, not the full encodings they were taken from
+    featurizer = FeaturizerConfig(ngram_orders=(2, 3), bucket_count=2048, hash_seed=101)
+    teacher = make_teacher(featurizer, 64, weight_seed=101)
+    student = default_student(teacher, 202)
+    pairs = gen_cipher_corpus(CipherSpec(vocab_size=100, min_len=20, max_len=60, map_seed=7), 3000, 11)
+    cfg = SearchConfig(k=4, margin_kind="ratio")
+    score_corpus(pairs[:8], student, teacher, cfg)  # the hash tables are cached, not traced
+    _, peak = traced_peak(lambda: score_corpus(pairs, student, teacher, cfg))
+    n, d = len(pairs), teacher.dim
+    assert peak <= 2 * n * d * 8 + search_peak_bound(n, n, d), f"peak {peak / 2**20:.2f} MiB"
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**16), k=st.integers(1, 4), kind=st.sampled_from(MARGIN_KINDS))

@@ -3,7 +3,6 @@ cosine and the float32 screen's error bound, exact-kNN with tie-breaking,
 hand-computed 2x2 scores, an exhaustive alignment oracle, a bitwise
 exhaustive oracle over pair_cosines, and the evaluation report format."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from bitextkit.margin import (
     xsim_report,
 )
 from bitextkit.vectors import normalize_rows
+from conftest import search_peak_bound, traced_peak
 from margin_oracle import cosines as oracle_cosines
 from margin_oracle import knn as oracle_knn
 from margin_oracle import picks as oracle_picks
@@ -319,24 +319,18 @@ def test_an_empty_side_raises_k_too_large(empty):
 
 
 def test_align_traced_peak_stays_within_three_blocks():
-    # the search holds one float32 screen of at most 512 rows and its
-    # boolean mask, reused for every block and every rescan, and gathers
-    # only a block's kept pairs, in bounded chunks; a whole n x m screen, a
-    # float64 screen held at once, or one gather of the whole search's kept
-    # pairs (18 per row when all cosines are positive) breaks two float64
-    # 1,024-row blocks
-    n = 5000
+    # the search holds one float32 screen of at most 512 rows and its two
+    # boolean masks, reused for every block and every rescan, rounds each
+    # block's query rows to float32 as it screens them, and gathers only a
+    # block's kept pairs, in 2^15-value chunks; a float32 copy of all query
+    # rows, larger gathers or a whole n x m screen break the bound
+    n, d = 5000, 64
     rng = np.random.default_rng(4)
     for shape in (lambda rows: rows, np.abs):
-        S = normalize_rows(shape(rng.normal(size=(n, 64))))
-        T = normalize_rows(shape(rng.normal(size=(n, 64))))
-        tracemalloc.start()
-        try:
-            align(S, T, SearchConfig(k=4, margin_kind="ratio"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 1024 * n * 8
+        S = normalize_rows(shape(rng.normal(size=(n, d))))
+        T = normalize_rows(shape(rng.normal(size=(n, d))))
+        _, peak = traced_peak(lambda: align(S, T, SearchConfig(k=4, margin_kind="ratio")))
+        assert peak <= search_peak_bound(n, n, d), f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_align_ratio_zero_denominator_raises():

@@ -5,7 +5,6 @@ determinism, warm-up and fallback counters)."""
 
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -47,7 +46,7 @@ from bitextkit.trainer import (
     train_step,
 )
 from bitextkit.vectors import normalize_rows
-from conftest import distill_config
+from conftest import distill_config, traced_peak
 
 LN_1P_2E_M1 = 0.551444713932051  # ln(1 + 2/e)
 
@@ -762,6 +761,27 @@ def test_train_step_role_and_input_checks():
         train_step(student, teacher, [], queue, cfg)
 
 
+@pytest.mark.parametrize("alias", [5 + 2**64, 5 - 2**64])
+def test_seeds_equal_mod_2_64_are_one_seed(alias):
+    # bucket_ids hashes with the seed mod 2^64, so these students featurize
+    # exactly as the teacher does
+    teacher = tiny_teacher(hash_seed=5)
+    twin = replace(teacher.featurizer, hash_seed=alias)
+    assert np.array_equal(featurize_batch(["abc"], twin)[1], featurize_batch(["abc"], teacher.featurizer)[1])
+    student = EncoderParams(twin, teacher.weights.copy())
+    queue = NegativeQueue.empty(4, teacher.dim)
+    message = "^student and teacher featurizer hash seeds must differ$"
+    with pytest.raises(ValueError, match=message):
+        train_step(student, teacher, tiny_corpus(n=4), queue, TrainConfig(batch_size=4))
+    with pytest.raises(ValueError, match=message):
+        train_distill(tiny_corpus(), teacher, run_cfg(), student_init=student)
+    # a teacher whose seed aliases default_student's first draw gets a redraw
+    first = int(trainer._rng_streams(3)[0].integers(0, 2**63))
+    aliased = replace(teacher.featurizer, hash_seed=first + alias - 5)
+    drawn = default_student(EncoderParams(aliased, teacher.weights, frozen=True), 3)
+    assert drawn.featurizer.hash_seed % 2**64 != first
+
+
 # --- train_distill ------------------------------------------------------------
 
 
@@ -888,12 +908,7 @@ def test_one_teacher_stream_matrix_is_alive_at_a_time(train_corpus, teacher, stu
     feats = featurize_batch([s for s, _ in train_corpus], student_init.featurizer)
     held = student_init.weights.nbytes + sum(a.nbytes for a in feats) + n * row
     stream = (min(cfg.queue_size, n) + n) * row
-    tracemalloc.start()
-    try:
-        train_distill(train_corpus, teacher, cfg, student_init=student_init)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: train_distill(train_corpus, teacher, cfg, student_init=student_init))
     assert held + stream < peak < held + stream + n * row
 
 
