@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embfile import atomic_write_text
+from .embfile import write_text
 from .encoder import EncoderParams, encode_batch
 from .errors import BitextkitError, check_number
 from .margin import SearchConfig, xsim_error_rate
@@ -144,12 +144,10 @@ def write_histogram_csv(
 ) -> None:
     """CSV of ``bin_lo,bin_hi,count`` rows with a ``# total=... shuffle=...``
     comment first; extra comments follow it."""
-    lines = [f"# total={hist.total} shuffle={1 if shuffle else 0}"]
-    lines += [f"# {c}" for c in (comments or [])]
-    lines.append("bin_lo,bin_hi,count")
-    for lo, hi, count in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
-        lines.append(f"{lo:.6f},{hi:.6f},{int(count)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    bins = zip(hist.edges[:-1], hist.edges[1:], hist.counts)
+    lines = ["bin_lo,bin_hi,count"] + [f"{lo:.6f},{hi:.6f},{int(n)}" for lo, hi, n in bins]
+    total = f"total={hist.total} shuffle={1 if shuffle else 0}"
+    write_text(path, lines, [total, *(comments or [])])
 
 
 def write_sweep_csv(
@@ -160,11 +158,7 @@ def write_sweep_csv(
     """CSV of ``sigma,error_rate,kept_fraction,seed`` rows (error_rate a
     percentage in [0, 100], kept_fraction a fraction in [0, 1]); each failed
     row's failure follows the comments as ``# sigma=<s> failed: <failure>``."""
-    lines = [f"# {c}" for c in (comments or [])]
-    lines += [f"# sigma={r.sigma:g} failed: {r.failure}" for r in rows if r.failure]
-    lines.append("sigma,error_rate,kept_fraction,seed")
-    for r in rows:
-        lines.append(
-            f"{r.sigma:g},{r.error_rate:.6f},{r.kept_fraction:.6f},{r.seed}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines = ["sigma,error_rate,kept_fraction,seed"]
+    lines += [f"{r.sigma:g},{r.error_rate:.6f},{r.kept_fraction:.6f},{r.seed}" for r in rows]
+    failures = [f"sigma={r.sigma:g} failed: {r.failure}" for r in rows if r.failure]
+    write_text(path, lines, [*(comments or []), *failures])

@@ -9,8 +9,9 @@ k, margin, bins and sigmas; each value it sets is checked even where the
 subcommand does not read it.  Only train, analyze and gen-synth take
 --seed; sigma and each sigmas item lie in (0, 1.5], and --rate in [0, 1].
 A flag the run will not read (sigma without --prefilter on, for one) is a
-usage error; such a config-file value is echoed as unused.  Numbers are
-bounded by the library's errors.check_number, with the library's bounds.
+usage error; such a config-file value is echoed as unused.  Option text
+holding a tab or line break, which the echo would carry, is a usage error
+too.  Numbers are bounded by errors.check_number, with the library's bounds.
 Sizes allocated from a flag are capped: bins at 100,000, gen-synth
 cipher --pairs at 10,000,000, --min-len and --max-len at 1,000 words.
 The resolved config is echoed to stdout once the options resolve, so
@@ -22,7 +23,8 @@ format errors, including input files that are not valid UTF-8 (messages
 name the file, and the line where applicable); 3 numerical failures (zero
 vectors, empty pools, zero denominators, diverged training, ...).
 All outputs are written atomically (temp file + rename): a failed run
-leaves no partial artifacts.
+leaves no partial artifacts.  Two outputs of one command naming the same
+file are a usage error, before any input is read.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .analysis import (
     write_histogram_csv,
     write_sweep_csv,
 )
-from .embfile import atomic_write_text, open_text, read_embeddings, write_embeddings
+from .embfile import check_text, open_text, read_embeddings, write_embeddings, write_text
 from .encoder import encode_batch, load_encoder, save_encoder
 from .errors import BitextkitError, ConfigError, FormatError, TooFewPairsError, check_number
 from .filtering import (
@@ -80,6 +82,7 @@ def _number(
     bounded by check_number."""
 
     def convert(text: str, key: str):
+        check_text(text, key)  # int and float strip what the echo keeps
         try:
             value = kind(text)
         except ValueError:
@@ -126,6 +129,7 @@ def _choice(*allowed: str):
 
 
 def _sigmas(text: str, key: str) -> list[float]:
+    check_text(text, key)
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise ConfigError(f"{key}: expected a comma-separated list of numbers")
@@ -241,6 +245,16 @@ def _search_config(vals: dict) -> SearchConfig:
 # ---------------------------------------------------------------------------
 
 
+def _distinct_outputs(*outputs: tuple[str, str | None]) -> None:
+    """Refuse two outputs (name, path or None) of one command naming one file."""
+    seen: dict[str, str] = {}
+    for name, path in (output for output in outputs if output[1]):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {name} name the same file {path!r}")
+        seen[real] = name
+
+
 def _cmd_embed(args, vals: dict, echo: str) -> None:
     if vals["format"] == "tsv":
         pairs = read_pairs_tsv(args.input)
@@ -257,6 +271,9 @@ def _cmd_embed(args, vals: dict, echo: str) -> None:
 
 
 def _cmd_train(args, vals: dict, echo: str) -> None:
+    log_path = args.log if args.log else args.out + ".log"
+    meta = args.out + ".meta"
+    _distinct_outputs(("--out", args.out), ("the .meta of --out", meta), ("--log", log_path))
     cfg = _train_config(vals)
     pairs = read_pairs_tsv(args.corpus)
     teacher = load_encoder(args.teacher)
@@ -265,10 +282,7 @@ def _cmd_train(args, vals: dict, echo: str) -> None:
     digest = f"weights_sha256={hashlib.sha256(weights.tobytes()).hexdigest()}"
     print(digest)
     save_encoder(result.student, args.out, comments=[echo])
-    log_path = args.log if args.log else args.out + ".log"
-    atomic_write_text(
-        log_path, "\n".join([f"# {echo}"] + result.log_lines + [digest]) + "\n"
-    )
+    write_text(log_path, result.log_lines + [digest], [echo])
     print(f"wrote {args.out} (+.meta), log {log_path}")
 
 
@@ -286,7 +300,7 @@ def _cmd_xsim_eval(args, vals: dict, echo: str) -> None:
     report = xsim_report(src, tgt, _search_config(vals))
     print(report)
     if args.out:
-        atomic_write_text(args.out, f"# {echo}\n{report}\n")
+        write_text(args.out, [report], [echo])
 
 
 def _cmd_filter(args, vals: dict, echo: str) -> None:
@@ -301,6 +315,9 @@ def _cmd_filter(args, vals: dict, echo: str) -> None:
         raise ConfigError(
             "--subset-out needs a {budget} placeholder with multiple budgets"
         )
+    subsets = [(b, args.subset_out.replace("{budget}", str(b))) for b in budgets]
+    budgeted = ((f"--subset-out at --budget {b}", path) for b, path in subsets)
+    _distinct_outputs(("--scored-out", args.scored_out), *budgeted)
     pairs = read_pairs_tsv(args.corpus)
     student = load_encoder(args.student)
     teacher = load_encoder(args.teacher)
@@ -308,9 +325,8 @@ def _cmd_filter(args, vals: dict, echo: str) -> None:
     if args.scored_out:
         write_scored_tsv(args.scored_out, scored, comments=[echo])
         print(f"wrote {args.scored_out}: n={len(scored)}")
-    for budget in budgets:
+    for budget, path in subsets:
         subset = select_by_token_budget(scored, budget)
-        path = args.subset_out.replace("{budget}", str(budget))
         tokens = sum(p.target_tokens for p in subset)
         write_pairs_tsv(
             path,
@@ -359,13 +375,13 @@ def _cmd_gen_cipher(args, vals: dict, echo: str) -> None:
 
 def _cmd_gen_noise(args, vals: dict, echo: str) -> None:
     rate = _number(float, 0, high=1)(args.rate, "rate")
+    _distinct_outputs(("--out", args.out), ("--labels-out", args.labels_out))
     pairs = read_pairs_tsv(args.corpus)
     noisy = inject_noise(pairs, rate, vals["seed"])
     write_pairs_tsv(args.out, noisy.pairs, comments=[echo, f"rate={rate}"])
     if args.labels_out:
-        lines = [f"# {echo} rate={rate}"]
-        lines += ["1" if flag else "0" for flag in noisy.labels]
-        atomic_write_text(args.labels_out, "\n".join(lines) + "\n")
+        flags = ("1" if flag else "0" for flag in noisy.labels)
+        write_text(args.labels_out, flags, [f"{echo} rate={rate}"])
         print(f"wrote {args.labels_out}: noisy={noisy.noise_count}")
     print(f"wrote {args.out}: pairs={len(noisy.pairs)} noisy={noisy.noise_count}")
 

@@ -8,13 +8,15 @@ Layout (little-endian, no padding, no trailer):
     then        count * dim float32 values, row-major
 
 Values are stored as float32; writers cast, readers return float32 arrays.
-Writing is atomic (temp file + rename) so readers never observe partial
-output.  ``open_text`` opens the package's UTF-8 text inputs.
+Every artifact, EMB1 or text (``write_text``), is written atomically (temp
+file + rename), so readers never observe partial output.  ``open_text``
+opens the package's UTF-8 text inputs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import struct
 import tempfile
@@ -42,7 +44,8 @@ def write_embeddings(path: str | os.PathLike, mat) -> None:
     if not np.isfinite(arr).all():
         raise ValueError("non-finite values in embedding matrix")
     payload = _HEADER.pack(MAGIC, dim, count) + arr.tobytes(order="C")
-    _atomic_write_bytes(path, payload)
+    with _atomic_open(path, "wb") as fh:
+        fh.write(payload)
 
 
 def read_embeddings(path: str | os.PathLike) -> np.ndarray:
@@ -81,25 +84,46 @@ def read_embeddings(path: str | os.PathLike) -> np.ndarray:
     return flat.reshape(count, dim)
 
 
-def _atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str | os.PathLike, mode: str, **kwargs):
+    """A temp file beside ``path``, renamed over it once the block
+    completes and removed if the block raises."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bitextkit-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write text atomically (temp file + rename), UTF-8."""
-    _atomic_write_bytes(path, text.encode("utf-8"))
+def check_text(text: str, what: str, lines: int = 1, tabs: int = 0) -> str:
+    """text, ``lines`` lines joined by LF, unless one holds a CR or LF of its
+    own or other than ``tabs`` tabs (ValueError naming what): a line that
+    does would read back split."""
+    if text.count("\n") != lines - 1 or "\r" in text or text.count("\t") != tabs * lines:
+        raise ValueError(f"{what}: must not contain a tab or line break")
+    return text
+
+
+def write_text(path: str | os.PathLike, lines, comments=None, header=None, tabs: int = 0) -> None:
+    """Write a UTF-8 text artifact atomically: the ``header`` line (a
+    ``.meta`` sidecar's) if any, a ``# <comment>`` line per comment, then
+    ``lines``, each ending in LF.  A comment holding a tab, CR or LF, which
+    would read back as data, raises ValueError before anything is written.
+    Body lines must hold ``tabs`` tabs and no CR or LF (check_text): they
+    are checked and written 1,024 at a time, and only a chunk is copied."""
+    head = [] if header is None else [header]
+    head += [f"# {check_text(c, 'comment')}" for c in comments or ()]
+    lines = iter(lines)
+    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{h}\n" for h in head)
+        while chunk := list(itertools.islice(lines, 1024)):
+            fh.write(check_text("\n".join(chunk), "field", len(chunk), tabs) + "\n")
 
 
 @contextlib.contextmanager

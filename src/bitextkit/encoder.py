@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hashing
-from .embfile import atomic_write_text, open_text, read_embeddings, write_embeddings
+from .embfile import check_text, open_text, read_embeddings, write_embeddings, write_text
 from .errors import DimMismatchError, FormatError, ZeroVectorError, check_number
 from .vectors import ZERO_NORM_EPS
 
@@ -305,8 +305,9 @@ def save_encoder(
 
     The sidecar's first line pins the geometry and featurizer:
     ``dim=<d> buckets=<b> orders=<o,o> seed=<s> frozen=<0|1>``; any extra
-    ``comments`` follow as '#' lines.
+    ``comments`` follow as '#' lines, checked before anything is written.
     """
+    comments = [check_text(c, "comment") for c in comments or ()]
     write_embeddings(path, params.weights)
     orders = ",".join(str(o) for o in params.featurizer.ngram_orders)
     header = (
@@ -314,8 +315,7 @@ def save_encoder(
         f"orders={orders} seed={params.featurizer.hash_seed} "
         f"frozen={1 if params.frozen else 0}"
     )
-    lines = [header] + [f"# {c}" for c in (comments or [])]
-    atomic_write_text(os.fspath(path) + _META_SUFFIX, "\n".join(lines) + "\n")
+    write_text(os.fspath(path) + _META_SUFFIX, [], comments, header)
 
 
 def load_encoder(path: str | os.PathLike) -> EncoderParams:

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embfile import atomic_write_text, open_text
+from .embfile import open_text, write_text
 # encode and knn are not called here; perfbench/tracing.py patches them by
 # name under this module
 from .encoder import EncoderParams, encode, encode_masked  # noqa: F401
 from .errors import CorpusFormatError
-from .margin import SearchConfig, knn, margin_scores, neighborhoods, pair_cosines  # noqa: F401
-from .vectors import normalize_rows
+from .margin import SearchConfig, aligned_scores, knn  # noqa: F401
 
 Pair = tuple[str, str]
 
@@ -69,22 +68,12 @@ def read_pairs_tsv(path: str | os.PathLike) -> list[Pair]:
     return pairs
 
 
-def _check_writable_sentence(s: str) -> None:
-    if "\t" in s or "\n" in s or "\r" in s:
-        raise ValueError("sentences must not contain tabs or newlines")
-
-
 def write_pairs_tsv(
     path: str | os.PathLike, pairs: list[Pair], comments: list[str] | None = None
 ) -> None:
-    """Write pairs as ``source<TAB>target`` lines (atomic), with optional
-    leading '#' comment lines."""
-    lines = [f"# {c}" for c in (comments or [])]
-    for source, target in pairs:
-        _check_writable_sentence(source)
-        _check_writable_sentence(target)
-        lines.append(f"{source}\t{target}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write ``source<TAB>target`` lines after optional '#' comment lines
+    (embfile.write_text, which refuses a tab or line break in a sentence)."""
+    write_text(path, map("\t".join, pairs), comments, tabs=1)
 
 
 @dataclass(frozen=True)
@@ -112,14 +101,8 @@ def write_scored_tsv(
     has no place in that order, raises ValueError before anything is
     written."""
     _check_scores(scored)
-    order = sorted(range(len(scored)), key=lambda i: -scored[i].score)
-    lines = [f"# {c}" for c in (comments or [])]
-    for i in order:
-        p = scored[i]
-        _check_writable_sentence(p.source)
-        _check_writable_sentence(p.target)
-        lines.append(f"{p.score:.6f}\t{p.source}\t{p.target}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    ranked = sorted(scored, key=lambda p: -p.score)  # stable: ties keep their order
+    write_text(path, (f"{p.score:.6f}\t{p.source}\t{p.target}" for p in ranked), comments, tabs=2)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +128,7 @@ def score_corpus(
     del src, tgt  # the search holds only the valid rows
     scores = np.full(len(pairs), -math.inf)
     if valid.size:
-        dx, dy = neighborhoods(S, T, cfg.k)
-        # the pair's cosine as align computes it, bit for bit
-        rows = np.arange(valid.size)
-        diag = pair_cosines(normalize_rows(S), normalize_rows(T), rows, rows)
-        scores[valid] = margin_scores(diag, dx + dy, cfg.margin_kind)
+        scores[valid] = aligned_scores(S, T, cfg)
     return [
         ScoredPair(source, target, float(scores[i]), count_tokens(target))
         for i, (source, target) in enumerate(pairs)

@@ -321,16 +321,6 @@ def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
     return dx, dy, blocks
 
 
-def neighborhoods(S, T, k: int):
-    """Neighbourhood terms (dx, dy) of the rows of S (n, d) and T (m, d):
-    neighborhood_means of the cosines knn(S, T, k) and knn(T, S, k) find,
-    from one screened pass over S.  Raises KTooLargeError when k exceeds
-    either side."""
-    S, T = _unit_rows(S, T)
-    _check_k(k, S, T)
-    return _search(S, T, k, k, _screens(S, T))[:2]
-
-
 def _zero_sum(dx: np.ndarray, dy: np.ndarray) -> bool:
     """Whether some dx_i + dy_j == 0: exactly when -dx_i == dy_j, for
     finite floats.  (np.isin would do, but its first call imports numpy.ma,
@@ -380,7 +370,7 @@ def align(src_emb, tgt_emb, cfg: SearchConfig):
     if kind == MARGIN_RATIO and _zero_sum(dx, dy):
         raise ZeroDivisionError("ratio margin with zero denominator")
     lowest, highest = dy.min(), dy.max()
-    certified = np.empty(n, dtype=bool)
+    certified, need = np.empty(n, dtype=bool), np.empty(n)
     for lo, r, c, g, cos, row_floors in blocks:
         hi = lo + len(row_floors)
         d = dx[lo:hi]
@@ -396,38 +386,51 @@ def align(src_emb, tgt_emb, cfg: SearchConfig):
         pick = starts + np.argmax(grid, axis=1)  # first max: lowest index
         best_idx[lo:hi], best_score[lo:hi] = c[pick], scores[pick]
         # certified: a rescan of the row would keep nothing it has not kept
-        floors = _floors(kind, best_score[lo:hi], d, lowest, highest) - eps
+        floors = need[lo:hi] = _floors(kind, best_score[lo:hi], d, lowest, highest) - eps
         certified[lo:hi] = (row_floors <= _down32(floors)) | (np.bincount(r, minlength=hi - lo) == m)
     rescan = np.flatnonzero(~certified)
     for lo in range(0, len(rescan), _BLOCK_ROWS):
         rows = rescan[lo : lo + _BLOCK_ROWS]
-        best_idx[rows], best_score[rows] = _rescan(S, T, buffers, rows, dx, dy, best_score[rows], kind)
+        best_idx[rows], best_score[rows] = _rescan(S, T, buffers, rows, dx, dy, need[rows], kind)
     return best_idx, best_score
 
 
-def _rescan(S, T, buffers, rows, dx, dy, s, kind: str):
+def _rescan(S, T, buffers, rows, dx, dy, floors, kind: str):
     """(indices, scores) of the best-scoring targets of the source rows
-    `rows` (at most _BLOCK_ROWS), given scores s they reach: the screen of
-    those rows keeps every G >= the cosine floor (_floors) of s, less eps,
-    and margin scores decide."""
+    `rows` (at most _BLOCK_ROWS): the screen of those rows keeps every
+    G >= floors, the cosine floors (_floors) of the scores they reach less
+    eps, and margin scores decide."""
     G, keep = _screen(buffers, rows)
-    d = dx[rows]
-    floors = _floors(kind, s, d, dy.min(), dy.max()) - _screen_eps(S.shape[1])
     r, c = _kept(G, keep, floors[:, None])
-    scores = margin_scores(pair_cosines(S, T, rows[r], c), d[r] + dy[c], kind)
+    scores = margin_scores(pair_cosines(S, T, rows[r], c), dx[rows][r] + dy[c], kind)
     grid, starts = _grid(r, len(rows), scores, -np.inf)
     pick = starts + np.argmax(grid, axis=1)
     return c[pick], scores[pick]
+
+
+def _check_aligned(S, T) -> None:
+    """Aligned sides (row i with row i) must match in size."""
+    if len(S) != len(T):
+        raise SizeMismatchError(f"aligned sets must match in size: {len(S)} vs {len(T)}")
+
+
+def aligned_scores(src_emb, tgt_emb, cfg: SearchConfig) -> np.ndarray:
+    """Margin score of each aligned pair, with the bits align gives it: dx
+    and dy from one screened pass (_search).  Raises KTooLargeError when k
+    exceeds the row count."""
+    _check_aligned(src_emb, tgt_emb)
+    S, T = _unit_rows(src_emb, tgt_emb)
+    _check_k(cfg.k, S)
+    dx, dy = _search(S, T, cfg.k, cfg.k, _screens(S, T))[:2]
+    rows = np.arange(len(S))
+    return margin_scores(pair_cosines(S, T, rows, rows), dx + dy, cfg.margin_kind)
 
 
 def _count_errors(src_emb, tgt_emb, cfg: SearchConfig) -> tuple[int, int]:
     """(n, errors): how many of n aligned sources pick a target other than
     their own (row i of the sources is aligned with row i of the targets)."""
     S, T = np.asarray(src_emb), np.asarray(tgt_emb)
-    if S.shape[0] != T.shape[0]:
-        raise SizeMismatchError(
-            f"aligned sets must match in size: {S.shape[0]} vs {T.shape[0]}"
-        )
+    _check_aligned(S, T)
     if S.shape[0] == 0:
         raise ValueError("empty evaluation set")
     best_idx, _ = align(S, T, cfg)

@@ -1,5 +1,7 @@
-"""Exhaustive oracle for ``margin.knn``, ``margin.neighborhoods`` and
-``margin.align``, built on ``margin.pair_cosines``.
+"""Exhaustive oracle for ``margin.knn``, ``margin.align`` and the
+neighbourhood terms (dx, dy) of ``margin._search``, the screened pass that
+``align`` and ``margin.aligned_scores`` make; built on
+``margin.pair_cosines``.
 
 Every query-candidate cosine is a ``pair_cosines`` value, taken one query
 row at a time against every candidate.  Neighbourhoods come from a stable
@@ -44,7 +46,8 @@ def _means(cos, k):
 
 def search(src_emb, tgt_emb, k):
     """(cos, dx, dy): every source-target cosine and the neighbourhood
-    terms, as ``margin.neighborhoods`` returns them.
+    terms, as one pass of ``margin._search`` finds them (``dx + dy`` at
+    the diagonal's cosines gives ``margin.aligned_scores``).
 
     A pair's cosine has the same bits with its rows in either order, so
     the targets' neighbourhoods come from the transposed matrix."""

@@ -286,6 +286,15 @@ def test_histogram_csv_format(tmp_path):
     assert path.read_text().splitlines()[0] == "# total=3 shuffle=0"
 
 
+def test_csv_writers_refuse_a_comment_that_would_read_as_data(tmp_path):
+    hist = cosine_histogram([-1.0, 0.0, 1.0], bins=2)
+    with pytest.raises(ValueError, match="^comment: must not contain a tab or line break$"):
+        write_histogram_csv(tmp_path / "hist.csv", hist, shuffle=True, comments=["bins=2\n"])
+    with pytest.raises(ValueError, match="^comment: must not contain a tab or line break$"):
+        write_sweep_csv(tmp_path / "sweep.csv", [SweepRow(0.5, 1.0, 0.5, 7)], comments=["a\tb"])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_histogram_csv_parses_back(tmp_path):
     rng = np.random.default_rng(7)
     hist = cosine_histogram(rng.uniform(-1, 1, size=200), bins=8)

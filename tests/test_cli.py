@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from bitextkit.analysis import DEFAULT_BINS, cosine_histogram
 from bitextkit.cli import (
     OPTIONS,
+    _resolve,
     _search_config,
     _train_config,
     build_parser,
@@ -1373,6 +1374,133 @@ def test_config_value_is_checked_even_where_unused(
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError, match=f"^{re.escape(str(config))}:{message.split(':')[0]}: "):
         load_config(config)
+
+
+# --- option text and outputs that would corrupt the artifacts ------------------
+
+# int() and float() strip whitespace, so without the check each of these
+# converts while the config echo, and every artifact's comment, keeps the
+# raw text
+LINE_BREAK_FLAGS = [
+    (["gen-synth", "cipher"], "seed", "1\t"),
+    (["gen-synth", "cipher"], "seed", "1\n"),
+    (["gen-synth", "noise"], "seed", "4\t"),
+    (["xsim-eval"], "k", "4\n"),
+    (["train"], "tau", "0.05\r"),
+    (["analyze", "sweep"], "sigmas", "0.5,\t0.7"),
+    (["gen-synth", "cipher"], "pairs", "3\t"),
+    (["gen-synth", "noise"], "rate", "\n0.1"),
+    (["filter"], "budget", "10\t"),
+]
+
+
+@pytest.mark.parametrize("command, key, value", LINE_BREAK_FLAGS)
+def test_option_text_with_a_tab_or_line_break_is_usage_error(tmp_path, capsys, command, key, value):
+    # the inputs are absent: the option is refused before any is read
+    code = main(_required_args(command, tmp_path) + [_flag(key), value])
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: {key}: must not contain a tab or line break\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [(["analyze", "sweep"], "sigmas=0.5,\t0.7"), (["train"], "sigmas=0.5,\t0.7"), (["embed"], "k=4\t4")],
+)
+def test_config_text_with_a_tab_is_usage_error(tmp_path, capsys, command, text):
+    # a config value is stripped, so only an inner tab survives; train and
+    # embed read neither sigmas nor k, and the value is checked anyway
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# a tab in a value\n{text}\n")
+    key = text.partition("=")[0]
+    code = main(_required_args(command, tmp_path) + ["--config", str(config)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: {config}:2: {key}: must not contain a tab or line break\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_train_refuses_a_comment_before_writing_anything(tmp_path, corpus_file, teacher_file):
+    # the train log, the student and its sidecar all carry the echo
+    corpus, _ = corpus_file
+    teacher_path, _ = teacher_file
+    out = tmp_path / "out" / "student.emb"
+    out.parent.mkdir()
+    args = build_parser().parse_args(train_args(corpus, teacher_path, str(out)))
+    values, echo = _resolve(args)
+    with pytest.raises(ValueError, match="^comment: must not contain a tab or line break$"):
+        args.func(args, values, echo + "\t")
+    assert list(out.parent.iterdir()) == []
+
+
+# (argv, with {t} for the test's directory and {a} for an absent input;
+# the flags the message names; the path it names, under {t})
+SAME_FILE_CASES = [
+    ("train --corpus {a} --teacher {a} --out {t}/s.emb --log {t}/s.emb.meta",
+     "the .meta of --out and --log", "s.emb.meta"),
+    ("train --corpus {a} --teacher {a} --out {t}/s.emb --log {t}/x/../s.emb",
+     "--out and --log", "x/../s.emb"),
+    ("filter --corpus {a} --student {a} --teacher {a} --scored-out {t}/x.tsv"
+     " --subset-out {t}/x.tsv --budget 100",
+     "--scored-out and --subset-out at --budget 100", "x.tsv"),
+    ("filter --corpus {a} --student {a} --teacher {a} --subset-out {t}/s{{budget}}.tsv"
+     " --budget 10 --budget 010",
+     "--subset-out at --budget 10 and --subset-out at --budget 10", "s10.tsv"),
+    ("gen-synth noise --corpus {a} --rate 0.2 --out {t}/n.tsv --labels-out {t}/./n.tsv",
+     "--out and --labels-out", "./n.tsv"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, names, path", SAME_FILE_CASES, ids=["meta-log", "out-log", "scored-subset", "budgets", "labels"]
+)
+def test_two_outputs_naming_one_file_are_usage_errors(tmp_path, capsys, argv, names, path):
+    # the inputs are absent: the outputs are compared before any is read
+    argv = [word.format(t=tmp_path, a=tmp_path / "absent") for word in argv.split()]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: {names} name the same file {f'{tmp_path}/{path}'!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_text_artifact_reads_back(tmp_path, corpus_file, teacher_file, capsys):
+    # option text that converts but is unusual (leading zeros, spaces in a
+    # list) is echoed into every comment; each artifact reads back through
+    # the package's own readers, and every '#' line is a comment to them
+    corpus, pairs = corpus_file
+    teacher_path, teacher = teacher_file
+    t = tmp_path / "run"
+    t.mkdir()
+    runs = [
+        ["gen-synth", "cipher", "--out", f"{t}/c.tsv", "--pairs", "012", "--seed", "01", "--vocab-size", " 30"],
+        ["gen-synth", "noise", "--corpus", corpus, "--rate", "0.25", "--seed", "004",
+         "--out", f"{t}/n.tsv", "--labels-out", f"{t}/n.labels"],
+        train_args(corpus, teacher_path, f"{t}/s.emb", seed=" 5", prefilter="on", sigma="0.9 "),
+        ["filter", "--corpus", f"{t}/n.tsv", "--student", f"{t}/s.emb", "--teacher", teacher_path,
+         "--k", "2", "--scored-out", f"{t}/scored.tsv", "--subset-out", f"{t}/sub{{budget}}.tsv",
+         "--budget", "20", "--budget", "40"],
+        ["analyze", "hist", "--corpus", corpus, "--teacher", teacher_path, "--out", f"{t}/h.csv", "--bins", "4"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, capsys.readouterr().err
+    spec = CipherSpec(vocab_size=30, min_len=1, max_len=12, map_seed=0)
+    assert read_pairs_tsv(t / "c.tsv") == gen_cipher_corpus(spec, 12, seed=1)
+    noisy = inject_noise(pairs, 0.25, seed=4)
+    assert read_pairs_tsv(t / "n.tsv") == noisy.pairs
+    assert len(read_pairs_tsv(t / "sub20.tsv")) <= len(read_pairs_tsv(t / "sub40.tsv")) > 0
+    assert load_encoder(t / "s.emb").dim == teacher.dim
+    for path in t.iterdir():
+        if path.suffix == ".emb":
+            continue
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""  # every line ends in LF
+        body = lines[1:] if path.suffix == ".meta" else lines
+        comments = [line for line in body if line.startswith("# ")]
+        assert body[: len(comments)] == comments
+        assert any(c.startswith("# config: ") for c in comments), path.name
+        assert not any("\t" in c or "\r" in c for c in comments), path.name
+    labels = (t / "n.labels").read_text().splitlines()[1:]
+    assert labels == ["1" if flag else "0" for flag in noisy.labels]
 
 
 # --- fuzzed sidecar headers and config files, in-process through main ----------

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitextkit import read_embeddings, write_embeddings
-from bitextkit.embfile import atomic_write_text, open_text
+from bitextkit.embfile import open_text, write_text
 from bitextkit.errors import BadMagicError, DimZeroError, FormatError, TruncatedFileError
 
 
@@ -141,11 +141,54 @@ def test_no_temp_files_left_behind(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["clean.emb"]
 
 
+def test_write_text_layout(tmp_path):
+    path = tmp_path / "out.meta"
+    write_text(path, iter(["body \u00e9", ""]), comments=["c 1", ""], header="dim=2")
+    assert path.read_bytes() == "dim=2\n# c 1\n# \nbody \u00e9\n\n".encode("utf-8")
+    write_text(path, [])
+    assert path.read_bytes() == b""
+    assert os.listdir(tmp_path) == ["out.meta"]
+
+
+@pytest.mark.parametrize("comment", ["\t", "a\nb", "a\r", "ok\r\n"])
+def test_write_text_refuses_a_comment_before_writing(tmp_path, comment):
+    def lines():
+        raise AssertionError("a line was drawn")
+        yield
+
+    with pytest.raises(ValueError, match="^comment: must not contain a tab or line break$"):
+        write_text(tmp_path / "out", lines(), comments=["fine", comment])
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "bad, tabs", [("c", 1), ("c\td\te", 1), ("c\rd", 0), ("c\nd", 0), ("c\td", 0), ("c\r\n", 2)]
+)
+def test_write_text_refuses_a_body_line_that_would_read_back_split(tmp_path, bad, tabs):
+    # the bad line sits in the second 1,024-line chunk, after one written
+    path = tmp_path / "out"
+    path.write_text("before\n")
+    good = "\t".join(["a"] * (tabs + 1))
+    with pytest.raises(ValueError, match="^field: must not contain a tab or line break$"):
+        write_text(path, [good] * 1500 + [bad], comments=["ok"], tabs=tabs)
+    assert path.read_text() == "before\n" and os.listdir(tmp_path) == ["out"]
+
+
+def test_write_text_failing_lines_leave_no_file(tmp_path):
+    def lines():
+        yield "one"
+        raise ValueError("bad line")
+
+    with pytest.raises(ValueError, match="bad line"):
+        write_text(tmp_path / "out", lines())
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize(
     "write",
     [
         lambda path: write_embeddings(path, np.ones((2, 2))),
-        lambda path: atomic_write_text(path, "dim=2\n\u00e9\n"),
+        lambda path: write_text(path, ["dim=2", "\u00e9"]),
     ],
     ids=["embeddings", "text"],
 )

@@ -469,6 +469,14 @@ def test_load_skips_a_byte_order_mark_in_the_sidecar(tmp_path):
     assert np.array_equal(loaded.weights, params.weights.astype(np.float32).astype(np.float64))
 
 
+@pytest.mark.parametrize("comment", ["a\tb", "a\nb", "a\rb"])
+def test_save_refuses_a_comment_before_writing_weights(tmp_path, comment):
+    params = small_params(buckets=32, dim=6, seed=8, hash_seed=5)
+    with pytest.raises(ValueError, match="^comment: must not contain a tab or line break$"):
+        save_encoder(params, tmp_path / "enc.emb", comments=[comment])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_load_preserves_frozen_flag_and_header(tmp_path):
     cfg = FeaturizerConfig(ngram_orders=(2, 3), bucket_count=16, hash_seed=42)
     teacher = make_teacher(cfg, 4, weight_seed=1)

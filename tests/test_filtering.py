@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitextkit.encoder import EncoderParams, FeaturizerConfig, encode_batch, make_teacher
@@ -119,22 +119,70 @@ def test_read_pairs_a_line_with_a_tab_is_a_pair(tmp_path, line):
     assert read_pairs_tsv(path) == [tuple(line.split("\t"))]
 
 
-# any Unicode the writer accepts: no tab, LF or CR (and no surrogates,
-# which UTF-8 cannot encode)
+# any Unicode the writer accepts in a sentence: no tab, LF or CR (and no
+# surrogates, which UTF-8 cannot encode)
 _SENTENCE = st.text(
     st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"), max_size=12
 )
+# any comment text at all, tab, LF and CR included (surrogates aside)
+_COMMENT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     pairs=st.lists(st.tuples(_SENTENCE, _SENTENCE), max_size=6),
-    comments=st.lists(_SENTENCE, max_size=2),
+    comments=st.lists(_COMMENT, max_size=2),
 )
+@example(pairs=[("a", "b")], comments=["x\ty"])
+@example(pairs=[("a", "b")], comments=["x\ry"])
 def test_write_read_round_trips_any_unicode(tmp_path_factory, pairs, comments):
+    # the writer either refuses the comments and leaves no file, or what it
+    # wrote reads back as exactly the pairs
     path = tmp_path_factory.mktemp("tsv") / "corpus.tsv"
-    write_pairs_tsv(path, pairs, comments=comments)
+    try:
+        write_pairs_tsv(path, pairs, comments=comments)
+    except ValueError:
+        assert any(ch in c for c in comments for ch in "\t\n\r")
+        assert not path.exists() and not list(path.parent.iterdir())
+        return
     assert read_pairs_tsv(path) == pairs
+
+
+@pytest.mark.parametrize("comment", ["a\tb", "a\nb", "a\rb", "\t"])
+def test_write_pairs_refuses_a_comment_that_would_read_as_data(tmp_path, comment):
+    path = tmp_path / "out.tsv"
+    with pytest.raises(ValueError, match="^comment: must not contain a tab or line break$"):
+        write_pairs_tsv(path, [("a", "n")], comments=["fine", comment])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_scored_refuses_a_comment_that_would_read_as_data(tmp_path):
+    path = tmp_path / "scored.tsv"
+    with pytest.raises(ValueError, match="^comment: must not contain a tab or line break$"):
+        write_scored_tsv(path, [ScoredPair("s", "t", 0.5, 1)], comments=["seed=1\t"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_pairs_streams_its_lines(tmp_path):
+    # the writer holds a chunk of lines at a time, never the whole text, so
+    # its traced peak does not grow with the corpus
+    spec = CipherSpec(vocab_size=30, min_len=1, max_len=12, map_seed=7)
+    pairs = gen_cipher_corpus(spec, 20000, seed=3)
+    few = pairs[:5000]
+    _, small = traced_peak(lambda: write_pairs_tsv(tmp_path / "small.tsv", few))
+    _, large = traced_peak(lambda: write_pairs_tsv(tmp_path / "large.tsv", pairs))
+    assert large < 1.5 * small, (small, large)
+
+
+def test_a_refused_sentence_leaves_the_previous_file(tmp_path):
+    # lines stream into a temp file; a bad sentence late in the corpus
+    # removes it and keeps what the path held
+    path = tmp_path / "out.tsv"
+    write_pairs_tsv(path, [("a", "n")])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="^field: must not contain a tab or line break$"):
+        write_pairs_tsv(path, [("a", "n")] * 1000 + [("b", "o\rp")])
+    assert path.read_bytes() == before and list(tmp_path.iterdir()) == [path]
 
 
 def test_write_rejects_tabs_and_newlines(tmp_path):

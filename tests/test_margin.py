@@ -15,10 +15,10 @@ from bitextkit.margin import (
     MARGIN_KINDS,
     SearchConfig,
     align,
+    aligned_scores,
     knn,
     margin_scores,
     neighborhood_means,
-    neighborhoods,
     pair_cosines,
     xsim_error_rate,
     xsim_report,
@@ -29,6 +29,13 @@ from margin_oracle import cosines as oracle_cosines
 from margin_oracle import knn as oracle_knn
 from margin_oracle import picks as oracle_picks
 from margin_oracle import search as oracle_search
+
+
+def search_terms(S, T, k):
+    """The neighbourhood terms (dx, dy) of one screened pass of
+    margin._search over the unit rows of S and T."""
+    S, T = normalize_rows(S), normalize_rows(T)
+    return margin._search(S, T, k, k, margin._screens(S, T))[:2]
 
 
 def random_units(rng, n, dim) -> np.ndarray:
@@ -190,10 +197,10 @@ def test_neighborhood_means():
 
 
 def worked_scores(kind):
-    """margin_scores of every source-target pair over neighborhoods' (dx, dy)."""
+    """margin_scores of every source-target pair over the search's (dx, dy)."""
     src = np.array([[1.0, 0.0], [0.0, 1.0]])
     tgt = np.array([[0.8, 0.6], [0.6, 0.8]])
-    dx, dy = neighborhoods(src, tgt, 1)
+    dx, dy = search_terms(src, tgt, 1)
     return margin_scores(src @ tgt.T, dx[:, None] + dy[None, :], kind)
 
 
@@ -314,8 +321,26 @@ def test_an_empty_side_raises_k_too_large(empty):
     S, T = (none, rows) if empty == "sources" else (rows, none)
     with pytest.raises(KTooLargeError):
         align(S, T, SearchConfig(k=1))
+
+
+def test_aligned_scores_refuses_unaligned_or_too_few_rows():
+    rows = random_units(np.random.default_rng(9), 6, 4)
+    with pytest.raises(SizeMismatchError, match="^aligned sets must match in size: 6 vs 5$"):
+        aligned_scores(rows, rows[:5], SearchConfig(k=1))
     with pytest.raises(KTooLargeError):
-        neighborhoods(S, T, 1)
+        aligned_scores(rows, rows, SearchConfig(k=7))
+    with pytest.raises(KTooLargeError):
+        aligned_scores(np.empty((0, 4)), np.empty((0, 4)), SearchConfig(k=1))
+
+
+@pytest.mark.parametrize("n, k", [(7, 1), (600, 4), (1100, 16)])
+@pytest.mark.parametrize("kind", MARGIN_KINDS)
+def test_aligned_scores_are_the_oracles_diagonal_bitwise(n, k, kind):
+    rng = np.random.default_rng(n + k)
+    S, T = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
+    cos, dx, dy = oracle_search(S, T, k)
+    want = margin_scores(np.diagonal(cos), dx + dy, kind)
+    assert np.array_equal(aligned_scores(S, T, SearchConfig(k=k, margin_kind=kind)), want)
 
 
 def test_align_traced_peak_stays_within_three_blocks():
@@ -346,7 +371,7 @@ def test_align_ratio_zero_denominator_with_nonzero_terms_raises():
     # negatives, so dx_0 + dy_0 == 0 while neither term is 0
     src = np.eye(3)[:2]
     tgt = np.array([[-1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
-    dx, dy = neighborhoods(normalize_rows(src), normalize_rows(tgt), 1)
+    dx, dy = search_terms(normalize_rows(src), normalize_rows(tgt), 1)
     assert dx[0] == -dy[0] != 0.0
     with pytest.raises(ZeroDivisionError):
         align(src, tgt, SearchConfig(k=1, margin_kind="ratio"))
@@ -359,7 +384,7 @@ def test_align_ratio_zero_denominator_in_the_last_block_raises():
     src = np.tile(np.eye(3)[1], (600, 1))
     src[599] = np.eye(3)[0]
     tgt = np.array([[-1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
-    dx, dy = neighborhoods(src, tgt, 1)
+    dx, dy = search_terms(src, tgt, 1)
     zero = dx[:, None] + dy[None, :] == 0.0
     assert zero.any(axis=1).nonzero()[0].tolist() == [599]
     with pytest.raises(ZeroDivisionError):
@@ -372,7 +397,7 @@ def test_align_ratio_zero_term_without_zero_denominator_scores():
     # in the worked 2x2 case dx and dy hold equal values, not negated ones
     src = np.eye(3)[:2]
     tgt = np.array([[1.0, 0.0, 1.0]])
-    dx, dy = neighborhoods(normalize_rows(src), normalize_rows(tgt), 1)
+    dx, dy = search_terms(normalize_rows(src), normalize_rows(tgt), 1)
     assert dx[1] == 0.0 and (dx[:, None] + dy != 0.0).all()
     idx, score = align(src, tgt, SearchConfig(k=1, margin_kind="ratio"))
     assert idx.tolist() == [0, 0] and np.isfinite(score).all()
@@ -412,7 +437,7 @@ def test_search_equals_the_blocked_oracle_bitwise(case):
     S = rng.normal(size=(n, dim))
     T = S if same else rng.normal(size=(distinct, dim))[rng.integers(0, distinct, size=m)]
     cos, dx, dy = oracle_search(S, T, k)
-    got = neighborhoods(S, T, k)
+    got = search_terms(S, T, k)
     assert np.array_equal(got[0], dx) and np.array_equal(got[1], dy)
     cfg = SearchConfig(k=k, margin_kind=kind)
     try:
@@ -523,7 +548,7 @@ def _rescanned(monkeypatch):
 def test_certified_and_rescanned_picks_equal_the_oracle_bitwise(seed, n, spread, lift, kind, k):
     S, T = certificate_case(seed, n, spread, lift)
     cos, dx, dy = oracle_search(S, T, k)
-    got = neighborhoods(S, T, k)
+    got = search_terms(S, T, k)
     assert np.array_equal(got[0], dx) and np.array_equal(got[1], dy)
     _assert_search_equals_oracle(S, T, k, kind)
 
