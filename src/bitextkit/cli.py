@@ -245,9 +245,13 @@ def _search_config(vals: dict) -> SearchConfig:
 # ---------------------------------------------------------------------------
 
 
-def _distinct_outputs(*outputs: tuple[str, str | None]) -> None:
-    """Refuse two outputs (name, path or None) of one command naming one file."""
+def _distinct_outputs(inputs, *outputs: tuple[str, str | None]) -> None:
+    """Refuse an output (name, path or None) of one command that names one of
+    its inputs (name, path) or another of its outputs: called before any
+    input is read."""
     seen: dict[str, str] = {}
+    for name, path in inputs:
+        seen.setdefault(os.path.realpath(path), name)
     for name, path in (output for output in outputs if output[1]):
         real = os.path.realpath(path)
         if real in seen:
@@ -255,7 +259,14 @@ def _distinct_outputs(*outputs: tuple[str, str | None]) -> None:
         seen[real] = name
 
 
+def _encoder_files(flag: str, path: str) -> list[tuple[str, str]]:
+    """The inputs an encoder flag names: the weights and their .meta sidecar."""
+    return [(flag, path), (f"the .meta of {flag}", path + ".meta")]
+
+
 def _cmd_embed(args, vals: dict, echo: str) -> None:
+    inputs = [("--input", args.input), *_encoder_files("--encoder", args.encoder)]
+    _distinct_outputs(inputs, ("--out", args.out))
     if vals["format"] == "tsv":
         pairs = read_pairs_tsv(args.input)
         column = 0 if vals["side"] == "source" else 1
@@ -273,7 +284,9 @@ def _cmd_embed(args, vals: dict, echo: str) -> None:
 def _cmd_train(args, vals: dict, echo: str) -> None:
     log_path = args.log if args.log else args.out + ".log"
     meta = args.out + ".meta"
-    _distinct_outputs(("--out", args.out), ("the .meta of --out", meta), ("--log", log_path))
+    inputs = [("--corpus", args.corpus), *_encoder_files("--teacher", args.teacher)]
+    outputs = ("--out", args.out), ("the .meta of --out", meta), ("--log", log_path)
+    _distinct_outputs(inputs, *outputs)
     cfg = _train_config(vals)
     pairs = read_pairs_tsv(args.corpus)
     teacher = load_encoder(args.teacher)
@@ -295,6 +308,7 @@ def _read_evaluation_set(path: str) -> np.ndarray:
 
 
 def _cmd_xsim_eval(args, vals: dict, echo: str) -> None:
+    _distinct_outputs([("--src", args.src), ("--tgt", args.tgt)], ("--out", args.out))
     src = _read_evaluation_set(args.src)
     tgt = _read_evaluation_set(args.tgt)
     report = xsim_report(src, tgt, _search_config(vals))
@@ -317,7 +331,12 @@ def _cmd_filter(args, vals: dict, echo: str) -> None:
         )
     subsets = [(b, args.subset_out.replace("{budget}", str(b))) for b in budgets]
     budgeted = ((f"--subset-out at --budget {b}", path) for b, path in subsets)
-    _distinct_outputs(("--scored-out", args.scored_out), *budgeted)
+    inputs = [
+        ("--corpus", args.corpus),
+        *_encoder_files("--student", args.student),
+        *_encoder_files("--teacher", args.teacher),
+    ]
+    _distinct_outputs(inputs, ("--scored-out", args.scored_out), *budgeted)
     pairs = read_pairs_tsv(args.corpus)
     student = load_encoder(args.student)
     teacher = load_encoder(args.teacher)
@@ -337,6 +356,8 @@ def _cmd_filter(args, vals: dict, echo: str) -> None:
 
 
 def _cmd_analyze_hist(args, vals: dict, echo: str) -> None:
+    inputs = [("--corpus", args.corpus), *_encoder_files("--teacher", args.teacher)]
+    _distinct_outputs(inputs, ("--out", args.out))
     pairs = read_pairs_tsv(args.corpus)
     teacher = load_encoder(args.teacher)
     cfg = _train_config(vals)
@@ -348,6 +369,12 @@ def _cmd_analyze_hist(args, vals: dict, echo: str) -> None:
 
 
 def _cmd_analyze_sweep(args, vals: dict, echo: str) -> None:
+    inputs = [
+        ("--corpus", args.corpus),
+        ("--eval-corpus", args.eval_corpus),
+        *_encoder_files("--teacher", args.teacher),
+    ]
+    _distinct_outputs(inputs, ("--out", args.out))
     base = _train_config(vals)
     pairs = read_pairs_tsv(args.corpus)
     eval_pairs = read_pairs_tsv(args.eval_corpus)
@@ -375,7 +402,8 @@ def _cmd_gen_cipher(args, vals: dict, echo: str) -> None:
 
 def _cmd_gen_noise(args, vals: dict, echo: str) -> None:
     rate = _number(float, 0, high=1)(args.rate, "rate")
-    _distinct_outputs(("--out", args.out), ("--labels-out", args.labels_out))
+    outputs = ("--out", args.out), ("--labels-out", args.labels_out)
+    _distinct_outputs([("--corpus", args.corpus)], *outputs)
     pairs = read_pairs_tsv(args.corpus)
     noisy = inject_noise(pairs, rate, vals["seed"])
     write_pairs_tsv(args.out, noisy.pairs, comments=[echo, f"rate={rate}"])

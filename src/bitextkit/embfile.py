@@ -116,14 +116,21 @@ def write_text(path: str | os.PathLike, lines, comments=None, header=None, tabs:
     ``lines``, each ending in LF.  A comment holding a tab, CR or LF, which
     would read back as data, raises ValueError before anything is written.
     Body lines must hold ``tabs`` tabs and no CR or LF (check_text): they
-    are checked and written 1,024 at a time, and only a chunk is copied."""
+    are checked and written 1,024 at a time, and only a chunk is copied.
+    open_text skips a leading byte-order mark, so a body line that starts
+    the file with a U+FEFF of its own is written behind one more."""
     head = [] if header is None else [header]
     head += [f"# {check_text(c, 'comment')}" for c in comments or ()]
     lines = iter(lines)
     with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{h}\n" for h in head)
+        first = not head
         while chunk := list(itertools.islice(lines, 1024)):
-            fh.write(check_text("\n".join(chunk), "field", len(chunk), tabs) + "\n")
+            text = check_text("\n".join(chunk), "field", len(chunk), tabs)
+            if first and text.startswith("\ufeff"):
+                fh.write("\ufeff")
+            fh.write(text + "\n")
+            first = False
 
 
 @contextlib.contextmanager

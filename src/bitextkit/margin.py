@@ -40,6 +40,14 @@ MARGIN_KINDS = (MARGIN_ABSOLUTE, MARGIN_DISTANCE, MARGIN_RATIO)
 # after each search, lifts glibc's dynamic mmap threshold, and the heap it
 # then keeps raised the mine benchmark's peak RSS from 176 to 207 MiB
 _BLOCK_ROWS = 512
+# columns per screen tile, a multiple of _CHUNKS: each block is screened in
+# tiles of _BLOCK_ROWS x _TILE_COLS float32 values (2.5 MiB), so the screen
+# does not grow with the target count.  Each tile pays its own GEMM, sort
+# of chunk maxima, compares and fold: on the mine benchmark's embeddings
+# align took 1.40, 1.32, 1.27 and 1.18 times as long as with one screen
+# at 1,024, 1,280, 1,792 and 2,560 columns, while the filter benchmark's
+# peak RSS read 59.5, 60.2, 61.4 (1,536) and 62.9 MiB (2,048), 66 with one
+_TILE_COLS = 1280
 # strided chunks per row whose maxima bound its k-th largest screen value:
 # 128 bound as tightly as 16, and NumPy reduces them three times faster
 _CHUNKS = 128
@@ -133,10 +141,9 @@ def _down32(floors: np.ndarray) -> np.ndarray:
 
 
 def _kept(G: np.ndarray, keep: np.ndarray, floors: np.ndarray):
-    """(rows, cols), row-major, of the entries of G at or above their float64
-    floor (broadcast against G), which is rounded down to float32 for the
-    compare."""
-    np.greater_equal(G, _down32(floors), out=keep)
+    """(rows, cols), row-major, of the entries of G at or above their float32
+    floor (broadcast against G)."""
+    np.greater_equal(G, floors, out=keep)
     return np.divmod(np.flatnonzero(keep), G.shape[1])
 
 
@@ -151,33 +158,78 @@ def _grid(rows: np.ndarray, n: int, values: np.ndarray, fill: float):
 
 
 def _screens(Q: np.ndarray, C: np.ndarray):
-    """(Q, C32, screen, keep): the unit rows of Q, those of C rounded to
-    float32, and a float32 screen of up to _BLOCK_ROWS rows against C and a
-    boolean mask of its shape, both reused for every block of a search.
-    _screen rounds the query rows of each block as it screens them, so no
-    float32 copy of all of Q is held."""
-    shape = (min(_BLOCK_ROWS, Q.shape[0]), C.shape[0])
-    return Q, C.astype(np.float32), np.empty(shape, np.float32), np.empty(shape, bool)
+    """(Q, C32, tile, keep, either): the unit rows of Q, those of C rounded
+    to float32, and room for one float32 screen tile of up to _BLOCK_ROWS x
+    _TILE_COLS values and two boolean masks of its shape, all reused for
+    every tile of a search.  _tiles rounds the query rows of each block as
+    it screens them, so no float32 copy of all of Q is held."""
+    size = min(_BLOCK_ROWS, Q.shape[0]) * min(_TILE_COLS, C.shape[0])
+    return Q, C.astype(np.float32), *(np.empty(size, t) for t in (np.float32, bool, bool))
 
 
-def _screen(buffers, rows):
-    """(G, keep): the screen of the rows of Q that rows (a slice or at most
-    _BLOCK_ROWS indices) selects, and the mask rows of the same count."""
-    Q, C32, screen, keep = buffers
+def _tiles(buffers, rows):
+    """Per column tile of the screen of the rows of Q that rows (a slice or
+    at most _BLOCK_ROWS indices) selects, in ascending column order:
+    (c0, G, keep, either), G the tile of the targets from c0 on, and two
+    masks of its shape."""
+    Q, C32, *flat = buffers
     block = Q[rows].astype(np.float32)
-    return np.matmul(block, C32.T, out=screen[: len(block)]), keep[: len(block)]
+    for c0 in range(0, len(C32), _TILE_COLS):
+        cols = C32[c0 : c0 + _TILE_COLS]
+        G, keep, either = (b[: len(block) * len(cols)].reshape(len(block), -1) for b in flat)
+        yield c0, np.matmul(block, cols.T, out=G), keep, either
 
 
-def _row_bound(G: np.ndarray, k: int) -> np.ndarray:
-    """Per row of G, the k-th largest of its strided chunk maxima, or of the
-    row itself with fewer than k chunks of two or more columns: entries of
-    k distinct columns are at least that large."""
-    m = G.shape[1]
-    bound = G
-    if k <= _CHUNKS and m >= 2 * _CHUNKS:
-        bound = G[:, : m - m % _CHUNKS].reshape(len(G), -1, _CHUNKS).max(axis=1)
-    cut = bound.shape[1] - k
-    return np.partition(bound, cut, axis=1)[:, cut].astype(np.float64)
+class _RowBound:
+    """Per row of a block screened tile by tile, the k-th largest of its
+    strided chunk maxima, or of the row itself with fewer than k chunks of
+    two or more columns: entries of k distinct columns are at least that
+    large.  Chunk j holds the columns congruent to j mod _CHUNKS before the
+    last whole chunk, so tiles that start at multiples of _CHUNKS merge by
+    elementwise max; a whole row keeps its k largest values so far."""
+
+    def __init__(self, rows: int, m: int, k: int):
+        self.k = k
+        self.edge = m - m % _CHUNKS if k <= _CHUNKS and m >= 2 * _CHUNKS else None
+        self.values = np.full((rows, 0 if self.edge is None else _CHUNKS), -np.inf, np.float32)
+
+    def add(self, c0: int, G: np.ndarray) -> np.ndarray:
+        """Fold in the tile G of the targets from c0 on, and return the
+        bound so far (float64; -inf while a row has fewer than k values):
+        never above the final one, which the last tile returns."""
+        if self.edge is None:
+            merged = np.concatenate([self.values, G], axis=1)
+        else:
+            whole = min(G.shape[1], self.edge - c0)
+            if whole > 0:
+                chunks = G[:, :whole].reshape(len(G), -1, _CHUNKS).max(axis=1)
+                np.maximum(self.values, chunks, out=self.values)
+            merged = self.values
+        cut = merged.shape[1] - self.k
+        if cut < 0:
+            self.values = merged
+            return np.full(len(G), -np.inf)
+        if self.edge is not None:  # NumPy sorts 128 values faster than it partitions them
+            return np.sort(merged, axis=1)[:, cut].astype(np.float64)
+        merged = np.partition(merged, cut, axis=1)
+        self.values = merged[:, cut:]
+        return merged[:, cut].astype(np.float64)
+
+
+def _row_major(parts, floors=None):
+    """The entries kept from each tile of a block, a (rows, cols, ...) tuple
+    of arrays per tile, each tile's row-major, joined in row-major order
+    (ascending target within a row); first cut to the entries whose value
+    (parts' third array) is at or above their row's float32 floor, when
+    floors are given."""
+    joined = [np.concatenate(a) for a in zip(*parts)]
+    if floors is not None:
+        at = joined[2] >= floors[joined[0]]
+        joined = [a[at] for a in joined]
+    if len(parts) > 1:  # tiles ascend, so a stable sort by row will do
+        order = np.argsort(joined[0], kind="stable")
+        joined = [a[order] for a in joined]
+    return joined
 
 
 def _rank_rows(S, T, r, c, g, k: int, eps: float):
@@ -215,18 +267,25 @@ def knn(queries, candidates, k: int):
     candidate index.  Raises KTooLargeError if k exceeds the candidate count.
 
     Each 512-row block of queries keeps its entries with G >= L - 2 eps, L
-    from _row_bound: k entries have G >= L, so a row's top k by cosine have
-    G >= L - 2 eps, and _rank_rows ranks what it keeps.
+    from _RowBound: k entries have G >= L, so a row's top k by cosine have
+    G >= L - 2 eps, and _rank_rows ranks what it keeps.  Each column tile
+    keeps what reaches the bound so far less 2 eps, which is never above
+    the final one, and the block's end cuts them to that.
     """
     Q, C = _unit_rows(queries, candidates)
     _check_k(k, C)
     eps, buffers = _screen_eps(Q.shape[1]), _screens(Q, C)
     idx, top = np.empty((Q.shape[0], k), dtype=np.int64), np.empty((Q.shape[0], k))
     for lo in range(0, Q.shape[0], _BLOCK_ROWS):
-        G, keep = _screen(buffers, slice(lo, lo + _BLOCK_ROWS))
-        r, c = _kept(G, keep, (_row_bound(G, k) - 2 * eps)[:, None])
-        cos, pick = _rank_rows(Q[lo : lo + len(G)], C, r, c, G[r, c], k, eps)
-        idx[lo : lo + len(G)], top[lo : lo + len(G)] = c[pick], cos[pick]
+        hi = min(lo + _BLOCK_ROWS, Q.shape[0])
+        bound, kept = _RowBound(hi - lo, C.shape[0], k), []
+        for c0, G, keep, _ in _tiles(buffers, slice(lo, hi)):
+            floors = _down32(bound.add(c0, G) - 2 * eps)
+            r, c = _kept(G, keep, floors[:, None])
+            kept.append((r, c0 + c, G[r, c]))
+        r, c, g = _row_major(kept, floors)  # the last tile's floors are final
+        cos, pick = _rank_rows(Q[lo:hi], C, r, c, g, k, eps)
+        idx[lo:hi], top[lo:hi] = c[pick], cos[pick]
     return idx, top
 
 
@@ -271,52 +330,60 @@ def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
     the unit target rows T: (dx, dy, blocks).
 
     Rows: each keeps the entries at or above its float32 floor, L - 2 eps
-    rounded down, L from _row_bound at K (K >= k), so its top K are among
-    them, and _rank_rows finds its top k, which give dx.  blocks holds, per
-    source block from lo, (lo, rows, cols, g, cos, floors): the kept
-    entries (row-major, rows counted from lo), their screen values, their
-    pair cosines or NaN where none was taken, and the rows' floors.
+    rounded down, L from _RowBound at K (K >= k), so its top K are among
+    them, and _rank_rows finds its top k, which give dx.  Each column tile
+    keeps what reaches the floor so far, never above the final one, and
+    the block's end cuts them to that.  blocks holds, per source block from
+    lo, (lo, rows, cols, g, cos, floors): the kept entries (row-major, rows
+    counted from lo), their screen values, their pair cosines or NaN where
+    none was taken, and the rows' floors.
 
     Columns: each target keeps the k largest screen values of the blocks so
     far.  Its top k cosines have G >= (its k-th largest G) - 2 eps, so each
-    block also keeps the entries at or above the running value less 2 eps
-    (the first block's from _column_seed) and folds them in.  Once the pass
-    ends, the kept entries at or above the final value less 2 eps are
-    rescored, and their k largest cosines give dy.
+    tile also keeps the entries at or above its targets' running value less
+    2 eps (the first block's from _column_seed) and folds them in.  Once
+    the pass ends, the kept entries at or above the final value less 2 eps
+    are rescored, and their k largest cosines give dy.
 
-    One compare per block finds the entries of both kinds.
+    One compare per tile finds the entries of both kinds.
     """
     n, m, eps = S.shape[0], T.shape[0], _screen_eps(S.shape[1])
     dx = np.empty(n)
     top, kth = np.full((m, k), -np.inf), np.full(m, -np.inf)
-    blocks, found = [], []
-    either = np.empty_like(buffers[3])
+    blocks, found = [], [[] for _ in range(0, m, _TILE_COLS)]
     for lo in range(0, n, _BLOCK_ROWS):
-        G, keep = _screen(buffers, slice(lo, lo + _BLOCK_ROWS))
-        L = _row_bound(G, K)
-        row_floors = _down32(L - 2 * eps)
-        col_floors = _down32((_column_seed(G, k) if lo == 0 else kth) - 2 * eps)
-        np.greater_equal(G, row_floors[:, None], out=keep)
-        np.greater_equal(G, col_floors, out=either[: len(G)])
-        np.logical_or(keep, either[: len(G)], out=keep)
-        at = np.flatnonzero(keep)
-        r, c = np.divmod(at, m)
-        g = G.reshape(-1)[at]
-
-        hi, in_row = lo + len(G), g >= row_floors[r]
-        rr, cc, gg = r[in_row].astype(np.int32), c[in_row].astype(np.int32), g[in_row]
+        hi = min(lo + _BLOCK_ROWS, n)
+        bound, kept = _RowBound(hi - lo, m, K), []
+        running = _down32(kth - 2 * eps) if lo else None
+        for c0, G, keep, either in _tiles(buffers, slice(lo, hi)):
+            cols = slice(c0, c0 + G.shape[1])
+            row_floors = _down32(bound.add(c0, G) - 2 * eps)
+            col_floors = running[cols] if lo else _down32(_column_seed(G, k) - 2 * eps)
+            np.greater_equal(G, row_floors[:, None], out=keep)
+            np.greater_equal(G, col_floors, out=either)
+            np.logical_or(keep, either, out=keep)
+            at = np.flatnonzero(keep)
+            r, c = np.divmod(at, G.shape[1])
+            g = G.reshape(-1)[at]
+            in_row = g >= row_floors[r]
+            kept.append((r[in_row], c0 + c[in_row], g[in_row]))
+            in_col = g >= col_floors[c]
+            _fold(top[cols], kth[cols], c[in_col], g[in_col])
+            found[c0 // _TILE_COLS].append((lo * G.shape[1] + at[in_col], g[in_col]))
+        rr, cc, gg = _row_major(kept, row_floors)  # the last tile's: final
+        rr, cc = rr.astype(np.int32), cc.astype(np.int32)
         cos, pick = _rank_rows(S[lo:hi], T, rr, cc, gg, k, eps)
         dx[lo:hi] = neighborhood_means(cos[pick], k)
         blocks.append((lo, rr, cc, gg, cos, row_floors))
-
-        in_col = g >= col_floors[c]
-        _fold(top, kth, c[in_col], g[in_col])
-        found.append((lo * m + at[in_col], g[in_col]))
-    # each block's candidates are cut to the final floors before they are
-    # joined, so the join copies only what is rescored
-    r, c = np.divmod(np.concatenate([at[g >= kth[at % m] - 2 * eps] for at, g in found]), m)
+    # per column tile, each block's candidates are cut to the final floors
+    # before they are joined, so the join copies only what is rescored
     top[:] = -np.inf
-    _fold(top, kth, c, pair_cosines(S, T, r, c))
+    for c0, tile in zip(range(0, m, _TILE_COLS), found):
+        cols = slice(c0, c0 + _TILE_COLS)
+        width = len(kth[cols])
+        at = np.concatenate([at[g >= kth[cols][at % width] - 2 * eps] for at, g in tile])
+        r, c = np.divmod(at, width)
+        _fold(top[cols], kth[cols], c, pair_cosines(S, T, r, c0 + c))
     dy = neighborhood_means(-np.sort(-top, axis=1), k)
     return dx, dy, blocks
 
@@ -397,11 +464,14 @@ def align(src_emb, tgt_emb, cfg: SearchConfig):
 
 def _rescan(S, T, buffers, rows, dx, dy, floors, kind: str):
     """(indices, scores) of the best-scoring targets of the source rows
-    `rows` (at most _BLOCK_ROWS): the screen of those rows keeps every
-    G >= floors, the cosine floors (_floors) of the scores they reach less
-    eps, and margin scores decide."""
-    G, keep = _screen(buffers, rows)
-    r, c = _kept(G, keep, floors[:, None])
+    `rows` (at most _BLOCK_ROWS): each tile of the screen of those rows
+    keeps every G >= floors, the cosine floors (_floors) of the scores they
+    reach less eps, and margin scores decide."""
+    floors, kept = _down32(floors)[:, None], []
+    for c0, G, keep, _ in _tiles(buffers, rows):
+        r, c = _kept(G, keep, floors)
+        kept.append((r, c0 + c))
+    r, c = _row_major(kept)
     scores = margin_scores(pair_cosines(S, T, rows[r], c), dx[rows][r] + dy[c], kind)
     grid, starts = _grid(r, len(rows), scores, -np.inf)
     pick = starts + np.argmax(grid, axis=1)

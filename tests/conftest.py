@@ -29,17 +29,19 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def search_peak_bound(n: int, m: int, d: int) -> int:
+def search_peak_bound(n: int, m: int, d: int, k: int = 4) -> int:
     """Bytes a margin search of n query rows against m targets of dim d may
     trace at its peak: both sides' unit rows in float64 and the targets in
-    float32, one 512-row float32 screen with its two boolean masks, one
-    block's query rows in float32, the two 2^15-value float64 gathers of
-    pair_cosines, and 1 KiB per query row for its kept entries and column
-    candidates.  At n = m = 5,000 and d = 64, a search that also held a
-    float32 copy of every query row, or gathered 2^17 values a side, would
-    exceed it."""
+    float32, one block's query rows in float32, one 512 x 1,280 float32
+    screen tile with its two boolean masks, the two 2^15-value float64
+    gathers of pair_cosines, 512 bytes per query row for its kept entries,
+    and 64 (k + 4) bytes per target for its k largest screen values, its
+    floors and its candidates.  No term grows with 512 m: a screen that
+    spans every target, a float32 copy of every query row (at n = m =
+    5,000, d = 64) or 2^17-value gathers would exceed it."""
     rows = (n + m) * d * 8 + m * d * 4 + 512 * d * 4
-    return rows + 512 * m * (4 + 1 + 1) + 2 * 2**15 * 8 + n * 1024
+    tile = 512 * min(m, 1280) * (4 + 1 + 1)
+    return rows + tile + 2 * 2**15 * 8 + n * 512 + m * 64 * (k + 4)
 
 
 def distill_config(**overrides) -> TrainConfig:

@@ -3,10 +3,10 @@ neighbourhood terms (dx, dy) of ``margin._search``, the screened pass that
 ``align`` and ``margin.aligned_scores`` make; built on
 ``margin.pair_cosines``.
 
-Every query-candidate cosine is a ``pair_cosines`` value, taken one query
-row at a time against every candidate.  Neighbourhoods come from a stable
-descending sort of each whole row, and picks from an argmax over every
-target's margin score.  The package screens with float32 GEMMs and
+Every query-candidate cosine is a ``pair_cosines`` value, taken for every
+query row against every candidate.  Neighbourhoods are each whole row's k
+largest values in descending order, and picks come from an argmax over
+every target's margin score.  The package screens with float32 GEMMs and
 rescores only the entries its error bound keeps, so any entry it wrongly
 rules out changes a pick, a score or a neighbourhood term, and the tests
 compare with ``np.array_equal``.
@@ -19,11 +19,15 @@ from bitextkit.vectors import normalize_rows
 
 
 def cosines(Q, C):
-    """(n, m) pair_cosines of every unit row of Q against every one of C."""
-    cols = np.arange(C.shape[0])
-    out = np.empty((Q.shape[0], C.shape[0]))
-    for i in range(Q.shape[0]):
-        out[i] = pair_cosines(Q, C, np.full_like(cols, i), cols)
+    """(n, m) pair_cosines of every unit row of Q against every one of C,
+    about 2^18 pairs per call (a value's bits depend only on its two rows)."""
+    n, m = Q.shape[0], C.shape[0]
+    step = max(1, (1 << 18) // m)
+    out = np.empty((n, m))
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        pairs = np.repeat(rows, m), np.tile(np.arange(m), len(rows))
+        out[rows] = pair_cosines(Q, C, *pairs).reshape(len(rows), m)
     return out
 
 
@@ -36,12 +40,15 @@ def knn(queries, candidates, k):
 
 
 def _means(cos, k):
-    """neighborhood_means of each row's k largest values, in descending order.
+    """neighborhood_means of each row's k largest values, in descending order:
+    a partition finds them and only they are sorted.
 
     The rows are made contiguous first, so that each row's k values add up
     in the order knn's (n, k) rows do (a column-major copy would add them
     one rank at a time instead)."""
-    return neighborhood_means(-np.sort(-np.ascontiguousarray(cos), axis=1)[:, :k], k)
+    cut = cos.shape[1] - k
+    top = np.partition(np.ascontiguousarray(cos), cut, axis=1)[:, cut:]
+    return neighborhood_means(-np.sort(-top, axis=1), k)
 
 
 def search(src_emb, tgt_emb, k):

@@ -1463,6 +1463,86 @@ def test_two_outputs_naming_one_file_are_usage_errors(tmp_path, capsys, argv, na
     assert list(tmp_path.iterdir()) == []
 
 
+# (argv, with {t} for the test's directory and {a} for an absent input; the
+# input and the output the message names; the file both name, under {t}):
+# one row per input and output of each command that can name one file
+INPUT_CASES = [
+    ("embed --input {t}/in.txt --encoder {a} --out {t}/in.txt", "--input and --out", "in.txt"),
+    ("embed --input {a} --encoder {t}/e.emb --out {t}/e.emb", "--encoder and --out", "e.emb"),
+    ("embed --input {a} --encoder {t}/e.emb --out {t}/e.emb.meta",
+     "the .meta of --encoder and --out", "e.emb.meta"),
+    ("train --corpus {t}/c.tsv --teacher {a} --out {t}/c.tsv", "--corpus and --out", "c.tsv"),
+    ("train --corpus {t}/c.meta --teacher {a} --out {t}/c",
+     "--corpus and the .meta of --out", "c.meta"),
+    ("train --corpus {t}/c.tsv --teacher {a} --out {t}/s.emb --log {t}/c.tsv",
+     "--corpus and --log", "c.tsv"),
+    ("train --corpus {a} --teacher {t}/t.emb --out {t}/t.emb", "--teacher and --out", "t.emb"),
+    ("train --corpus {a} --teacher {t}/t.meta --out {t}/t",
+     "--teacher and the .meta of --out", "t.meta"),
+    ("train --corpus {a} --teacher {t}/t.emb --out {t}/s.emb --log {t}/t.emb",
+     "--teacher and --log", "t.emb"),
+    ("train --corpus {a} --teacher {t}/t.emb --out {t}/t.emb.meta",
+     "the .meta of --teacher and --out", "t.emb.meta"),
+    ("train --corpus {a} --teacher {t}/t.emb --out {t}/s.emb --log {t}/t.emb.meta",
+     "the .meta of --teacher and --log", "t.emb.meta"),
+    ("xsim-eval --src {t}/x.emb --tgt {a} --out {t}/x.emb", "--src and --out", "x.emb"),
+    ("xsim-eval --src {a} --tgt {t}/y.emb --out {t}/y.emb", "--tgt and --out", "y.emb"),
+    ("filter --corpus {t}/c.tsv --student {a} --teacher {a} --scored-out {t}/c.tsv",
+     "--corpus and --scored-out", "c.tsv"),
+    ("filter --corpus {t}/c.tsv --student {a} --teacher {a} --subset-out {t}/c.tsv --budget 5",
+     "--corpus and --subset-out at --budget 5", "c.tsv"),
+    ("filter --corpus {a} --student {t}/s.emb --teacher {a} --scored-out {t}/s.emb",
+     "--student and --scored-out", "s.emb"),
+    ("filter --corpus {a} --student {t}/s.emb --teacher {a} --subset-out {t}/s.emb --budget 5",
+     "--student and --subset-out at --budget 5", "s.emb"),
+    ("filter --corpus {a} --student {t}/s.emb --teacher {a} --scored-out {t}/s.emb.meta",
+     "the .meta of --student and --scored-out", "s.emb.meta"),
+    ("filter --corpus {a} --student {t}/s.emb --teacher {a} --subset-out {t}/s.emb.meta"
+     " --budget 5", "the .meta of --student and --subset-out at --budget 5", "s.emb.meta"),
+    ("filter --corpus {a} --student {a} --teacher {t}/t.emb --scored-out {t}/t.emb",
+     "--teacher and --scored-out", "t.emb"),
+    ("filter --corpus {a} --student {a} --teacher {t}/t.emb --subset-out {t}/t.emb --budget 5",
+     "--teacher and --subset-out at --budget 5", "t.emb"),
+    ("filter --corpus {a} --student {a} --teacher {t}/t.emb --scored-out {t}/t.emb.meta",
+     "the .meta of --teacher and --scored-out", "t.emb.meta"),
+    ("filter --corpus {a} --student {a} --teacher {t}/t.emb --subset-out {t}/t.emb.meta"
+     " --budget 5", "the .meta of --teacher and --subset-out at --budget 5", "t.emb.meta"),
+    ("analyze hist --corpus {t}/c.tsv --teacher {a} --out {t}/c.tsv", "--corpus and --out", "c.tsv"),
+    ("analyze hist --corpus {a} --teacher {t}/t.emb --out {t}/t.emb", "--teacher and --out", "t.emb"),
+    ("analyze hist --corpus {a} --teacher {t}/t.emb --out {t}/t.emb.meta",
+     "the .meta of --teacher and --out", "t.emb.meta"),
+    ("analyze sweep --corpus {t}/c.tsv --eval-corpus {a} --teacher {a} --out {t}/c.tsv",
+     "--corpus and --out", "c.tsv"),
+    ("analyze sweep --corpus {a} --eval-corpus {t}/e.tsv --teacher {a} --out {t}/e.tsv",
+     "--eval-corpus and --out", "e.tsv"),
+    ("analyze sweep --corpus {a} --eval-corpus {a} --teacher {t}/t.emb --out {t}/t.emb",
+     "--teacher and --out", "t.emb"),
+    ("analyze sweep --corpus {a} --eval-corpus {a} --teacher {t}/t.emb --out {t}/t.emb.meta",
+     "the .meta of --teacher and --out", "t.emb.meta"),
+    ("gen-synth noise --corpus {t}/c.tsv --rate 0.5 --seed 2 --out {t}/c.tsv",
+     "--corpus and --out", "c.tsv"),
+    ("gen-synth noise --corpus {t}/c.tsv --rate 0.5 --out {t}/n.tsv --labels-out {t}/./c.tsv",
+     "--corpus and --labels-out", "./c.tsv"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, names, path", INPUT_CASES, ids=[f"{a.split(' --')[0]}: {n}" for a, n, _ in INPUT_CASES]
+)
+def test_an_output_naming_an_input_is_a_usage_error(tmp_path, capsys, argv, names, path):
+    # the input that the output names exists and the others are absent: the
+    # outputs are compared with the inputs before anything is read, and the
+    # input is left as it was
+    kept = tmp_path / path
+    kept.write_bytes(b"# config: kept\n")
+    argv = [word.format(t=tmp_path, a=tmp_path / "absent") for word in argv.split()]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: {names} name the same file {f'{tmp_path}/{path}'!r}\n"
+    assert kept.read_bytes() == b"# config: kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == [kept.name]
+
+
 def test_every_text_artifact_reads_back(tmp_path, corpus_file, teacher_file, capsys):
     # option text that converts but is unusual (leading zeros, spaces in a
     # list) is echoed into every comment; each artifact reads back through

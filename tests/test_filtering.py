@@ -148,6 +148,29 @@ def test_write_read_round_trips_any_unicode(tmp_path_factory, pairs, comments):
     assert read_pairs_tsv(path) == pairs
 
 
+@settings(max_examples=50, deadline=None)
+@given(first=_SENTENCE, pairs=st.lists(st.tuples(_SENTENCE, _SENTENCE), max_size=4))
+@example(first="", pairs=[])
+def test_a_leading_byte_order_mark_of_the_first_sentence_round_trips(tmp_path_factory, first, pairs):
+    # with no comment line, the file starts with the first sentence, and a
+    # U+FEFF that begins it is the sentence's own, not a byte-order mark
+    path = tmp_path_factory.mktemp("tsv") / "corpus.tsv"
+    pairs = [("\ufeff" + first, "t"), *pairs]
+    write_pairs_tsv(path, pairs)
+    assert read_pairs_tsv(path) == pairs
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf" * 2)
+
+
+def test_only_a_leading_byte_order_mark_gains_another(tmp_path):
+    # a U+FEFF anywhere else, or behind a comment line, is written as it is
+    plain = [("a\ufeff", "\ufeffb"), ("\ufeffc", "d")]
+    write_pairs_tsv(tmp_path / "plain.tsv", plain)
+    assert (tmp_path / "plain.tsv").read_bytes() == "a\ufeff\t\ufeffb\n\ufeffc\td\n".encode()
+    write_pairs_tsv(tmp_path / "noted.tsv", [("\ufeffa", "b")], comments=["seed=1"])
+    assert (tmp_path / "noted.tsv").read_bytes() == "# seed=1\n\ufeffa\tb\n".encode()
+    assert read_pairs_tsv(tmp_path / "noted.tsv") == [("\ufeffa", "b")]
+
+
 @pytest.mark.parametrize("comment", ["a\tb", "a\nb", "a\rb", "\t"])
 def test_write_pairs_refuses_a_comment_that_would_read_as_data(tmp_path, comment):
     path = tmp_path / "out.tsv"

@@ -344,11 +344,11 @@ def test_aligned_scores_are_the_oracles_diagonal_bitwise(n, k, kind):
 
 
 def test_align_traced_peak_stays_within_three_blocks():
-    # the search holds one float32 screen of at most 512 rows and its two
-    # boolean masks, reused for every block and every rescan, rounds each
-    # block's query rows to float32 as it screens them, and gathers only a
-    # block's kept pairs, in 2^15-value chunks; a float32 copy of all query
-    # rows, larger gathers or a whole n x m screen break the bound
+    # the search holds one float32 screen tile of at most 512 rows and its
+    # two boolean masks, reused for every tile, block and rescan, rounds
+    # each block's query rows to float32 as it screens them, and gathers
+    # only a block's kept pairs, in 2^15-value chunks; a float32 copy of all
+    # query rows, larger gathers or a whole n x m screen break the bound
     n, d = 5000, 64
     rng = np.random.default_rng(4)
     for shape in (lambda rows: rows, np.abs):
@@ -356,6 +356,19 @@ def test_align_traced_peak_stays_within_three_blocks():
         T = normalize_rows(shape(rng.normal(size=(n, d))))
         _, peak = traced_peak(lambda: align(S, T, SearchConfig(k=4, margin_kind="ratio")))
         assert peak <= search_peak_bound(n, n, d), f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_align_traced_peak_does_not_grow_with_the_screen_width():
+    # 600 query rows against 60,000 targets: the search screens each block
+    # in column tiles and keeps O(k) values per target, so its peak is the
+    # unit rows and not a 512-row screen spanning every target (184 MB)
+    n, m, d = 600, 60000, 64
+    rng = np.random.default_rng(5)
+    for shape in (lambda rows: rows, np.abs):
+        S = normalize_rows(shape(rng.normal(size=(n, d))))
+        T = normalize_rows(shape(rng.normal(size=(m, d))))
+        _, peak = traced_peak(lambda: align(S, T, SearchConfig(k=4, margin_kind="ratio")))
+        assert peak <= search_peak_bound(n, m, d), f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_align_ratio_zero_denominator_raises():
