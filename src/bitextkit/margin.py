@@ -36,18 +36,26 @@ MARGIN_DISTANCE = "distance"
 MARGIN_RATIO = "ratio"
 MARGIN_KINDS = (MARGIN_ABSOLUTE, MARGIN_DISTANCE, MARGIN_RATIO)
 
-# rows per float32 screen: a 1,024-row screen (20 MB at m = 5,000), freed
-# after each search, lifts glibc's dynamic mmap threshold, and the heap it
-# then keeps raised the mine benchmark's peak RSS from 176 to 207 MiB
+# rows per block, the unit of _rank_rows, the certificate and _search's
+# kept entries: 1,024-row blocks (a 20 MB screen at m = 5,000, freed after
+# each search) lifted glibc's dynamic mmap threshold, and the heap it then
+# kept raised the mine benchmark's peak RSS from 176 to 207 MiB
 _BLOCK_ROWS = 512
-# columns per screen tile, a multiple of _CHUNKS: each block is screened in
-# tiles of _BLOCK_ROWS x _TILE_COLS float32 values (2.5 MiB), so the screen
-# does not grow with the target count.  Each tile pays its own GEMM, sort
-# of chunk maxima, compares and fold: on the mine benchmark's embeddings
-# align took 1.40, 1.32, 1.27 and 1.18 times as long as with one screen
-# at 1,024, 1,280, 1,792 and 2,560 columns, while the filter benchmark's
-# peak RSS read 59.5, 60.2, 61.4 (1,536) and 62.9 MiB (2,048), 66 with one
-_TILE_COLS = 1280
+# float32 values per screen tile (2.5 MiB), so the screen does not grow
+# with the target count.  A block is screened in slices of as many rows as
+# fill a tile (_slice_rows): 128-row slices of the filter benchmark's 2,996
+# targets freed a smaller buffer, which left glibc's dynamic mmap threshold
+# lower, and the encoding that follows the search took 2,570 more page
+# faults per operation
+_TILE_VALUES = 128 * 5120
+# columns per screen tile, a multiple of _CHUNKS.  Up to _TILE_COLS targets
+# a slice is one tile of whole rows: its row floors are final at once, its
+# kept entries need no cut or re-sort, and rows wider than 4,096 values
+# compare outside NumPy's ufunc buffer.  On the mine benchmark's embeddings
+# (m = 5,000) _search's row bound took 15.6-16.7 ms in 512 x 1,280 tiles
+# and 12.2-13.4 ms in slices of whole rows, its compares 17.1-18.1 and
+# 11.0-12.3 ms, its join of tiles 3.9-4.1 and 0.2-0.3 ms
+_TILE_COLS = 5120
 # strided chunks per row whose maxima bound its k-th largest screen value:
 # 128 bound as tightly as 16, and NumPy reduces them three times faster
 _CHUNKS = 128
@@ -61,6 +69,8 @@ _TOP = 16
 # 100,000 pairs at d = 64 took 17.6 ms in 2^15-value chunks and 20.4 ms in
 # 2^13 or 2^17, and 2^17 (1 MiB a side) lifted every search's traced peak
 _GATHER = 1 << 15
+# the target of a row that keeps no entry
+_NONE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -157,27 +167,38 @@ def _grid(rows: np.ndarray, n: int, values: np.ndarray, fill: float):
     return grid, starts
 
 
+def _slice_rows(m: int) -> int:
+    """Rows per screen slice against m targets: as many as fill a tile, up
+    to a whole block."""
+    return min(_BLOCK_ROWS, _TILE_VALUES // min(m, _TILE_COLS))
+
+
 def _screens(Q: np.ndarray, C: np.ndarray):
     """(Q, C32, tile, keep, either): the unit rows of Q, those of C rounded
-    to float32, and room for one float32 screen tile of up to _BLOCK_ROWS x
-    _TILE_COLS values and two boolean masks of its shape, all reused for
-    every tile of a search.  _tiles rounds the query rows of each block as
-    it screens them, so no float32 copy of all of Q is held."""
-    size = min(_BLOCK_ROWS, Q.shape[0]) * min(_TILE_COLS, C.shape[0])
+    to float32, and room for one float32 screen tile of up to _TILE_VALUES
+    values, at most a block's rows by _TILE_COLS columns, and two boolean
+    masks of its shape, all reused for every tile of a search.  _tiles
+    rounds the query rows of each block as it screens them, so no float32
+    copy of all of Q is held."""
+    size = min(min(_BLOCK_ROWS, Q.shape[0]) * min(_TILE_COLS, C.shape[0]), _TILE_VALUES)
     return Q, C.astype(np.float32), *(np.empty(size, t) for t in (np.float32, bool, bool))
 
 
 def _tiles(buffers, rows):
-    """Per column tile of the screen of the rows of Q that rows (a slice or
-    at most _BLOCK_ROWS indices) selects, in ascending column order:
-    (c0, G, keep, either), G the tile of the targets from c0 on, and two
-    masks of its shape."""
+    """The screen of the rows of Q that rows (a slice or at most
+    _BLOCK_ROWS indices) selects, in ascending column tiles and, within
+    each, in slices of _slice_rows rows: (r0, c0, G, keep, either), G the
+    tile of the slice from row r0 (counted from rows' first) against the
+    targets from c0 on, and two masks of its shape.  With at most
+    _TILE_COLS targets, each slice is one tile of whole rows."""
     Q, C32, *flat = buffers
-    block = Q[rows].astype(np.float32)
+    block, height = Q[rows].astype(np.float32), _slice_rows(len(C32))
     for c0 in range(0, len(C32), _TILE_COLS):
         cols = C32[c0 : c0 + _TILE_COLS]
-        G, keep, either = (b[: len(block) * len(cols)].reshape(len(block), -1) for b in flat)
-        yield c0, np.matmul(block, cols.T, out=G), keep, either
+        for r0 in range(0, len(block), height):
+            part = block[r0 : r0 + height]
+            G, keep, either = (b[: len(part) * len(cols)].reshape(len(part), -1) for b in flat)
+            yield r0, c0, np.matmul(part, cols.T, out=G), keep, either
 
 
 class _RowBound:
@@ -188,48 +209,54 @@ class _RowBound:
     last whole chunk, so tiles that start at multiples of _CHUNKS merge by
     elementwise max; a whole row keeps its k largest values so far."""
 
-    def __init__(self, rows: int, m: int, k: int):
-        self.k = k
+    def __init__(self, m: int, k: int):
+        self.k, self.values = k, {}
         self.edge = m - m % _CHUNKS if k <= _CHUNKS and m >= 2 * _CHUNKS else None
-        self.values = np.full((rows, 0 if self.edge is None else _CHUNKS), -np.inf, np.float32)
 
-    def add(self, c0: int, G: np.ndarray) -> np.ndarray:
-        """Fold in the tile G of the targets from c0 on, and return the
-        bound so far (float64; -inf while a row has fewer than k values):
-        never above the final one, which the last tile returns."""
+    def add(self, r0: int, c0: int, G: np.ndarray) -> np.ndarray:
+        """Fold in the tile G of the slice from row r0 against the targets
+        from c0 on, and return its rows' bound so far (float64; -inf while
+        a row has fewer than k values): never above the final one, which
+        the slice's last tile returns."""
+        values = self.values.get(r0)
+        if values is None:
+            width = 0 if self.edge is None else _CHUNKS
+            values = self.values[r0] = np.full((len(G), width), -np.inf, np.float32)
         if self.edge is None:
-            merged = np.concatenate([self.values, G], axis=1)
+            merged = np.concatenate([values, G], axis=1)
         else:
             whole = min(G.shape[1], self.edge - c0)
             if whole > 0:
                 chunks = G[:, :whole].reshape(len(G), -1, _CHUNKS).max(axis=1)
-                np.maximum(self.values, chunks, out=self.values)
-            merged = self.values
+                np.maximum(values, chunks, out=values)
+            merged = values
         cut = merged.shape[1] - self.k
         if cut < 0:
-            self.values = merged
+            self.values[r0] = merged
             return np.full(len(G), -np.inf)
         if self.edge is not None:  # NumPy sorts 128 values faster than it partitions them
             return np.sort(merged, axis=1)[:, cut].astype(np.float64)
         merged = np.partition(merged, cut, axis=1)
-        self.values = merged[:, cut:]
+        self.values[r0] = merged[:, cut:]
         return merged[:, cut].astype(np.float64)
 
 
-def _row_major(parts, floors=None):
-    """The entries kept from each tile of a block, a (rows, cols, ...) tuple
-    of arrays per tile, each tile's row-major, joined in row-major order
-    (ascending target within a row); first cut to the entries whose value
-    (parts' third array) is at or above their row's float32 floor, when
-    floors are given."""
+def _row_major(parts, m: int, floors=None):
+    """The entries kept from each tile of a block's screen against m
+    targets, a (rows, cols, ...) tuple of arrays per tile, each tile's
+    row-major, joined in row-major order (ascending target within a row).
+    With one column tile the slices ascend and are joined as they are;
+    with several, the entries are first cut to those whose value (parts'
+    third array) is at or above their row's float32 floor, when floors are
+    given, and then stably sorted by row."""
     joined = [np.concatenate(a) for a in zip(*parts)]
+    if m <= _TILE_COLS:
+        return joined
     if floors is not None:
         at = joined[2] >= floors[joined[0]]
         joined = [a[at] for a in joined]
-    if len(parts) > 1:  # tiles ascend, so a stable sort by row will do
-        order = np.argsort(joined[0], kind="stable")
-        joined = [a[order] for a in joined]
-    return joined
+    order = np.argsort(joined[0], kind="stable")
+    return [a[order] for a in joined]
 
 
 def _rank_rows(S, T, r, c, g, k: int, eps: float):
@@ -268,8 +295,8 @@ def knn(queries, candidates, k: int):
 
     Each 512-row block of queries keeps its entries with G >= L - 2 eps, L
     from _RowBound: k entries have G >= L, so a row's top k by cosine have
-    G >= L - 2 eps, and _rank_rows ranks what it keeps.  Each column tile
-    keeps what reaches the bound so far less 2 eps, which is never above
+    G >= L - 2 eps, and _rank_rows ranks what it keeps.  Each tile keeps
+    what reaches its rows' bound so far less 2 eps, which is never above
     the final one, and the block's end cuts them to that.
     """
     Q, C = _unit_rows(queries, candidates)
@@ -278,12 +305,13 @@ def knn(queries, candidates, k: int):
     idx, top = np.empty((Q.shape[0], k), dtype=np.int64), np.empty((Q.shape[0], k))
     for lo in range(0, Q.shape[0], _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, Q.shape[0])
-        bound, kept = _RowBound(hi - lo, C.shape[0], k), []
-        for c0, G, keep, _ in _tiles(buffers, slice(lo, hi)):
-            floors = _down32(bound.add(c0, G) - 2 * eps)
-            r, c = _kept(G, keep, floors[:, None])
-            kept.append((r, c0 + c, G[r, c]))
-        r, c, g = _row_major(kept, floors)  # the last tile's floors are final
+        bound, kept, floors = _RowBound(C.shape[0], k), [], np.empty(hi - lo, np.float32)
+        for r0, c0, G, keep, _ in _tiles(buffers, slice(lo, hi)):
+            rows = slice(r0, r0 + len(G))
+            floors[rows] = _down32(bound.add(r0, c0, G) - 2 * eps)
+            r, c = _kept(G, keep, floors[rows, None])
+            kept.append((r0 + r, c0 + c, G[r, c]))
+        r, c, g = _row_major(kept, C.shape[0], floors)  # each slice's last floors are final
         cos, pick = _rank_rows(Q[lo:hi], C, r, c, g, k, eps)
         idx[lo:hi], top[lo:hi] = c[pick], cos[pick]
     return idx, top
@@ -331,19 +359,22 @@ def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
 
     Rows: each keeps the entries at or above its float32 floor, L - 2 eps
     rounded down, L from _RowBound at K (K >= k), so its top K are among
-    them, and _rank_rows finds its top k, which give dx.  Each column tile
-    keeps what reaches the floor so far, never above the final one, and
-    the block's end cuts them to that.  blocks holds, per source block from
-    lo, (lo, rows, cols, g, cos, floors): the kept entries (row-major, rows
-    counted from lo), their screen values, their pair cosines or NaN where
-    none was taken, and the rows' floors.
+    them, and _rank_rows finds its top k, which give dx.  Each tile keeps
+    what reaches its rows' floors so far, never above the final ones, and
+    the block's end cuts them to those.  blocks holds, per source block
+    from lo, (lo, rows, cols, g, cos, floors): the kept entries (row-major,
+    rows counted from lo), their screen values, their pair cosines or NaN
+    where none was taken, and the rows' floors.
 
-    Columns: each target keeps the k largest screen values of the blocks so
+    Columns: each target keeps the k largest screen values folded in so
     far.  Its top k cosines have G >= (its k-th largest G) - 2 eps, so each
-    tile also keeps the entries at or above its targets' running value less
-    2 eps (the first block's from _column_seed) and folds them in.  Once
-    the pass ends, the kept entries at or above the final value less 2 eps
-    are rescored, and their k largest cosines give dy.
+    tile also keeps the entries at or above its targets' value less 2 eps
+    and folds them in.  A block folds a column tile's entries once, after
+    its last slice, and compares every slice with the values of the
+    block's start; the first block folds each slice at once, so that only
+    its first slice needs a value from _column_seed.  Once the pass ends,
+    the kept entries at or above the final value less 2 eps are rescored,
+    and their k largest cosines give dy.
 
     One compare per tile finds the entries of both kinds.
     """
@@ -353,37 +384,42 @@ def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
     blocks, found = [], [[] for _ in range(0, m, _TILE_COLS)]
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        bound, kept = _RowBound(hi - lo, m, K), []
-        running = _down32(kth - 2 * eps) if lo else None
-        for c0, G, keep, either in _tiles(buffers, slice(lo, hi)):
-            cols = slice(c0, c0 + G.shape[1])
-            row_floors = _down32(bound.add(c0, G) - 2 * eps)
-            col_floors = running[cols] if lo else _down32(_column_seed(G, k) - 2 * eps)
-            np.greater_equal(G, row_floors[:, None], out=keep)
+        bound, kept, row_floors = _RowBound(m, K), [], np.empty(hi - lo, np.float32)
+        for r0, c0, G, keep, either in _tiles(buffers, slice(lo, hi)):
+            cols, rows = slice(c0, c0 + G.shape[1]), slice(r0, r0 + len(G))
+            if not (lo and r0):  # see Columns above
+                col_floors = _down32((kth[cols] if lo + r0 else _column_seed(G, k)) - 2 * eps)
+                pending = []
+            floors = row_floors[rows] = _down32(bound.add(r0, c0, G) - 2 * eps)
+            np.greater_equal(G, floors[:, None], out=keep)
             np.greater_equal(G, col_floors, out=either)
             np.logical_or(keep, either, out=keep)
             at = np.flatnonzero(keep)
             r, c = np.divmod(at, G.shape[1])
             g = G.reshape(-1)[at]
-            in_row = g >= row_floors[r]
-            kept.append((r[in_row], c0 + c[in_row], g[in_row]))
+            in_row = g >= floors[r]
+            kept.append((r0 + r[in_row], c0 + c[in_row], g[in_row]))
             in_col = g >= col_floors[c]
-            _fold(top[cols], kth[cols], c[in_col], g[in_col])
-            found[c0 // _TILE_COLS].append((lo * G.shape[1] + at[in_col], g[in_col]))
-        rr, cc, gg = _row_major(kept, row_floors)  # the last tile's: final
+            pending.append(((lo + r0) * G.shape[1] + at[in_col], g[in_col]))
+            if not lo or rows.stop == hi - lo:
+                at, g = (np.concatenate(a) for a in zip(*pending))
+                _fold(top[cols], kth[cols], at % G.shape[1], g)
+                found[c0 // _TILE_COLS].append((at, g))
+        rr, cc, gg = _row_major(kept, m, row_floors)  # each slice's last floors are final
         rr, cc = rr.astype(np.int32), cc.astype(np.int32)
         cos, pick = _rank_rows(S[lo:hi], T, rr, cc, gg, k, eps)
         dx[lo:hi] = neighborhood_means(cos[pick], k)
         blocks.append((lo, rr, cc, gg, cos, row_floors))
-    # per column tile, each block's candidates are cut to the final floors
-    # before they are joined, so the join copies only what is rescored
+    # each fold's candidates are cut to the final floors, rescored and
+    # folded again on their own, so no step holds all of a column tile's
+    floors = kth - 2 * eps
     top[:] = -np.inf
     for c0, tile in zip(range(0, m, _TILE_COLS), found):
         cols = slice(c0, c0 + _TILE_COLS)
-        width = len(kth[cols])
-        at = np.concatenate([at[g >= kth[cols][at % width] - 2 * eps] for at, g in tile])
-        r, c = np.divmod(at, width)
-        _fold(top[cols], kth[cols], c, pair_cosines(S, T, r, c0 + c))
+        width = len(floors[cols])
+        for at, g in tile:
+            r, c = np.divmod(at[g >= floors[cols][at % width]], width)
+            _fold(top[cols], kth[cols], c, pair_cosines(S, T, r, c0 + c))
     dy = neighborhood_means(-np.sort(-top, axis=1), k)
     return dx, dy, blocks
 
@@ -411,6 +447,26 @@ def _floors(kind: str, s, d, lowest: float, highest: float):
     return s
 
 
+def _first_max(r, n: int, c, scores):
+    """(targets, scores) of the first maximum of each of n rows' entries
+    (rows r, targets c, given row-major): exact ties go to the lower
+    target, and a row without entries gets (_NONE, -inf)."""
+    idx, best = np.full(n, _NONE), np.full(n, -np.inf)
+    if len(r):
+        grid, starts = _grid(r, n, scores, -np.inf)
+        pick = (starts + np.argmax(grid, axis=1))[np.bincount(r, minlength=n) > 0]
+        idx[r[pick]], best[r[pick]] = c[pick], scores[pick]
+    return idx, best
+
+
+def _keep_better(best_idx, best_score, rows, idx, scores) -> None:
+    """Replace the picks of rows by (idx, scores) where those score higher,
+    or equal at a lower target."""
+    now = best_score[rows]
+    better = (scores > now) | ((scores == now) & (idx < best_idx[rows]))
+    best_idx[rows[better]], best_score[rows[better]] = idx[better], scores[better]
+
+
 def align(src_emb, tgt_emb, cfg: SearchConfig):
     """Best-scoring target per source row.
 
@@ -424,8 +480,15 @@ def align(src_emb, tgt_emb, cfg: SearchConfig):
     first maximum is the row's pick.  A target that reaches that score has
     G >= the cosine floor of the score (_floors) less eps, so when that
     floor is at or above the row's own floor, no target the row did not
-    keep can: the pick is certified.  Other rows are screened again
-    (_rescan).
+    keep can: the pick is certified.
+
+    The floor is lowest at the target of lowest dy, so a few targets of low
+    dy decide it.  The other rows are screened once against D, the targets
+    of lowest dy (_low_cut); every D entry that can reach a row's best
+    score is rescored and merged into its pick, and the row's floor is
+    taken again over the targets outside D.  Ratio rows with d + min dy <=
+    0 skip this.  Rows still uncertified are screened again (_rescan) at
+    that floor, and their picks merged likewise.
     """
     S, T = _unit_rows(src_emb, tgt_emb)
     k, kind = cfg.k, cfg.margin_kind
@@ -433,13 +496,13 @@ def align(src_emb, tgt_emb, cfg: SearchConfig):
     n, m, eps = S.shape[0], T.shape[0], _screen_eps(S.shape[1])
     buffers = _screens(S, T)
     dx, dy, blocks = _search(S, T, k, min(max(k, _TOP), m), buffers)
-    best_idx, best_score = np.empty(n, dtype=np.int64), np.empty(n)
     if kind == MARGIN_RATIO and _zero_sum(dx, dy):
         raise ZeroDivisionError("ratio margin with zero denominator")
+    best_idx, best_score = np.empty(n, dtype=np.int64), np.empty(n)
+    row_floors, whole = np.empty(n, np.float32), np.empty(n, dtype=bool)
     lowest, highest = dy.min(), dy.max()
-    certified, need = np.empty(n, dtype=bool), np.empty(n)
-    for lo, r, c, g, cos, row_floors in blocks:
-        hi = lo + len(row_floors)
+    for lo, r, c, g, cos, floors in blocks:
+        hi = lo + len(floors)
         d = dx[lo:hi]
         den = d[r] + dy[c]
         todo = np.isnan(cos)
@@ -449,33 +512,65 @@ def align(src_emb, tgt_emb, cfg: SearchConfig):
         if kind == MARGIN_RATIO:
             more |= todo & (d + lowest <= 0)[r]  # g + eps bounds no score there
         scores[more] = margin_scores(pair_cosines(S, T, lo + r[more], c[more]), den[more], kind)
-        grid, starts = _grid(r, hi - lo, scores, -np.inf)
-        pick = starts + np.argmax(grid, axis=1)  # first max: lowest index
-        best_idx[lo:hi], best_score[lo:hi] = c[pick], scores[pick]
-        # certified: a rescan of the row would keep nothing it has not kept
-        floors = need[lo:hi] = _floors(kind, best_score[lo:hi], d, lowest, highest) - eps
-        certified[lo:hi] = (row_floors <= _down32(floors)) | (np.bincount(r, minlength=hi - lo) == m)
-    rescan = np.flatnonzero(~certified)
-    for lo in range(0, len(rescan), _BLOCK_ROWS):
-        rows = rescan[lo : lo + _BLOCK_ROWS]
-        best_idx[rows], best_score[rows] = _rescan(S, T, buffers, rows, dx, dy, need[rows], kind)
+        best_idx[lo:hi], best_score[lo:hi] = _first_max(r, hi - lo, c, scores)
+        row_floors[lo:hi], whole[lo:hi] = floors, np.bincount(r, minlength=hi - lo) == m
+    # certified: a rescan of the row would keep nothing it has not kept
+    need = _floors(kind, best_score, dx, lowest, highest) - eps
+    rows = np.flatnonzero(~whole & (row_floors > _down32(need)))
+    bounded = rows[need[rows] > -np.inf]
+    low, above = _low_cut(kind, dy, best_score[bounded], dx[bounded], row_floors[bounded], eps)
+    if len(low):
+        subset = (S, buffers[1][low], *buffers[2:])
+        for lo in range(0, len(bounded), _BLOCK_ROWS):
+            part = bounded[lo : lo + _BLOCK_ROWS]
+            found = _rescan(S, T, subset, part, dx, dy, need[part], kind, targets=low)
+            _keep_better(best_idx, best_score, part, *found)
+        need[bounded] = _floors(kind, best_score[bounded], dx[bounded], above, highest) - eps
+        rows = rows[row_floors[rows] > _down32(need[rows])]
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        part = rows[lo : lo + _BLOCK_ROWS]
+        found = _rescan(S, T, buffers, part, dx, dy, need[part], kind)
+        _keep_better(best_idx, best_score, part, *found)
     return best_idx, best_score
 
 
-def _rescan(S, T, buffers, rows, dx, dy, floors, kind: str):
+def _low_cut(kind: str, dy, s, d, row_floors, eps: float):
+    """(D, above): the targets of lowest dy that uncertified rows (best
+    scores s, terms d, float32 floors) are screened against, ascending,
+    and the lowest dy outside them.  Of D's sizes m / 2, m / 4, ... 1 (at
+    most _TILE_COLS), or none, the one that minimizes len(s) |D| + m
+    (rows still uncertified), the columns the screens of the rows cost."""
+    m = len(dy)
+    if not len(s):
+        return np.arange(0), None
+    order = np.argsort(dy, kind="stable")
+    ranked = dy[order]
+    best, cost = 0, m * len(s)
+    for t in m >> np.arange(1, m.bit_length()):
+        if t > _TILE_COLS:
+            continue
+        fail = (row_floors > _down32(_floors(kind, s, d, ranked[t], ranked[-1]) - eps)).sum()
+        if len(s) * t + m * fail < cost:
+            best, cost = t, len(s) * t + m * fail
+    return np.sort(order[:best]), ranked[best]
+
+
+def _rescan(S, T, buffers, rows, dx, dy, floors, kind: str, targets=None):
     """(indices, scores) of the best-scoring targets of the source rows
-    `rows` (at most _BLOCK_ROWS): each tile of the screen of those rows
-    keeps every G >= floors, the cosine floors (_floors) of the scores they
-    reach less eps, and margin scores decide."""
+    `rows` (at most _BLOCK_ROWS) among all targets, or among the ascending
+    indices `targets` whose float32 rows buffers holds: each tile of the
+    screen of those rows keeps every G >= floors, the cosine floors
+    (_floors) of the scores they reach less eps, and margin scores decide
+    (_first_max)."""
     floors, kept = _down32(floors)[:, None], []
-    for c0, G, keep, _ in _tiles(buffers, rows):
-        r, c = _kept(G, keep, floors)
-        kept.append((r, c0 + c))
-    r, c = _row_major(kept)
+    for r0, c0, G, keep, _ in _tiles(buffers, rows):
+        r, c = _kept(G, keep, floors[r0 : r0 + len(G)])
+        kept.append((r0 + r, c0 + c))
+    r, c = _row_major(kept, len(buffers[1]))
+    if targets is not None:
+        c = targets[c]
     scores = margin_scores(pair_cosines(S, T, rows[r], c), dx[rows][r] + dy[c], kind)
-    grid, starts = _grid(r, len(rows), scores, -np.inf)
-    pick = starts + np.argmax(grid, axis=1)
-    return c[pick], scores[pick]
+    return _first_max(r, len(rows), c, scores)
 
 
 def _check_aligned(S, T) -> None:

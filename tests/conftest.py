@@ -32,16 +32,21 @@ def traced_peak(fn):
 def search_peak_bound(n: int, m: int, d: int, k: int = 4) -> int:
     """Bytes a margin search of n query rows against m targets of dim d may
     trace at its peak: both sides' unit rows in float64 and the targets in
-    float32, one block's query rows in float32, one 512 x 1,280 float32
-    screen tile with its two boolean masks, the two 2^15-value float64
-    gathers of pair_cosines, 512 bytes per query row for its kept entries,
-    and 64 (k + 4) bytes per target for its k largest screen values, its
-    floors and its candidates.  No term grows with 512 m: a screen that
-    spans every target, a float32 copy of every query row (at n = m =
+    float32, one block's query rows in float32, one float32 screen tile of
+    at most 128 x 5,120 values and 512 rows by m columns with its two
+    boolean masks, the two 2^15-value float64 gathers of pair_cosines, and
+    512 bytes per query row for its kept entries.  Then the larger of the
+    column side, 64 (k + 4) bytes per target for its k largest screen
+    values, its floors and its candidates, and what align's screen against
+    its lowest-dy targets holds once the column side is freed: the targets'
+    order and ranked dy (16 bytes per target) and at most min(m / 2, 5,120)
+    of them, float32 rows and indices.  No term grows with 512 m: a screen
+    that spans every target, a float32 copy of every query row (at n = m =
     5,000, d = 64) or 2^17-value gathers would exceed it."""
     rows = (n + m) * d * 8 + m * d * 4 + 512 * d * 4
-    tile = 512 * min(m, 1280) * (4 + 1 + 1)
-    return rows + tile + 2 * 2**15 * 8 + n * 512 + m * 64 * (k + 4)
+    tile = min(512 * m, 128 * 5120) * (4 + 1 + 1)
+    low = m * 16 + min(m // 2, 5120) * (d * 4 + 8)
+    return rows + tile + 2 * 2**15 * 8 + n * 512 + max(m * 64 * (k + 4), low)
 
 
 def distill_config(**overrides) -> TrainConfig:

@@ -443,6 +443,7 @@ def search_case(draw):
 @example((2049, 2049, 2049, True, 2049, "ratio", 0))
 @example((2049, 1900, 7, False, 8, "distance", 1))
 @example((257, 1025, 1025, False, 257, "absolute", 2))
+@example((129, 5300, 5300, False, 4, "ratio", 3))  # two column tiles
 def test_search_equals_the_blocked_oracle_bitwise(case):
     n, m, distinct, same, k, kind, seed = case
     rng = np.random.default_rng(seed)
@@ -538,12 +539,14 @@ def certificate_case(seed, n, spread, lift):
 
 
 def _rescanned(monkeypatch):
-    """A list that gathers the source rows align rescans."""
+    """A list that gathers the source rows align screens again against
+    every target (not those it screens against its lowest-dy targets)."""
     rows, rescan = [], margin._rescan
 
-    def spy(S, T, buffers, rescanned, *rest):
-        rows.extend(rescanned.tolist())
-        return rescan(S, T, buffers, rescanned, *rest)
+    def spy(S, T, buffers, rescanned, *rest, targets=None):
+        if targets is None:
+            rows.extend(rescanned.tolist())
+        return rescan(S, T, buffers, rescanned, *rest, targets=targets)
 
     monkeypatch.setattr(margin, "_rescan", spy)
     return rows
@@ -579,6 +582,87 @@ def test_align_certifies_some_rows_and_rescans_the_rest(kind, monkeypatch):
     assert 0 < len(rescanned) < len(S) and len(set(rescanned)) == len(rescanned)
     if kind == "ratio":  # no certificate bounds a ratio row with dx_i + min dy <= 0
         assert set(unbounded) <= set(rescanned)
+
+
+def anti_hub_case(seed):
+    """600 sources and 400 targets in one narrow cone, and seven anti-hub
+    targets off it, each reached by at most one source, so that their dy
+    is far below every other target's.  Four lure sources each lean toward
+    one anti-hub: its cosine is below their 16 nearest targets' but its
+    margin score is their best.  Targets 40 and 41 are one row, so their
+    scores for lure 11 tie."""
+    rng = np.random.default_rng(seed)
+    dim = 16
+    axes = np.eye(dim)
+    S = axes[0] + 0.05 * rng.normal(size=(600, dim))
+    T = axes[0] + 0.05 * rng.normal(size=(400, dim))
+    for t, a in zip([3, 40, 41, 77, 150, 301, 399], [2, 3, 3, 4, 5, 6, 7]):
+        T[t] = 0.3 * axes[0] + axes[a] + 0.02 * rng.normal(size=dim)
+    T[41] = T[40]
+    for i, a in zip(LURES, [2, 3, 4, 5]):
+        S[i] = axes[0] + 0.6 * axes[a] + 0.01 * rng.normal(size=dim)
+    return S, T
+
+
+LURES = [10, 11, 12, 13]
+
+
+@pytest.mark.parametrize("kind", ["ratio", "distance"])
+def test_align_screens_the_lowest_dy_targets_before_it_rescans(kind, monkeypatch):
+    # a certificate that bounds every row by the lowest dy of all targets
+    # rescans all 600 rows of this case; screened against the lowest-dy
+    # targets first, few rows need the second screen, and no lure does:
+    # that screen, which holds both 40 and 41, finds its pick
+    rescanned, cuts, low_cut = _rescanned(monkeypatch), [], margin._low_cut
+    monkeypatch.setattr(margin, "_low_cut", lambda *a: cuts.append(low_cut(*a)) or cuts[-1])
+    S, T = anti_hub_case(0)
+    cos, dx, dy = oracle_search(S, T, 4)
+    want = oracle_picks(cos, dx, dy, kind)
+    got = align(S, T, SearchConfig(k=4, margin_kind=kind))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert want[0][LURES].tolist() == [3, 40, 77, 150]
+    assert all((cos[i] > cos[i, want[0][i]]).sum() >= margin._TOP for i in LURES)
+    assert cos[11, 40] == cos[11, 41] and dy[40] == dy[41]
+    low, above = cuts[0]
+    assert {3, 40, 41, 77, 150} <= set(low.tolist()) and np.all(np.diff(low) > 0)
+    assert dy[low].max() <= above == np.delete(dy, low).min()
+    assert dy.min() < 0.5 * np.median(dy)
+    assert len(rescanned) < 0.15 * len(S) and not set(LURES) & set(rescanned)
+
+
+def test_a_pick_found_later_replaces_only_a_lower_score_or_a_tie_at_a_higher_target():
+    idx, best = np.array([5, 5, 5, 5, 5]), np.array([1.0, 1.0, 1.0, 1.0, -0.5])
+    found = np.array([7, 3, 8, margin._NONE, 9]), np.array([1.5, 1.0, 1.0, -np.inf, -0.25])
+    margin._keep_better(idx, best, np.arange(5), *found)
+    assert idx.tolist() == [7, 3, 5, 5, 9] and best.tolist() == [1.5, 1.0, 1.0, 1.0, -0.25]
+
+
+@pytest.mark.parametrize("cols", [256, 1024])
+@pytest.mark.parametrize("shape", ["normal", "abs"])
+@pytest.mark.parametrize("k", [3, 130])
+def test_screen_geometry_changes_no_bit(cols, shape, k, monkeypatch):
+    # tiles of 48 x 256 values: 700 targets make three column tiles of
+    # 48-row slices, the last tile ragged and past the last whole chunk,
+    # and the last slice of each of the two blocks of 600 sources ragged;
+    # of 48 x 1,024: slices of 70 whole rows (81 for aligned_scores), the
+    # last ragged.  At k = 130 every row is ranked whole (K > 128), and
+    # np.abs rows send many rows to a second screen
+    rng = np.random.default_rng(k)
+    S, T = rng.normal(size=(600, 8)), rng.normal(size=(700, 8))
+    if shape == "abs":
+        S, T = np.abs(S), np.abs(T)
+
+    def searches():
+        out = [*knn(S, T, k)]
+        for kind in MARGIN_KINDS:
+            cfg = SearchConfig(k=k, margin_kind=kind)
+            out += [*align(S, T, cfg), aligned_scores(S, T[:600], cfg)]
+        return out
+
+    shipped = searches()
+    monkeypatch.setattr(margin, "_TILE_VALUES", 48 * cols)
+    monkeypatch.setattr(margin, "_TILE_COLS", cols)
+    assert all(np.array_equal(a, b) for a, b in zip(shipped, searches(), strict=True))
 
 
 def test_absolute_picks_need_no_rescan(monkeypatch):
