@@ -27,15 +27,20 @@ from .errors import BadMagicError, DimZeroError, FormatError, TruncatedFileError
 
 MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sIQ")
+_FLOAT32_MAX = np.finfo(np.float32).max
+# the least magnitude that rounds to a float32 infinity: the largest
+# float32 plus half its ulp (the tie rounds to even, which is 2^128)
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 
 
 def write_embeddings(path: str | os.PathLike, mat) -> None:
     """Write a 2-D array to ``path`` in EMB1 format (float32, row-major).
 
     The dimension (number of columns) must be > 0; zero rows are fine and
-    produce a 16-byte file.  Non-finite values are rejected.
+    produce a 16-byte file.  Non-finite values, and finite ones that would
+    round to a float32 infinity, raise ValueError before the cast.
     """
-    arr = np.ascontiguousarray(mat, dtype=np.float32)
+    arr = np.asarray(mat)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
     count, dim = arr.shape
@@ -43,6 +48,11 @@ def write_embeddings(path: str | os.PathLike, mat) -> None:
         raise DimZeroError("cannot write embeddings with dim 0")
     if not np.isfinite(arr).all():
         raise ValueError("non-finite values in embedding matrix")
+    if arr.size and max(float(arr.max()), -float(arr.min())) >= _FLOAT32_OVERFLOW:
+        raise ValueError(
+            f"values beyond float32's range (|x| <= {_FLOAT32_MAX:.8g}) in embedding matrix"
+        )
+    arr = np.ascontiguousarray(arr, dtype=np.float32)
     payload = _HEADER.pack(MAGIC, dim, count) + arr.tobytes(order="C")
     with _atomic_open(path, "wb") as fh:
         fh.write(payload)

@@ -95,15 +95,18 @@ def _block_counts(
     keys = keys[starts]
     row = keys // B
     nnz = np.bincount(row, minlength=len(sentences))
-    return nnz, (keys - row * B).astype(np.int64), counts.astype(np.float64)
+    # a count is at most the chunk's n-gram count; a bucket fits an int32
+    counts = counts.astype(np.int32 if ids.size < 2**31 else np.int64)
+    return nnz, (keys - row * B).astype(np.int32, copy=False), counts
 
 
 def featurize_batch(sentences: list[str], cfg: FeaturizerConfig) -> tuple[np.ndarray, ...]:
     """Hashed n-gram counts of many sentences in compressed-row form.
 
     Returns (nnz, indices, counts): sentence i owns the next nnz[i]
-    entries of indices (its strictly increasing buckets) and counts (how
-    often its n-grams hash there).  The empty sentence has no entries (no
+    entries of indices (its strictly increasing buckets, int32) and counts
+    (how often its n-grams hash there, int32, or int64 when a chunk has
+    2^31 n-grams or more).  The empty sentence has no entries (no
     sentinel n-grams are counted for it).  Hashes each sentence once, one
     call per chunk of about _CHUNK_CHARS characters, so a row never
     depends on the batch it is featurized in.  A sentence UTF-8 cannot
@@ -118,7 +121,13 @@ def featurize_batch(sentences: list[str], cfg: FeaturizerConfig) -> tuple[np.nda
     except ValueError:
         hashing.check_utf8(sentences)  # names the index in sentences, not in a chunk
         raise
-    return tuple(np.concatenate(part) for part in zip(*chunks))
+    parts = [list(part) for part in zip(*chunks)]
+    del chunks
+    out = []
+    for part in parts:  # each part's chunks are freed once joined
+        out.append(np.concatenate(part))
+        part.clear()
+    return tuple(out)
 
 
 # not called in the package; perfbench/tracing.py patches it by name
@@ -194,7 +203,7 @@ def _pair_products(
     that table, so products[slot[e]] is the rounded cnt[e] * W[ind[e]].
     """
     B = W.shape[0]
-    counts, key = _distinct(cnt.astype(np.int64), int(cnt.max(initial=0)) + 1)
+    counts, key = _distinct(cnt, int(cnt.max(initial=0)) + 1)
     key = key.astype(np.int32 if counts.size * B <= 2**31 else np.int64, copy=False)
     key *= B  # (count rank) * B + bucket, built in place
     key += ind

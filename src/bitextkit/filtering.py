@@ -26,7 +26,7 @@ from .embfile import open_text, write_text
 # name under this module
 from .encoder import EncoderParams, encode, encode_masked  # noqa: F401
 from .errors import CorpusFormatError
-from .margin import SearchConfig, aligned_scores, knn  # noqa: F401
+from .margin import SearchConfig, _aligned_unit_scores, _check_dims, _unit_rows, knn  # noqa: F401
 
 Pair = tuple[str, str]
 
@@ -120,15 +120,19 @@ def score_corpus(
 
     Pairs with an empty side, or whose encoding collapses, score -inf and
     are isolated from all neighbourhoods.  Output order follows the input.
+    The scores are aligned_scores' of the valid rows.  Encoders of
+    different dims raise DimMismatchError before anything is encoded.
     """
+    _check_dims(student.dim, teacher.dim)
     src, src_ok = encode_masked(student, [s for s, _ in pairs])
     tgt, tgt_ok = encode_masked(teacher, [t for _, t in pairs])
     valid = np.flatnonzero(src_ok & tgt_ok)  # a pair participates only when whole
     S, T = src[valid], tgt[valid]
-    del src, tgt  # the search holds only the valid rows
+    del src, tgt
     scores = np.full(len(pairs), -math.inf)
     if valid.size:
-        scores[valid] = aligned_scores(S, T, cfg)
+        S, T = _unit_rows(S, T)  # the search holds these rows and no copy of them
+        scores[valid] = _aligned_unit_scores(S, T, cfg)
     return [
         ScoredPair(source, target, float(scores[i]), count_tokens(target))
         for i, (source, target) in enumerate(pairs)

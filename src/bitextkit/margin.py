@@ -136,11 +136,15 @@ def _screen_eps(d: int) -> float:
     return (gamma + d * 2.0**-52) * (1 + slack) + slack + 2.0**-48
 
 
+def _check_dims(a: int, b: int) -> None:
+    if a != b:
+        raise DimMismatchError(f"dim mismatch: {a} vs {b}")
+
+
 def _unit_rows(queries, candidates):
     Q = normalize_rows(queries)
     C = normalize_rows(candidates)
-    if Q.shape[1] != C.shape[1]:
-        raise DimMismatchError(f"dim mismatch: {Q.shape[1]} vs {C.shape[1]}")
+    _check_dims(Q.shape[1], C.shape[1])
     return Q, C
 
 
@@ -353,15 +357,16 @@ def _fold(top: np.ndarray, kth: np.ndarray, cols: np.ndarray, values: np.ndarray
     top[touched], kth[touched] = merged[:, cut:], merged[:, cut]
 
 
-def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
+def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers, blocks=None):
     """One screened pass over the blocks of the unit source rows S against
-    the unit target rows T: (dx, dy, blocks).
+    the unit target rows T: (dx, dy), and each block's entries appended to
+    the list blocks when one is given.
 
     Rows: each keeps the entries at or above its float32 floor, L - 2 eps
     rounded down, L from _RowBound at K (K >= k), so its top K are among
     them, and _rank_rows finds its top k, which give dx.  Each tile keeps
     what reaches its rows' floors so far, never above the final ones, and
-    the block's end cuts them to those.  blocks holds, per source block
+    the block's end cuts them to those.  blocks gets, per source block
     from lo, (lo, rows, cols, g, cos, floors): the kept entries (row-major,
     rows counted from lo), their screen values, their pair cosines or NaN
     where none was taken, and the rows' floors.
@@ -381,7 +386,7 @@ def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
     n, m, eps = S.shape[0], T.shape[0], _screen_eps(S.shape[1])
     dx = np.empty(n)
     top, kth = np.full((m, k), -np.inf), np.full(m, -np.inf)
-    blocks, found = [], [[] for _ in range(0, m, _TILE_COLS)]
+    found = [[] for _ in range(0, m, _TILE_COLS)]
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         bound, kept, row_floors = _RowBound(m, K), [], np.empty(hi - lo, np.float32)
@@ -409,7 +414,8 @@ def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
         rr, cc = rr.astype(np.int32), cc.astype(np.int32)
         cos, pick = _rank_rows(S[lo:hi], T, rr, cc, gg, k, eps)
         dx[lo:hi] = neighborhood_means(cos[pick], k)
-        blocks.append((lo, rr, cc, gg, cos, row_floors))
+        if blocks is not None:
+            blocks.append((lo, rr, cc, gg, cos, row_floors))
     # each fold's candidates are cut to the final floors, rescored and
     # folded again on their own, so no step holds all of a column tile's
     floors = kth - 2 * eps
@@ -421,7 +427,7 @@ def _search(S: np.ndarray, T: np.ndarray, k: int, K: int, buffers):
             r, c = np.divmod(at[g >= floors[cols][at % width]], width)
             _fold(top[cols], kth[cols], c, pair_cosines(S, T, r, c0 + c))
     dy = neighborhood_means(-np.sort(-top, axis=1), k)
-    return dx, dy, blocks
+    return dx, dy
 
 
 def _zero_sum(dx: np.ndarray, dy: np.ndarray) -> bool:
@@ -495,7 +501,8 @@ def align(src_emb, tgt_emb, cfg: SearchConfig):
     _check_k(k, S, T)
     n, m, eps = S.shape[0], T.shape[0], _screen_eps(S.shape[1])
     buffers = _screens(S, T)
-    dx, dy, blocks = _search(S, T, k, min(max(k, _TOP), m), buffers)
+    blocks = []
+    dx, dy = _search(S, T, k, min(max(k, _TOP), m), buffers, blocks)
     if kind == MARGIN_RATIO and _zero_sum(dx, dy):
         raise ZeroDivisionError("ratio margin with zero denominator")
     best_idx, best_score = np.empty(n, dtype=np.int64), np.empty(n)
@@ -584,9 +591,14 @@ def aligned_scores(src_emb, tgt_emb, cfg: SearchConfig) -> np.ndarray:
     and dy from one screened pass (_search).  Raises KTooLargeError when k
     exceeds the row count."""
     _check_aligned(src_emb, tgt_emb)
-    S, T = _unit_rows(src_emb, tgt_emb)
+    return _aligned_unit_scores(*_unit_rows(src_emb, tgt_emb), cfg)
+
+
+def _aligned_unit_scores(S: np.ndarray, T: np.ndarray, cfg: SearchConfig) -> np.ndarray:
+    """aligned_scores of the aligned unit rows S and T (_unit_rows), which
+    the search holds without a copy."""
     _check_k(cfg.k, S)
-    dx, dy = _search(S, T, cfg.k, cfg.k, _screens(S, T))[:2]
+    dx, dy = _search(S, T, cfg.k, cfg.k, _screens(S, T))
     rows = np.arange(len(S))
     return margin_scores(pair_cosines(S, T, rows, rows), dx + dy, cfg.margin_kind)
 

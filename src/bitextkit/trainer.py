@@ -357,7 +357,8 @@ def _schedule(targets: list[str], teacher: EncoderParams, cfg: TrainConfig):
     Drop an epoch's views before asking for the next one.
     """
     tgt = encode_batch(teacher, targets)
-    lengths = [count_tokens(t) for t in targets]
+    # batch_indices reads only how many lengths there are when it shuffles
+    lengths = targets if cfg.shuffle else [count_tokens(t) for t in targets]
     batch_rng = _rng_streams(cfg.rng_seed)[1]
     b, q = cfg.batch_size, cfg.queue_size
 

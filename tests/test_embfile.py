@@ -130,6 +130,25 @@ def test_non_finite_values_rejected(tmp_path):
         write_embeddings(tmp_path / "nan.emb", [[np.nan, 1.0]])
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39, 2.0**128 - 2.0**103])
+def test_finite_values_beyond_float32_are_refused_as_out_of_range(tmp_path, value):
+    # each rounds to a float32 infinity: refused before the cast, with no
+    # overflow warning, and not reported as non-finite
+    path = tmp_path / "big.emb"
+    message = r"^values beyond float32's range \(\|x\| <= 3\.4028235e\+38\) in embedding matrix$"
+    with pytest.raises(ValueError, match=message):
+        write_embeddings(path, [[value, 0.0]])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_values_that_round_to_the_largest_float32_are_written(tmp_path):
+    below = float(np.nextafter(2.0**128 - 2.0**103, 0.0))
+    path = tmp_path / "top.emb"
+    write_embeddings(path, [[below, -below]])
+    top = np.finfo(np.float32).max
+    assert read_embeddings(path).tolist() == [[top, -top]]
+
+
 def test_non_matrix_input_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_embeddings(tmp_path / "vec.emb", np.ones(4))

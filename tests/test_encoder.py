@@ -28,6 +28,7 @@ from bitextkit.errors import (
     FormatError,
     ZeroVectorError,
 )
+from bitextkit.synth import CipherSpec, gen_cipher_corpus
 
 
 def small_params(buckets=16, dim=4, seed=3, frozen=False, hash_seed=0):
@@ -255,6 +256,45 @@ def test_batch_calls_hash_each_sentence_once(monkeypatch):
     hashed.clear()
     encode_masked(params, sentences)
     assert sum(hashed) == wrapped
+
+
+def test_featurize_batch_traced_peak_holds_each_entry_once(monkeypatch):
+    # one encoding group of 1,024 long sentences, hashed in 13 chunks.  An
+    # entry is an int32 index and an int32 count, 8 bytes, and nnz 8 bytes
+    # a row.  While chunks are hashed, the rows so far sit beside one
+    # chunk's hashing and sort, 32 bytes per n-gram at most (30.4 here);
+    # while the parts are joined, nnz sits beside one part's chunks and its
+    # join and the other part's chunks.  int64 / float64 entries (5.15 MiB),
+    # or chunks kept until every part is joined, would exceed that
+    hashed = []
+
+    def counting(*args):
+        ids, text = bucket_ids(*args)
+        hashed.append(len(ids))
+        return ids, text
+
+    bucket_ids = hashing.bucket_ids
+    monkeypatch.setattr(hashing, "bucket_ids", counting)
+    cfg = FeaturizerConfig(ngram_orders=(2, 3), bucket_count=2048, hash_seed=101)
+    spec = CipherSpec(vocab_size=100, min_len=20, max_len=60, map_seed=7)
+    sentences = [t for _, t in gen_cipher_corpus(spec, encoder._GROUP_ROWS, 11)]
+    featurize_batch(sentences[:8], cfg)  # the hash tables are cached, not traced
+    hashed.clear()
+    (nnz, indices, counts), peak = traced_peak(lambda: featurize_batch(sentences, cfg))
+    assert indices.dtype == counts.dtype == np.int32 and len(hashed) == 13
+    rows, entries = 8 * len(sentences), 8 * len(indices)
+    bound = rows + max(entries + 32 * max(hashed), rows + 1.5 * entries)
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_save_refuses_finite_weights_beyond_float32(tmp_path):
+    # they would round to a float32 infinity, which the writer must not cast
+    # into (NumPy warns) and then call non-finite
+    params = small_params(buckets=8, dim=4)
+    params.weights[3, 1] = -1e39
+    with pytest.raises(ValueError, match=r"^values beyond float32's range \(\|x\| <= 3\.4028235e\+38\)"):
+        save_encoder(params, tmp_path / "enc.emb")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _unencodable_at(index: int):

@@ -3,14 +3,16 @@ margin scoring with hand-checkable encoders, language-hook and empty-side
 handling, and budgeted selection with the prefix-nesting property."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bitextkit import filtering
 from bitextkit.encoder import EncoderParams, FeaturizerConfig, encode_batch, make_teacher
-from bitextkit.errors import CorpusFormatError, FormatError
+from bitextkit.errors import CorpusFormatError, DimMismatchError, FormatError
 from bitextkit.filtering import (
     ScoredPair,
     count_tokens,
@@ -327,8 +329,9 @@ def test_score_corpus_across_blocks_matches_knn_margins():
 
 
 def test_score_corpus_traced_peak_holds_no_spare_embeddings():
-    # 3,000 long pairs at d = 64: beyond the search, scoring holds only the
-    # valid rows of both sides, not the full encodings they were taken from
+    # 3,000 long pairs at d = 64: scoring holds no more than the search of
+    # its valid rows, whose unit rows it makes once and hands over, with
+    # neither the full encodings nor the valid rows they were taken from
     featurizer = FeaturizerConfig(ngram_orders=(2, 3), bucket_count=2048, hash_seed=101)
     teacher = make_teacher(featurizer, 64, weight_seed=101)
     student = default_student(teacher, 202)
@@ -337,7 +340,20 @@ def test_score_corpus_traced_peak_holds_no_spare_embeddings():
     score_corpus(pairs[:8], student, teacher, cfg)  # the hash tables are cached, not traced
     _, peak = traced_peak(lambda: score_corpus(pairs, student, teacher, cfg))
     n, d = len(pairs), teacher.dim
-    assert peak <= 2 * n * d * 8 + search_peak_bound(n, n, d), f"peak {peak / 2**20:.2f} MiB"
+    assert peak <= search_peak_bound(n, n, d), f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_score_corpus_refuses_encoders_of_different_dims_before_encoding(monkeypatch):
+    def encoded(*args):
+        raise AssertionError("a side was encoded")
+
+    monkeypatch.setattr(filtering, "encode_masked", encoded)
+    featurizer = FeaturizerConfig(ngram_orders=(2,), bucket_count=16, hash_seed=1)
+    student = make_teacher(featurizer, 8, weight_seed=1)
+    teacher = make_teacher(replace(featurizer, hash_seed=2), 16, weight_seed=2)
+    with pytest.raises(DimMismatchError, match="^dim mismatch: 8 vs 16$"):
+        score_corpus([("ab", "cd")], student, teacher, SearchConfig(k=1))
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**16), k=st.integers(1, 4), kind=st.sampled_from(MARGIN_KINDS))

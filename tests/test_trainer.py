@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitextkit import trainer
+from bitextkit import encoder, trainer
 from bitextkit.encoder import (
     EncoderParams,
     FeaturizerConfig,
@@ -482,6 +482,26 @@ def test_schedule_queues_are_a_fifo_over_the_run_target_stream(queue_size, shuff
             fifo = (fifo + batch.tolist())[-queue_size:]
 
 
+def test_schedule_counts_tokens_only_to_sort_by_length(monkeypatch):
+    # a length-sorted run counts each target's tokens once and trains as on
+    # the pairs sorted by that count; a shuffled run never reads a length
+    teacher, pairs = tiny_teacher(), tiny_corpus()
+    cfg = run_cfg(shuffle=False)
+    ranked = train_distill(sorted(pairs, key=lambda p: count_tokens(p[1])), teacher, cfg)
+    counted = []
+    monkeypatch.setattr(trainer, "count_tokens", lambda t: counted.append(t) or count_tokens(t))
+    result = train_distill(pairs, teacher, cfg)
+    assert counted == [t for _, t in pairs]
+    assert result.log_lines == ranked.log_lines
+    assert np.array_equal(result.student.weights, ranked.student.weights)
+
+    def refused(target):
+        raise AssertionError("a shuffled run counted tokens")
+
+    monkeypatch.setattr(trainer, "count_tokens", refused)
+    assert len(train_distill(pairs, teacher, run_cfg(shuffle=True)).log_lines) == 2
+
+
 def test_length_batching_reduces_within_batch_spread():
     rng = np.random.default_rng(8)
     lengths = rng.integers(1, 13, size=1000)
@@ -910,6 +930,44 @@ def test_one_teacher_stream_matrix_is_alive_at_a_time(train_corpus, teacher, stu
     stream = (min(cfg.queue_size, n) + n) * row
     _, peak = traced_peak(lambda: train_distill(train_corpus, teacher, cfg, student_init=student_init))
     assert held + stream < peak < held + stream + n * row
+
+
+def _widened(featurize):
+    """featurize_batch with int64 indices and float64 counts."""
+
+    def wide(sentences, cfg):
+        nnz, indices, counts = featurize(sentences, cfg)
+        return nnz, indices.astype(np.int64), counts.astype(np.float64)
+
+    return wide
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"prefilter_enabled": True, "filter_threshold": 0.5}, {"negatives_source": "in_batch"}],
+    ids=["queue", "prefilter", "in-batch"],
+)
+def test_int32_features_give_the_bits_of_wide_ones(
+    monkeypatch, train_corpus, teacher, student_init, overrides
+):
+    # int32 indices and counts against int64 indices and float64 counts,
+    # which _pair_products then reads as int64 counts: the same encoder
+    # rows, and the same weights and log from one epoch of training
+    cfg = distill_config(epochs=1, **overrides)
+    sources = [s for s, _ in train_corpus]
+    rows, ok = encoder.encode_masked(student_init, sources)
+    result = train_distill(train_corpus, teacher, cfg, student_init=student_init)
+    pair_products = encoder._pair_products
+    monkeypatch.setattr(encoder, "featurize_batch", _widened(featurize_batch))
+    monkeypatch.setattr(trainer, "featurize_batch", _widened(featurize_batch))
+    monkeypatch.setattr(
+        encoder, "_pair_products", lambda W, n, i, c: pair_products(W, n, i, c.astype(np.int64))
+    )
+    wide_rows, wide_ok = encoder.encode_masked(student_init, sources)
+    assert np.array_equal(rows, wide_rows) and np.array_equal(ok, wide_ok)
+    wide = train_distill(train_corpus, teacher, cfg, student_init=student_init)
+    assert np.array_equal(result.student.weights, wide.student.weights)
+    assert result.log_lines == wide.log_lines
 
 
 def test_distill_refuses_a_student_of_another_dim():
