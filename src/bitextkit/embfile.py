@@ -52,10 +52,10 @@ def write_embeddings(path: str | os.PathLike, mat) -> None:
         raise ValueError(
             f"values beyond float32's range (|x| <= {_FLOAT32_MAX:.8g}) in embedding matrix"
         )
-    arr = np.ascontiguousarray(arr, dtype=np.float32)
-    payload = _HEADER.pack(MAGIC, dim, count) + arr.tobytes(order="C")
+    arr = np.ascontiguousarray(arr, dtype="<f4")
     with _atomic_open(path, "wb") as fh:
-        fh.write(payload)
+        fh.write(_HEADER.pack(MAGIC, dim, count))
+        fh.write(arr.data)  # the array's own buffer, not a copy of it
 
 
 def read_embeddings(path: str | os.PathLike) -> np.ndarray:

@@ -184,8 +184,8 @@ def make_teacher(
 def _distinct(a: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(a, return_inverse=True) of ints in [0, size): one table
     lookup when the table is at most 32 entries per element of ``a``, so
-    its memory follows ``a``; a sort otherwise.  It dedupes the (bucket,
-    count) pairs here and each training step's bucket ids."""
+    its memory follows ``a``; a sort otherwise.  It dedupes the (count,
+    bucket) keys here and each training step's bucket ids."""
     if size > 32 * a.size:
         return np.unique(a, return_inverse=True)
     table = np.zeros(size, dtype=np.int32)
@@ -203,15 +203,15 @@ def _pair_products(
     that table, so products[slot[e]] is the rounded cnt[e] * W[ind[e]].
     """
     B = W.shape[0]
-    counts, key = _distinct(cnt, int(cnt.max(initial=0)) + 1)
-    key = key.astype(np.int32 if counts.size * B <= 2**31 else np.int64, copy=False)
-    key *= B  # (count rank) * B + bucket, built in place
+    size = (int(cnt.max(initial=0)) + 1) * B
+    key = cnt.astype(np.int32 if size <= 2**31 else np.int64)
+    key *= B  # count * B + bucket, built in place
     key += ind
-    pairs, slot = _distinct(key, counts.size * B)
+    pairs, slot = _distinct(key, size)
     del key  # before the table is made, to keep the peak memory down
     count_of = pairs // B
     products = W[pairs - count_of * B]
-    products *= counts.astype(np.float64)[count_of, None]
+    products *= count_of.astype(np.float64)[:, None]
     return nnz, slot, products
 
 

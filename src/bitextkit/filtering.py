@@ -86,9 +86,13 @@ class ScoredPair:
     target_tokens: int
 
 
-def _check_scores(scored: list[ScoredPair]) -> None:
-    if any(math.isnan(p.score) for p in scored):
+def _ranked(scored: list[ScoredPair]) -> list[ScoredPair]:
+    """scored in descending score order, ties in their given order; a NaN
+    score, which has no place in that order, raises ValueError."""
+    scores = np.fromiter((p.score for p in scored), np.float64, len(scored))
+    if np.isnan(scores).any():
         raise ValueError("scores must not be NaN")
+    return [scored[i] for i in np.argsort(-scores, kind="stable").tolist()]
 
 
 def write_scored_tsv(
@@ -97,11 +101,9 @@ def write_scored_tsv(
     comments: list[str] | None = None,
 ) -> None:
     """Write ``score<TAB>source<TAB>target`` lines, descending by score
-    (ties keep the given order); -inf prints as '-inf'.  A NaN score, which
-    has no place in that order, raises ValueError before anything is
-    written."""
-    _check_scores(scored)
-    ranked = sorted(scored, key=lambda p: -p.score)  # stable: ties keep their order
+    (ties keep the given order); -inf prints as '-inf'.  A NaN score
+    raises ValueError before anything is written."""
+    ranked = _ranked(scored)
     write_text(path, (f"{p.score:.6f}\t{p.source}\t{p.target}" for p in ranked), comments, tabs=2)
 
 
@@ -124,8 +126,10 @@ def score_corpus(
     different dims raise DimMismatchError before anything is encoded.
     """
     _check_dims(student.dim, teacher.dim)
-    src, src_ok = encode_masked(student, [s for s, _ in pairs])
-    tgt, tgt_ok = encode_masked(teacher, [t for _, t in pairs])
+    sources = [s for s, _ in pairs]
+    targets = [t for _, t in pairs]
+    src, src_ok = encode_masked(student, sources)
+    tgt, tgt_ok = encode_masked(teacher, targets)
     valid = np.flatnonzero(src_ok & tgt_ok)  # a pair participates only when whole
     S, T = src[valid], tgt[valid]
     del src, tgt
@@ -133,10 +137,7 @@ def score_corpus(
     if valid.size:
         S, T = _unit_rows(S, T)  # the search holds these rows and no copy of them
         scores[valid] = _aligned_unit_scores(S, T, cfg)
-    return [
-        ScoredPair(source, target, float(scores[i]), count_tokens(target))
-        for i, (source, target) in enumerate(pairs)
-    ]
+    return list(map(ScoredPair, sources, targets, scores.tolist(), map(count_tokens, targets)))
 
 
 def select_by_token_budget(scored: list[ScoredPair], budget: int) -> list[ScoredPair]:
@@ -149,16 +150,11 @@ def select_by_token_budget(scored: list[ScoredPair], budget: int) -> list[Scored
     """
     if not budget >= 0:  # NaN too, which would select everything
         raise ValueError(f"budget: must be >= 0, got {budget}")
-    _check_scores(scored)
-    order = sorted(range(len(scored)), key=lambda i: -scored[i].score)
     out: list[ScoredPair] = []
     total = 0
-    for i in order:
-        p = scored[i]
-        if p.score == -math.inf:
-            break  # everything after is -inf too
-        if total + p.target_tokens > budget:
-            break
-        out.append(p)
+    for p in _ranked(scored):
         total += p.target_tokens
+        if p.score == -math.inf or total > budget:
+            break  # everything after a -inf is -inf too
+        out.append(p)
     return out

@@ -10,7 +10,7 @@ so the tests compare with ``np.array_equal``.
 
 import numpy as np
 
-from bitextkit.encoder import featurize_batch
+from bitextkit.encoder import _distinct, featurize_batch
 from bitextkit.vectors import ZERO_NORM_EPS
 
 
@@ -26,3 +26,18 @@ def embed(params, sentence):
     if norm > ZERO_NORM_EPS:
         return z / norm, True
     return np.zeros(params.dim), False
+
+
+def pair_products(W, nnz, ind, cnt):
+    """``encoder._pair_products`` in two dedupes: the distinct counts
+    first, then the distinct (count rank, bucket) keys.  Count to rank is
+    monotone, so the keys sort as (count, bucket) keys do and both forms
+    give the same slots and products."""
+    B = W.shape[0]
+    counts, key = _distinct(cnt, int(cnt.max(initial=0)) + 1)
+    key = key.astype(np.int32 if counts.size * B <= 2**31 else np.int64) * B + ind
+    pairs, slot = _distinct(key, counts.size * B)
+    count_of = pairs // B
+    products = W[pairs - count_of * B]
+    products *= counts.astype(np.float64)[count_of, None]
+    return nnz, slot, products

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bitextkit import read_embeddings, write_embeddings
 from bitextkit.embfile import open_text, write_text
 from bitextkit.errors import BadMagicError, DimZeroError, FormatError, TruncatedFileError
+from conftest import traced_peak
 
 
 def test_empty_matrix_is_a_16_byte_file(tmp_path):
@@ -152,6 +153,17 @@ def test_values_that_round_to_the_largest_float32_are_written(tmp_path):
 def test_non_matrix_input_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_embeddings(tmp_path / "vec.emb", np.ones(4))
+
+
+def test_write_traces_the_float32_cast_and_no_copy_of_it(tmp_path):
+    # header + payload joined in one bytes object would trace the cast,
+    # its bytes copy and the joined copy: three payloads, not one
+    mat = np.random.default_rng(5).standard_normal((20_000, 64))
+    path = tmp_path / "big.emb"
+    _, peak = traced_peak(lambda: write_embeddings(path, mat))
+    assert peak <= mat.size * 4 + 64 * 1024
+    payload = mat.astype("<f4").tobytes()
+    assert path.read_bytes() == struct.pack("<4sIQ", b"EMB1", 64, 20_000) + payload
 
 
 def test_no_temp_files_left_behind(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 from encoder_oracle import embed as oracle_embed
+from encoder_oracle import pair_products as oracle_pair_products
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -461,6 +462,37 @@ def test_encode_masked_memory_is_not_sized_by_the_largest_count():
     (out, ok), peak = traced_peak(lambda: encode_masked(params, sentences))
     assert ok.all()
     assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_pair_products_equal_the_two_dedupe_form(monkeypatch, train_corpus, held_corpus, teacher):
+    # one (count, bucket) dedupe gives the two-dedupe form's slots and
+    # products: on every encoding group of the session corpora and of long
+    # sentences; on one sentence, whose table would pass 32 entries per key
+    # (np.unique); and on a bigram counted 1,049,999 times, whose keys need
+    # int64 at 2,048 buckets
+    key_dtypes = []
+
+    def spy(a, size):
+        key_dtypes.append(a.dtype)
+        return distinct(a, size)
+
+    distinct = encoder._distinct
+    monkeypatch.setattr(encoder, "_distinct", spy)
+    rows = encoder._GROUP_ROWS
+    long = [t for _, t in gen_cipher_corpus(CipherSpec(100, 20, 60, 7), 2 * rows, 11)]
+    sides = [[p[side] for p in corpus] for corpus in (train_corpus, held_corpus) for side in (0, 1)]
+    groups = [side[lo : lo + rows] for side in sides + [long] for lo in range(0, len(side), rows)]
+    W = teacher.weights
+    for group in groups + [["one short sentence"], ["a" * 1_050_000]]:
+        features = featurize_batch(group, teacher.featurizer)
+        key_dtypes.clear()
+        got = encoder._pair_products(W, *features)
+        assert len(key_dtypes) == 1  # one dedupe
+        want = oracle_pair_products(W, *features)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert key_dtypes == [np.int64] and int(features[2].max()) == 1_049_999
+    nnz, indices, counts = featurize_batch(["one short sentence"], teacher.featurizer)
+    assert (int(counts.max()) + 1) * W.shape[0] > 32 * counts.size  # the np.unique branch
 
 
 def test_encode_masked_marks_failing_rows():

@@ -447,3 +447,64 @@ def test_budget_adherence_and_prefix_nesting():
         assert sum(p.target_tokens for p in small) <= b1
         assert sum(p.target_tokens for p in large) <= b2
         assert small == large[: len(small)]  # nested budgets nest selections
+
+
+def oracle_ranked(scored):
+    """The sorted() order the ranking must give: descending, stable."""
+    return sorted(scored, key=lambda p: -p.score)
+
+
+def oracle_select(scored, budget):
+    """Greedy selection as a plain loop over oracle_ranked."""
+    out, total = [], 0
+    for p in oracle_ranked(scored):
+        if p.score == -math.inf:
+            break
+        if total + p.target_tokens > budget:
+            break
+        out.append(p)
+        total += p.target_tokens
+    return out
+
+
+SCORES = st.one_of(
+    st.sampled_from([0.5, 0.25, 0.0, -0.0, math.inf, -math.inf, -1.5]),  # ties, +-0.0, infinities
+    st.floats(allow_nan=False),
+)
+TOKENS = st.one_of(st.integers(0, 12), st.just(0), st.integers(0, 2**72))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(st.tuples(SCORES, TOKENS), max_size=40),
+    tail=st.lists(TOKENS, max_size=5),  # -inf-scored, as pairs with an empty side
+    budget=st.one_of(
+        st.just(0),
+        st.integers(0, 80),
+        st.floats(0, 80),
+        st.just(math.inf),
+        st.just(2**70),
+    ),
+    nan_at=st.none() | st.integers(0, 45),
+)
+def test_ranking_and_selection_equal_the_sorted_loops(
+    tmp_path_factory, entries, tail, budget, nan_at
+):
+    scored = [
+        ScoredPair(f"s{i}", f"t{i}", score, tokens)
+        for i, (score, tokens) in enumerate(entries + [(-math.inf, t) for t in tail])
+    ]
+    path = tmp_path_factory.mktemp("ranked") / "scored.tsv"
+    if nan_at is not None:
+        scored.insert(min(nan_at, len(scored)), ScoredPair("nan", "nan", math.nan, 1))
+        with pytest.raises(ValueError, match="^scores must not be NaN$"):
+            write_scored_tsv(path, scored)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="^scores must not be NaN$"):
+            select_by_token_budget(scored, budget)
+        return
+    picked, want = select_by_token_budget(scored, budget), oracle_select(scored, budget)
+    assert len(picked) == len(want) and all(p is w for p, w in zip(picked, want))
+    write_scored_tsv(path, scored, comments=["c"])
+    lines = "".join(f"{p.score:.6f}\t{p.source}\t{p.target}\n" for p in oracle_ranked(scored))
+    assert path.read_bytes() == ("# c\n" + lines).encode()
